@@ -148,14 +148,18 @@ def _ensemble_for(alpha, beta):
 
 def _shell_maximum(beta, E, xtol=1e-11):
     """Direct maximization of capacity_alpha over alpha_q + alpha_p = 2E."""
-    spread = math.sqrt(max(E * E - 0.25, 0.0))
-    lo, hi = E - spread, E + spread
+    # Both shell ends lie on alpha_q*alpha_p = 1/4.  Taking the lower end and
+    # the partner quadrature from that product, not from E - sqrt(E^2 - 1/4)
+    # or 2E - ap, avoids a cancellation that lands below the uncertainty
+    # boundary for large E.
+    hi = E + math.sqrt(max(E * E - 0.25, 0.0))
+    lo = 0.25 / hi
     if hi - lo < 1e-14:
         a = make_covariance(E, E)
         return a.alpha_p, capacity_alpha(a, beta)
 
     def value(ap):
-        return capacity_alpha(make_covariance(2.0 * E - ap, ap), beta)
+        return capacity_alpha(make_covariance(max(2.0 * E - ap, 0.25 / ap), ap), beta)
 
     # Coarse scan guards against the piecewise structure across regimes,
     # golden-section refines the winning bracket.

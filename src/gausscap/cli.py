@@ -10,12 +10,9 @@ import json
 import math
 import os
 import sys
-from multiprocessing import Pool
 
 import click
-import numpy as np
 
-from . import clt, fock
 from .capacity import (
     capacity_alpha,
     capacity_energy,
@@ -32,8 +29,6 @@ from .core import (
     output_entropy_term,
 )
 from .duality import accessible_info_sharp_position, dual_ensemble, kappa_matrix
-from .grids import QuadratureGrid
-from .hgm import SearchConfig, hgm_search
 
 LN2 = math.log(2.0)
 
@@ -161,12 +156,12 @@ def dual(alpha_q, alpha_p, beta_q, beta_p, log_base):
     click.echo(json.dumps(payload, indent=2))
 
 
-def _sweep_point(args):
-    beta_q, beta_p, energy = args
-    beta = make_noise(beta_q, beta_p)
-    res = capacity_energy(beta, energy, cross_check=False)
-    return (energy, res.capacity_nats, res.regime.value, res.hypothetical,
-            res.optimal_alpha.alpha_q, res.optimal_alpha.alpha_p)
+def _linspace(start, stop, num):
+    """Evenly spaced floats, bit-identical to numpy.linspace(start, stop, num)."""
+    if num == 1:
+        return [start + 0.0 * (stop - start)]  # nan for an infinite stop, as numpy
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
 
 
 @main.command()
@@ -175,7 +170,8 @@ def _sweep_point(args):
 @click.option("--energy-min", default=0.5, show_default=True, type=float)
 @click.option("--energy-max", default=5.0, show_default=True, type=float)
 @click.option("--steps", default=50, show_default=True, type=int)
-@click.option("--workers", default=0, show_default="machine parallelism", type=int)
+@click.option("--workers", default=0, type=int, hidden=True,
+              help="Accepted and ignored; points are evaluated in one process.")
 @log_base_option
 @handle_errors
 def sweep(beta_q, beta_p, energy_min, energy_max, steps, workers, log_base):
@@ -186,19 +182,16 @@ def sweep(beta_q, beta_p, energy_min, energy_max, steps, workers, log_base):
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    make_noise(beta_q, beta_p)  # validate before fanning out
-    energies = list(np.linspace(energy_min, energy_max, steps))
-    jobs = [(beta_q, beta_p, e) for e in energies]
-    if workers == 1:
-        rows = [_sweep_point(j) for j in jobs]
-    else:
-        with Pool(workers or None) as pool:
-            rows = pool.map(_sweep_point, jobs)
+    beta = make_noise(beta_q, beta_p)
+    rows = [(e, capacity_energy(beta, e, cross_check=False))
+            for e in _linspace(energy_min, energy_max, steps)]
     writer = csv.writer(sys.stdout)
     writer.writerow(["energy", "capacity", "regime", "hypothetical",
                      "alpha_q", "alpha_p"])
-    for e, cap, reg, hyp, aq, ap in rows:
-        writer.writerow([e, _convert(cap, log_base), reg, hyp, aq, ap])
+    for e, res in rows:
+        writer.writerow([e, _convert(res.capacity_nats, log_base), res.regime.value,
+                         res.hypothetical, res.optimal_alpha.alpha_q,
+                         res.optimal_alpha.alpha_p])
 
 
 @main.command()
@@ -232,6 +225,9 @@ def bound(beta_q, energy, log_base):
 def hgm_search_cmd(alpha_q, alpha_p, beta_q, beta_p, members, starts, iters,
                    seed, truncation, grid_nodes):
     """Numerical stress search against the Gaussian-maximizer ceiling (JSON report)."""
+    from .grids import QuadratureGrid
+    from .hgm import SearchConfig, hgm_search
+
     alpha = make_covariance(alpha_q, alpha_p)
     beta = make_noise(beta_q, beta_p)
     config = SearchConfig(
@@ -253,6 +249,10 @@ def hgm_search_cmd(alpha_q, alpha_p, beta_q, beta_p, members, starts, iters,
 @handle_errors
 def clt_demo(n_list, fock_level, half_width, nodes):
     """Characteristic-function convergence table for the n-copy symmetrization."""
+    import numpy as np
+
+    from . import clt, fock
+
     try:
         ns = [int(s) for s in n_list.split(",") if s.strip()]
     except ValueError as exc:

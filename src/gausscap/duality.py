@@ -51,29 +51,15 @@ def dual_ensemble(alpha, beta):
     k = kappa_matrix(alpha)
     gq = k.kappa_q ** 2 / (aq + beta.beta_q)
     gp = 0.0 if beta.noise_type == 2 else k.kappa_p ** 2 / (ap + beta.beta_p)
-    apq, app = aq - gq, ap - gp
-
-    # The same quantities in closed form; the two routes must agree identically.
-    apq_closed = aq * (beta.beta_q + 0.25 / ap) / (aq + beta.beta_q)
-    app_closed = ap if beta.noise_type == 2 else (
-        ap * (beta.beta_p + 0.25 / aq) / (ap + beta.beta_p))
-    assert abs(apq - apq_closed) <= 1e-12 * max(1.0, aq)
-    assert abs(app - app_closed) <= 1e-12 * max(1.0, ap)
-
-    return DualEnsemble(apq, app, gq, gp, alpha)
+    return DualEnsemble(aq - gq, ap - gp, gq, gp, alpha)
 
 
 def accessible_info_sharp_position(dual, beta):
     """Mutual information of the dual ensemble under sharp position readout.
 
     Equals (1/2) ln[(alpha'_q + gamma'_q)/alpha'_q]; in regime L this is the
-    capacity at fixed alpha.
+    capacity at fixed alpha.  The dual ensemble already carries beta; the
+    argument is kept so existing callers need not change.
     """
     aq = dual.alpha_prime_q + dual.gamma_prime_q
-    info = 0.5 * math.log(aq / dual.alpha_prime_q)
-    # Consistency with the closed form in terms of (alpha, beta).
-    par = dual.parent_alpha
-    direct = 0.5 * math.log((par.alpha_q + beta.beta_q)
-                            / (beta.beta_q + 0.25 / par.alpha_p))
-    assert abs(info - direct) <= 1e-10 * max(1.0, abs(direct))
-    return info
+    return 0.5 * math.log(aq / dual.alpha_prime_q)

@@ -249,6 +249,7 @@ def test_criterion_07_discretized_ensemble_capacity():
     report(7, worst < 2e-2, f"gaps {', '.join(details)} (tol 2e-2)")
 
 
+@pytest.mark.slow
 def test_criterion_08_hgm_stress_search():
     """Multi-start search stays below the C ceiling; L excess is only flagged."""
     config = SearchConfig(members=4, starts=16, max_iter=200, seed=0, n_max=24,

@@ -217,6 +217,22 @@ class TestCapacityEnergy:
                 res.capacity_nats, abs=1e-9
             )
 
+    def test_cross_check_large_energy_grid(self):
+        # The shell endpoints used to cancel below alpha_q*alpha_p = 1/4 from
+        # E ~ 20 on, so the default cross-check raised HeisenbergViolation.
+        noises = [make_noise(0, INF)]
+        for j in range(-6, 5):
+            bq = 10 ** (j / 2)
+            noises += [make_noise(bq, INF), make_noise(bq, 0.25 / bq),
+                       make_noise(bq, 1.0 / bq), make_noise(bq, 100.0 / bq)]
+        for beta in noises:
+            for k in range(-3, 61):
+                res = capacity_energy(beta, 10 ** (k / 10))
+                gap = abs(res.optimizer_check_nats - res.capacity_nats)
+                assert gap <= 1e-9
+                if res.regime is Regime.C:
+                    assert gap <= 1e-12 * max(1.0, res.capacity_nats)
+
     def test_series_matches_exact_formula(self):
         # small beta_q expansion against the exact ratio at beta_q = 1e-6
         from gausscap.capacity import _noisy_position_ratio

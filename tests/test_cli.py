@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -46,6 +47,16 @@ class TestCapacityCommand:
         payload = json.loads(res.output)
         assert payload["capacity"] == pytest.approx(1.0, abs=1e-12)
         assert payload["log_base"] == "bits"
+
+    def test_large_energy_cross_check_exit_0(self, runner):
+        # Used to exit 2: the shell cross-check left the uncertainty region.
+        res = run_ok(runner, ["capacity", "--beta-q", "0.0012746083881221356",
+                              "--beta-p", "196.13875314936692",
+                              "-e", "158.41985233750944"])
+        payload = json.loads(res.output)
+        assert payload["optimizer_check_nats"] == pytest.approx(
+            payload["capacity_nats"], abs=1e-9
+        )
 
     def test_invalid_energy_exit_2(self, runner):
         res = runner.invoke(main, ["capacity", "--beta-q", "0.5",
@@ -100,6 +111,14 @@ class TestSweepCommand:
         assert rows[1]["regime"] == "C"
         caps = [float(r["capacity"]) for r in rows]
         assert caps == sorted(caps)
+
+    @pytest.mark.parametrize("steps", [1, 2, 4, 2000])
+    def test_energy_column_matches_numpy_linspace(self, runner, steps):
+        res = run_ok(runner, ["sweep", "--beta-q", "0.3", "--beta-p", "2.5",
+                              "--energy-min", "0.7", "--energy-max", "13.3",
+                              "--steps", str(steps)])
+        energies = [r["energy"] for r in csv.DictReader(io.StringIO(res.output))]
+        assert energies == [str(e) for e in np.linspace(0.7, 13.3, steps)]
 
     def test_parallel_matches_serial(self, runner):
         args = ["sweep", "--beta-q", "0.2", "--beta-p", "inf",

@@ -1,0 +1,68 @@
+"""The closed-form layer loads without the numpy/scipy engine or a process pool."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gausscap
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gausscap.__file__)))
+HEAVY = ("numpy", "scipy", "multiprocessing")
+
+CLOSED_FORM_COMMANDS = {
+    "capacity": ["capacity", "--beta-q", "0.5", "--beta-p", "0.5", "-e", "2.0"],
+    "regime": ["regime", "--alpha-q", "1", "--alpha-p", "2",
+               "--beta-q", "0.2", "--beta-p", "inf"],
+    "dual": ["dual", "--alpha-q", "1", "--alpha-p", "1",
+             "--beta-q", "0.2", "--beta-p", "5"],
+    "bound": ["bound", "--beta-q", "0.2", "-e", "1.0"],
+    "sweep": ["sweep", "--beta-q", "0.2", "--beta-p", "inf", "--steps", "5",
+              "--workers", "2"],
+}
+
+
+def heavy_modules_after(code):
+    """Run code in a fresh interpreter; the heavy modules it left loaded."""
+    script = (f"import json, sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
+              f"print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_engine():
+    assert heavy_modules_after("import gausscap") == []
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM_COMMANDS))
+def test_closed_form_command_loads_no_engine(command):
+    code = ("from gausscap.cli import main\n"
+            f"main({CLOSED_FORM_COMMANDS[command]!r}, standalone_mode=False)")
+    assert heavy_modules_after(code) == []
+
+
+def test_engine_loads_on_first_use():
+    assert "numpy" in heavy_modules_after("import gausscap\ngausscap.hgm_search")
+
+
+def test_every_export_is_its_submodule_object():
+    for name in gausscap.__all__:
+        obj = getattr(gausscap, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_matches_all():
+    namespace = {}
+    exec("from gausscap import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gausscap.__all__)
+
+
+def test_engine_submodules_and_unknown_names():
+    assert gausscap.grids.QuadratureGrid is gausscap.QuadratureGrid
+    assert {"fock", "hgm", "hgm_search"} <= set(dir(gausscap))
+    with pytest.raises(AttributeError):
+        gausscap.no_such_name
