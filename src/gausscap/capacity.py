@@ -20,10 +20,6 @@ from .core import (
 )
 from .optimize import golden_section_max
 
-# Below this beta_q the ratio in the noisy-position capacity is evaluated
-# by its series expansion (0/0 at beta_q = 0).
-_SERIES_BETA_Q = 1e-8
-
 
 class Regime(str, Enum):
     L = "L"
@@ -132,11 +128,9 @@ def upper_bound(beta_q, E):
 
 
 def _noisy_position_ratio(E, beta_q):
-    """(sqrt(1+8E bq+4bq^2)-1)/(2 bq), by series for tiny bq (limit 2E)."""
-    if beta_q < _SERIES_BETA_Q:
-        s = 2.0 * E + beta_q
-        return s - beta_q * s * s + 2.0 * beta_q * beta_q * s ** 3
-    return (math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2) - 1.0) / (2.0 * beta_q)
+    """(sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized: no cancellation, 2E at bq=0."""
+    return (4.0 * E + 2.0 * beta_q) / (
+        math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2) + 1.0)
 
 
 def _ensemble_for(alpha, beta):

@@ -4,15 +4,16 @@ Matrices act on the span of |0>..|N> (dimension N+1).  Displacement matrix
 elements use the associated-Laguerre closed form, evaluated by the stable
 three-term recurrence in the degree.  Accuracy degrades once the
 displacement magnitude approaches the truncation edge; elements are
-reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).
+reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Squeezes
+come from one cached eigendecomposition of the squeeze generator per
+dimension, so the module needs numpy only.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .core import TruncationInsufficient
 
@@ -49,11 +50,25 @@ def momentum_operator(dim):
     return -1j * (a - a.T) / math.sqrt(2.0)
 
 
-def squeeze_matrix(r, dim):
-    """exp(r(a+^2 - a^2)/2); scales the position quadrature by e^r."""
+@functools.lru_cache(maxsize=16)
+def _squeeze_eigenbasis(dim):
+    """Eigenpairs (lam, V) of the Hermitian i*G, G = (a+^2 - a^2)/2; read-only."""
     a = destroy(dim)
-    gen = 0.5 * r * (a.T @ a.T - a @ a)
-    return expm(gen)
+    gen = 0.5 * (a.T @ a.T - a @ a)
+    lam, vecs = np.linalg.eigh(1j * gen)
+    lam.flags.writeable = False
+    vecs.flags.writeable = False
+    return lam, vecs
+
+
+def squeeze_matrix(r, dim):
+    """exp(r(a+^2 - a^2)/2); scales the position quadrature by e^r.
+
+    G is real, so exp(rG) = Re(V diag(e^{-i r lam}) V+) with (lam, V) the
+    eigenpairs of i*G, which do not depend on r.
+    """
+    lam, vecs = _squeeze_eigenbasis(dim)
+    return ((vecs * np.exp(-1j * r * lam)) @ vecs.conj().T).real
 
 
 def thermal_diagonal(n_bar, dim):
@@ -101,7 +116,7 @@ def displacement_batch(zeta, dim):
     g = zeta.shape[0]
     t = np.abs(zeta) ** 2
     emt = np.exp(-0.5 * t)
-    lg = gammaln(np.arange(dim) + 1.0)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(dim)])
     out = np.empty((g, dim, dim), dtype=complex)
     for d in range(dim):
         n_deg = dim - d

@@ -291,9 +291,10 @@ def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6,
     return h
 
 
-def _average_moments(ens):
-    stats = [state_moments(s) for s in ens.states]
-    w = np.asarray(ens.weights, dtype=float)
+def _average_moments(weights, states):
+    """Means and variances of (q, p) for the weighted mixture of the states."""
+    stats = [state_moments(s) for s in states]
+    w = np.asarray(weights, dtype=float)
     mq = sum(wi * s[0] for wi, s in zip(w, stats))
     mp = sum(wi * s[1] for wi, s in zip(w, stats))
     eq2 = sum(wi * (s[2] + s[0] ** 2) for wi, s in zip(w, stats))
@@ -306,7 +307,7 @@ def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
 
     The Lebesgue-reference constants cancel exactly between the two terms.
     """
-    moments = _average_moments(ens)
+    moments = _average_moments(ens.weights, ens.states)
     means, sigmas = _output_window(moments, beta)
     dim = max(
         s.dim if isinstance(s, FockOperator) else np.asarray(s).shape[0]

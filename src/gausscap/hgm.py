@@ -16,8 +16,14 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
-from .fock import displaced_squeezed_vector, state_moments
-from .grids import OutputSampler, QuadratureGrid, _entropy_from_density, _grid_nodes
+from .fock import displaced_squeezed_vector
+from .grids import (
+    OutputSampler,
+    QuadratureGrid,
+    _average_moments,
+    _entropy_from_density,
+    _grid_nodes,
+)
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,7 @@ class _Objective:
         return w, states
 
     def mutual_info_and_violation(self, w, states):
-        stats = [state_moments(v) for v in states]
-        mq = sum(wi * s[0] for wi, s in zip(w, stats))
-        mp = sum(wi * s[1] for wi, s in zip(w, stats))
-        vq = sum(wi * (s[2] + s[0] ** 2) for wi, s in zip(w, stats)) - mq ** 2
-        vp = sum(wi * (s[3] + s[1] ** 2) for wi, s in zip(w, stats)) - mp ** 2
+        mq, mp, vq, vp = _average_moments(w, states)
         violation = (mq ** 2 + mp ** 2
                      + (vq - self.alpha.alpha_q) ** 2
                      + (vp - self.alpha.alpha_p) ** 2)

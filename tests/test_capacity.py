@@ -1,11 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from gausscap.capacity import (
     Regime,
+    _noisy_position_ratio,
     capacity_alpha,
     capacity_energy,
     classify_regime,
@@ -233,18 +237,29 @@ class TestCapacityEnergy:
                 if res.regime is Regime.C:
                     assert gap <= 1e-12 * max(1.0, res.capacity_nats)
 
-    def test_series_matches_exact_formula(self):
-        # small beta_q expansion against the exact ratio at beta_q = 1e-6
-        from gausscap.capacity import _noisy_position_ratio
+    def test_noisy_position_ratio_matches_mpmath(self):
+        # Small E*beta_q is where sqrt(1 + 8E bq + ...) - 1 cancels.
+        for e in np.geomspace(0.5, 1e6, 25):
+            assert _noisy_position_ratio(e, 0.0) == 2.0 * e
+            for bq in np.geomspace(1e-12, 1e2, 57):
+                with mpmath.workdps(50):
+                    b = mpmath.mpf(bq)
+                    exact = (mpmath.sqrt(1 + 8 * e * b + 4 * b * b) - 1) / (2 * b)
+                assert _noisy_position_ratio(e, bq) == pytest.approx(
+                    float(exact), rel=1e-14)
 
-        bq, e = 1e-6, 2.0
-        u = 8 * e * bq + 4 * bq * bq
-        # cancellation-free rewrite of (sqrt(1 + u) - 1) / (2 beta_q)
-        exact = u / (2 * bq * (math.sqrt(1 + u) + 1))
-        s = 2 * e + bq
-        series = s - bq * s * s + 2 * bq * bq * s ** 3
-        assert series == pytest.approx(exact, rel=1e-12)
-        assert _noisy_position_ratio(e, bq) == pytest.approx(exact, rel=1e-9)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_e=st.floats(math.log10(0.5), 6.0),
+        log_bq=st.floats(-9.0, 2.0),
+        log_u=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    )
+    def test_valid_input_matches_shell_maximum(self, log_e, log_bq, log_u):
+        e = max(10 ** log_e, 0.5)
+        bq = 10 ** log_bq
+        bp = INF if log_u is None else 10 ** log_u * 0.25 / bq
+        res = capacity_energy(make_noise(bq, bp), e)
+        assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, abs=1e-9)
 
     def test_monotone_in_energy_and_noise(self):
         beta = make_noise(0.4, 1.0)

@@ -1,4 +1,5 @@
-"""The closed-form layer loads without the numpy/scipy engine or a process pool."""
+"""The closed-form layer loads without the numpy/scipy engine or a process pool,
+and the Fock engine outside the stress search loads without scipy."""
 
 import json
 import os
@@ -47,6 +48,20 @@ def test_closed_form_command_loads_no_engine(command):
 
 def test_engine_loads_on_first_use():
     assert "numpy" in heavy_modules_after("import gausscap\ngausscap.hgm_search")
+
+
+def test_fock_engine_loads_no_scipy():
+    code = "import gausscap.fock, gausscap.grids, gausscap.clt, gausscap.dualcheck"
+    assert "scipy" not in heavy_modules_after(code)
+
+
+def test_squeezed_state_entropy_loads_no_scipy():
+    code = ("from gausscap import make_covariance, make_noise\n"
+            "from gausscap.fock import gaussian_state_fock\n"
+            "from gausscap.grids import QuadratureGrid, numeric_output_entropy\n"
+            "rho = gaussian_state_fock(make_covariance(2.0, 0.5), n_max=30)\n"
+            "numeric_output_entropy(rho, make_noise(0.5, 0.5), QuadratureGrid(8.0, 40))")
+    assert "scipy" not in heavy_modules_after(code)
 
 
 def test_every_export_is_its_submodule_object():

@@ -46,6 +46,14 @@ class TestSqueeze:
         assert vq == pytest.approx(0.5 * math.exp(2 * r), abs=1e-10)
         assert vp == pytest.approx(0.5 * math.exp(-2 * r), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [8, 25, 61])
+    def test_matches_matrix_exponential(self, dim):
+        a = destroy(dim)
+        gen = 0.5 * (a.T @ a.T - a @ a)
+        for r in np.linspace(-3.0, 3.0, 25):
+            err = np.abs(squeeze_matrix(r, dim) - expm(r * gen)).max()
+            assert err <= 1e-11, (r, err)
+
     def test_unitary(self):
         dim = 30
         s = squeeze_matrix(0.4, dim)

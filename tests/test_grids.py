@@ -124,7 +124,7 @@ class TestDiscreteEnsemble:
         assert len(ens) == 11
         from gausscap.grids import _average_moments
 
-        mq, mp, vq, vp = _average_moments(ens)
+        mq, mp, vq, vp = _average_moments(ens.weights, ens.states)
         assert abs(mq) < 1e-10 and abs(mp) < 1e-10
         assert vq == pytest.approx(1.0, abs=1e-8)
         assert vp == pytest.approx(0.25 / 0.325, abs=1e-8)
