@@ -41,17 +41,24 @@ def kappa_matrix(alpha):
 def dual_ensemble(alpha, beta):
     """Dual ensemble via gamma' = kappa (alpha + beta)^{-1} kappa, alpha' = alpha - gamma'.
 
-    For the position-only measurement (beta_p = +inf) the momentum entries
-    pass through unchanged.  Sharp position (type 3) is excluded: the dual
-    transform is not defined for it here.
+    alpha'_q is evaluated as alpha_q (beta_q + 1/(4 alpha_p)) / (alpha_q + beta_q),
+    likewise for p, which avoids the cancellation in alpha - gamma' for
+    strongly mixed alpha.  For the position-only measurement (beta_p = +inf)
+    the momentum entries pass through unchanged.  Sharp position (type 3) is
+    excluded: the dual transform is not defined for it here.
     """
     if beta.noise_type == 3:
         raise InvalidForSharp("duality degenerates for the sharp position measurement")
     aq, ap = alpha.alpha_q, alpha.alpha_p
     k = kappa_matrix(alpha)
     gq = k.kappa_q ** 2 / (aq + beta.beta_q)
-    gp = 0.0 if beta.noise_type == 2 else k.kappa_p ** 2 / (ap + beta.beta_p)
-    return DualEnsemble(aq - gq, ap - gp, gq, gp, alpha)
+    apq = aq * (beta.beta_q + 0.25 / ap) / (aq + beta.beta_q)
+    if beta.noise_type == 2:
+        gp, app = 0.0, ap
+    else:
+        gp = k.kappa_p ** 2 / (ap + beta.beta_p)
+        app = ap * (beta.beta_p + 0.25 / aq) / (ap + beta.beta_p)
+    return DualEnsemble(apq, app, gq, gp, alpha)
 
 
 def accessible_info_sharp_position(dual, beta):
@@ -61,5 +68,4 @@ def accessible_info_sharp_position(dual, beta):
     capacity at fixed alpha.  The dual ensemble already carries beta; the
     argument is kept so existing callers need not change.
     """
-    aq = dual.alpha_prime_q + dual.gamma_prime_q
-    return 0.5 * math.log(aq / dual.alpha_prime_q)
+    return 0.5 * math.log(dual.parent_alpha.alpha_q / dual.alpha_prime_q)

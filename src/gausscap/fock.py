@@ -4,9 +4,11 @@ Matrices act on the span of |0>..|N> (dimension N+1).  Displacement matrix
 elements use the associated-Laguerre closed form, evaluated by the stable
 three-term recurrence in the degree.  Accuracy degrades once the
 displacement magnitude approaches the truncation edge; elements are
-reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Squeezes
-come from one cached eigendecomposition of the squeeze generator per
-dimension, so the module needs numpy only.
+reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Displacement
+matrices serve the operator-level checks (dualcheck, quantum_charfn);
+outcome densities are evaluated in the position representation by grids.
+Squeezes come from one cached eigendecomposition of the squeeze generator
+per dimension, so the module needs numpy only.
 """
 
 import functools
@@ -34,6 +36,13 @@ class FockOperator:
     @property
     def n_max(self):
         return self.matrix.shape[0] - 1
+
+
+def state_array(state):
+    """The ndarray of a FockOperator, density matrix or state vector."""
+    if isinstance(state, FockOperator):
+        return state.matrix
+    return np.asarray(state)
 
 
 def destroy(dim):
@@ -169,17 +178,17 @@ def displaced_squeezed_vector(x, y, r, dim, fock_amplitudes=None):
 
 def state_moments(rho):
     """Means and variances of (q, p) for a density matrix or state vector."""
-    mat = rho.matrix if isinstance(rho, FockOperator) else None
-    dim = mat.shape[0] if mat is not None else rho.shape[0]
+    mat = state_array(rho)
+    dim = mat.shape[0]
     q = position_operator(dim)
     p = momentum_operator(dim)
-    if mat is not None:
+    if mat.ndim == 2:
         mq = np.trace(mat @ q).real
         mp = np.trace(mat @ p).real
         vq = np.trace(mat @ (q @ q)).real - mq ** 2
         vp = np.trace(mat @ (p @ p)).real - mp ** 2
     else:
-        v = rho
+        v = mat
         mq = np.vdot(v, q @ v).real
         mp = np.vdot(v, p @ v).real
         vq = np.vdot(v, q @ (q @ v)).real - mq ** 2
@@ -189,7 +198,7 @@ def state_moments(rho):
 
 def quantum_charfn(rho):
     """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable."""
-    mat = np.asarray(rho.matrix if isinstance(rho, FockOperator) else rho)
+    mat = state_array(rho)
     dim = mat.shape[0]
 
     def phi(x, y):

@@ -2,28 +2,24 @@
 
 Outcome densities are taken relative to Lebesgue measure; the reference
 measure constant therefore drops from every difference of entropies.  The
-workhorse is OutputSampler, which factorizes the POVM density through the
-spectral decomposition of the noise operator and evaluates many states on
-many outcome points with one batched displacement pass.
+workhorse is OutputSampler.  It evaluates every density in the position
+representation, on one Gauss-Legendre grid of inner positions with the
+oscillator eigenfunctions tabulated on it: type 1 from the overlaps of the
+states with the displaced noise eigenvectors, one Fourier matmul per outcome
+row; type 2 as the Gaussian smearing of the states' position distributions.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    InvalidForSharp,
-    NegativeDensity,
-    NormalizationFailure,
-)
-from .fock import (
-    DEFAULT_N,
-    FockOperator,
-    displacement_batch,
-    gaussian_state_fock,
-    state_moments,
-)
+from .core import InvalidForSharp, NormalizationFailure, make_covariance
+from .fock import DEFAULT_N, gaussian_state_fock, state_array, state_moments
+
+# Eigenvalues below this fraction of the largest are dropped from states and noise.
+_EIG_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -32,11 +28,6 @@ class QuadratureGrid:
 
     half_width: float = 8.0
     nodes_per_axis: int = 200
-    scheme: str = "tensor-gauss-legendre"
-
-    def __post_init__(self):
-        if self.scheme not in ("tensor-gauss-legendre", "adaptive"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -72,148 +63,158 @@ def _hermite_functions(q, dim):
     return psi
 
 
-def _state_components(state, tol=1e-13):
-    """Decompose into (probabilities, column vectors); vectors pass through."""
-    if isinstance(state, FockOperator):
-        mat = state.matrix
-    else:
-        mat = np.asarray(state)
-    if mat.ndim == 1:
-        v = mat / np.linalg.norm(mat)
-        return np.ones(1), v[:, None]
-    vals, vecs = np.linalg.eigh(mat)
-    keep = vals > tol * max(vals.max(), 1.0)
-    return vals[keep], vecs[:, keep]
+@functools.lru_cache(maxsize=32)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _inner_grid(dim, reach):
+    """Inner positions q, weights and psi_n(q), n < dim, on [-q_max, q_max].
+
+    q_max = sqrt(2 dim) + 6 covers the Fock support.  The integrands are a
+    product of two truncated Fock-space functions, each with wavenumbers up
+    to sqrt(2 dim), times a factor with wavenumbers up to reach.
+    Gauss-Legendre resolves them once the node count exceeds q_max times the
+    total wavenumber over 2; 32 nodes more take the error to rounding.  The
+    count is capped at 6000 nodes.
+    """
+    q_max = math.sqrt(2.0 * dim) + 6.0
+    n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 32
+    x, w = _leggauss(min(n, 6000))
+    q = q_max * x
+    return q, q_max * w, _hermite_functions(q, dim)
+
+
+def _state_components(states):
+    """(P, V): column k of V is an eigenvector of state i with weight P[i, k].
+
+    A state vector is one normalized column with weight 1.
+    """
+    comps = []
+    for s in states:
+        mat = state_array(s)
+        if mat.ndim == 1:
+            comps.append((np.ones(1), (mat / np.linalg.norm(mat))[:, None]))
+            continue
+        vals, vecs = np.linalg.eigh(mat)
+        keep = vals > _EIG_TOL * max(vals.max(), 1.0)
+        comps.append((vals[keep], vecs[:, keep]))
+    vecs = np.hstack([v for _, v in comps])
+    probs = np.zeros((len(comps), vecs.shape[1]))
+    col = 0
+    for i, (p, _) in enumerate(comps):
+        probs[i, col:col + p.shape[0]] = p
+        col += p.shape[0]
+    return probs, vecs
 
 
 class OutputSampler:
     """Evaluates POVM outcome densities of Fock states for a fixed noise.
 
     Type 1 (finite beta): two-dimensional outcomes, density
-    Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi), factorized through the spectral
-    decomposition of rho_beta.  Type 2 (beta_p = +inf): one-dimensional,
-    Tr[rho exp(-(q-x)^2/(2 beta_q))]/sqrt(2 pi beta_q), computed exactly as
-    the Gaussian smearing of the position-diagonal of rho (Hermite
-    functions plus inner quadrature).
+    Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = sum_r <f_r|D+ rho D|f_r>/(2 pi),
+    with f_r the columns of factor: the eigenvectors of rho_beta scaled by
+    sqrt(eigenvalue).  Type 2 (beta_p = +inf): one-dimensional,
+    Tr[rho exp(-(q-x)^2/(2 beta_q))]/sqrt(2 pi beta_q), the Gaussian smearing
+    of the position distribution of rho.  Both are integrals over the inner
+    grid of _inner_grid, sized for the outcome points at hand.
     """
 
-    def __init__(self, beta, dim=DEFAULT_N + 1, eig_tol=1e-13):
+    def __init__(self, beta, dim=DEFAULT_N + 1):
         if beta.noise_type == 3:
             raise InvalidForSharp("no POVM matrix family for the sharp measurement")
         self.beta = beta
         self.dim = dim
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
         if beta.noise_type == 1:
-            from .core import make_covariance
-
             rho_b = gaussian_state_fock(
                 make_covariance(beta.beta_q, beta.beta_p), dim - 1
             )
-            vals, vecs = np.linalg.eigh(rho_b.matrix)
-            keep = vals > eig_tol * vals.max()
-            # Columns scaled by sqrt(eigenvalue):
-            # density = (1/2pi) sum_k |<u| D |col_k>|^2
+            # rho_beta is real: its covariance is diagonal.
+            vals, vecs = np.linalg.eigh(rho_b.matrix.real)
+            keep = vals > _EIG_TOL * vals.max()
             self.factor = vecs[:, keep] * np.sqrt(vals[keep])
-        else:
-            # Inner position grid covering the Fock support, resolved below
-            # the noise width.
-            q_max = math.sqrt(2.0 * dim) + 6.0
-            width = min(math.sqrt(beta.beta_q), 1.0)
-            n_q = max(400, int(5.0 * q_max / width))
-            x, w = np.polynomial.legendre.leggauss(min(n_q, 6000))
-            self.q_nodes = q_max * x
-            self.q_weights = q_max * w
-            self.psi = _hermite_functions(self.q_nodes, dim)
 
-    def _position_diagonals(self, comps):
-        """<q|rho|q> on the inner grid for each decomposed state."""
-        rows = []
-        for probs, vecs in comps:
-            amp = self.psi.T @ vecs  # (Q, k)
-            rows.append((np.abs(amp) ** 2) @ probs)
-        return rows
-
-    def densities(self, states, points, chunk=1500):
+    def densities(self, states, points):
         """Density rows for each state at the given outcome points.
 
         points: array (G, 2) for type 1 or (G,) for type 2.  Returns
-        (n_states, G) real array.
+        (n_states, G) real array.  Type 1 builds its amplitudes one outcome
+        row at a time.
         """
-        points = np.asarray(points, dtype=float)
-        comps = [_state_components(s) for s in states]
-        if self.outcome_dim == 1:
-            kernel = self._smearing_kernel(points.ravel())
-            out = np.stack([kernel @ f for f in self._position_diagonals(comps)])
-        else:
-            zeta = (points[:, 0] + 1j * points[:, 1]) / math.sqrt(2.0)
-            g = zeta.shape[0]
-            out = np.zeros((len(states), g))
-            for start in range(0, g, chunk):
-                sl = slice(start, min(start + chunk, g))
-                d = displacement_batch(zeta[sl], self.dim)
-                a = d @ self.factor  # (Gc, dim, r) displaced noise eigenvectors
-                self._accumulate(out[:, sl], a, comps)
-            out /= 2.0 * math.pi
-        return self._finalize(out)
+        return self._evaluate(states, *self._amplitudes(points))
 
     def bind(self, points):
-        """Precompute the point-dependent tensors for repeated evaluation."""
-        return _BoundSampler(self, np.asarray(points, dtype=float))
+        """densities(states, points) for fixed points, as a function of states.
 
-    def _smearing_kernel(self, xs):
-        kernel = np.exp(
-            -((xs[:, None] - self.q_nodes[None, :]) ** 2)
-            / (2.0 * self.beta.beta_q)
-        ) / math.sqrt(2.0 * math.pi * self.beta.beta_q)
-        return kernel * self.q_weights[None, :]
+        The amplitudes of every outcome row are built once, here.
+        """
+        psi, rows, index = self._amplitudes(points)
+        rows = [np.concatenate(list(rows), axis=-1)]
+        return lambda states: self._evaluate(states, psi, rows, index)
 
-    @staticmethod
-    def _accumulate(block, a, comps):
-        for i, (probs, vecs) in enumerate(comps):
-            m = np.tensordot(vecs.conj().T, a, axes=([1], [1]))
-            block[i] = np.einsum("k,kgr->g", probs, np.abs(m) ** 2)
+    def _amplitudes(self, points):
+        """Point-dependent factors on the tensor of the distinct x and y values.
 
-    @staticmethod
-    def _finalize(out):
-        if out.min() < -1e-10:
-            raise NegativeDensity(
-                f"density fell to {out.min():.3e}; raise the truncation"
-            )
-        return np.clip(out, 0.0, None)
+        Returns (psi, rows, index): the Hermite functions of the inner grid,
+        an iterable of factors whose last axis runs over outcome points, and
+        the position of each given point in the row-major tensor.  Type 1
+        rows are the amplitudes A[n, r, y] = <n|D(x,y)|f_r> of one x each,
+        up to a phase per point; type 2 has one row, the smearing kernel
+        (Q, n_x) with the quadrature weights folded in.
+        """
+        points = np.asarray(points, dtype=float)
+        if self.outcome_dim == 1:
+            xs, index = np.unique(points.ravel(), return_inverse=True)
+            bq = self.beta.beta_q
+            # The kernel's Fourier transform exp(-k^2 bq/2) is e^-32 at this k.
+            q, w, psi = _inner_grid(self.dim, 8.0 / math.sqrt(bq))
+            kernel = np.exp(-((q[:, None] - xs[None, :]) ** 2) / (2.0 * bq))
+            kernel *= (w / math.sqrt(2.0 * math.pi * bq))[:, None]
+            return psi, [kernel], index
+        xs, ix = np.unique(points[:, 0], return_inverse=True)
+        ys, iy = np.unique(points[:, 1], return_inverse=True)
+        q, w, psi = _inner_grid(self.dim, float(np.abs(ys).max()))
+        return psi, self._rows(q, psi * w, xs, ys), ix * ys.shape[0] + iy
 
+    def _rows(self, q, psi_w, xs, ys):
+        """Type-1 amplitudes of each outcome row x, shape (dim, rank, n_y).
 
-class _BoundSampler:
-    """OutputSampler with the outcome points fixed and their tensors cached."""
+        <q|D(x,y)|f> = e^{-ixy/2} e^{iyq} f(q-x), so up to that phase
+        <n|D(x,y)|f_r> = int psi_n(q) f_r(q-x) e^{iyq} dq: a real
+        (dim rank, Q) matrix times the fixed Fourier kernel (Q, n_y).
+        """
+        fourier = np.hstack([np.cos(np.outer(q, ys)), np.sin(np.outer(q, ys))])
+        ny = ys.shape[0]
+        for x in xs:
+            shifted = self.factor.T @ _hermite_functions(q - x, self.dim)
+            c = (psi_w[:, None, :] * shifted[None, :, :]).reshape(-1, q.shape[0])
+            re_im = c @ fourier
+            yield (re_im[:, :ny] + 1j * re_im[:, ny:]).reshape(self.dim, -1, ny)
 
-    def __init__(self, parent, points):
-        self.parent = parent
-        if parent.outcome_dim == 1:
-            self.kernel = parent._smearing_kernel(points.ravel())
+    def _evaluate(self, states, psi, rows, index):
+        """Densities of the states at the points whose factors _amplitudes gave."""
+        probs, vecs = _state_components(states)
+        if self.outcome_dim == 1:
+            position = probs @ (np.abs(psi.T @ vecs) ** 2).T  # (n_states, Q)
+            out = np.concatenate([position @ kernel for kernel in rows], axis=1)
         else:
-            zeta = (points[:, 0] + 1j * points[:, 1]) / math.sqrt(2.0)
-            d = displacement_batch(zeta, parent.dim)
-            self.displaced = d @ parent.factor  # (G, dim, r)
-
-    def densities(self, states):
-        comps = [_state_components(s) for s in states]
-        par = self.parent
-        if par.outcome_dim == 1:
-            out = np.stack(
-                [self.kernel @ f for f in par._position_diagonals(comps)]
-            )
-        else:
-            out = np.zeros((len(states), self.displaced.shape[0]))
-            par._accumulate(out, self.displaced, comps)
-            out /= 2.0 * math.pi
-        return par._finalize(out)
+            blocks = []
+            for a in rows:
+                dim, rank, g = a.shape
+                overlap = np.abs(vecs.conj().T @ a.reshape(dim, rank * g)) ** 2
+                blocks.append((probs @ overlap).reshape(-1, rank, g).sum(axis=1))
+            out = np.concatenate(blocks, axis=1) / (2.0 * math.pi)
+        return out[:, index]
 
 
-def povm_density(rho, beta, x, y=0.0, n_max=None):
+def povm_density(rho, beta, x, y=0.0):
     """Outcome density of a single state at one point (convenience wrapper)."""
-    dim = rho.dim if isinstance(rho, FockOperator) else np.asarray(rho).shape[0]
-    if n_max is not None:
-        dim = n_max + 1
-    sampler = OutputSampler(beta, dim)
+    sampler = OutputSampler(beta, state_array(rho).shape[0])
     if sampler.outcome_dim == 2:
         pts = np.array([[x, y]])
     else:
@@ -222,14 +223,14 @@ def povm_density(rho, beta, x, y=0.0, n_max=None):
 
 
 def _gauss_legendre_axis(center, sigma, half_width, nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     scale = half_width * sigma
     return center + scale * x, scale * w
 
 
-def _grid_nodes(means, sigmas, grid, nodes=None):
+def _grid_nodes(means, sigmas, grid):
     """Tensor nodes/weights over windows center +- half_width*sigma per axis."""
-    n = nodes or grid.nodes_per_axis
+    n = grid.nodes_per_axis
     axes = [_gauss_legendre_axis(m, s, grid.half_width, n) for m, s in zip(means, sigmas)]
     if len(axes) == 1:
         return axes[0][0], axes[0][1]
@@ -239,8 +240,9 @@ def _grid_nodes(means, sigmas, grid, nodes=None):
     return pts, wg.ravel()
 
 
-def _output_window(state, beta):
-    mq, mp, vq, vp = state_moments(state) if isinstance(state, FockOperator) else state
+def _output_window(moments, beta):
+    """Means and standard deviations of the output Gaussian for state moments."""
+    mq, mp, vq, vp = moments
     if beta.noise_type == 1:
         means = (mq, mp)
         sigmas = (math.sqrt(vq + beta.beta_q), math.sqrt(vp + beta.beta_p))
@@ -255,40 +257,21 @@ def _entropy_from_density(p, w):
     return -float(np.dot(w[mask], p[mask] * np.log(p[mask])))
 
 
-def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6,
-                           sampler=None):
+def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """Lebesgue differential entropy of the outcome density, in nats.
 
-    The grid window is centered on the state's output Gaussian.  With the
-    adaptive scheme the node count doubles until the entropy stabilizes.
+    The grid window is centered on the state's output Gaussian.
     """
-    means, sigmas = _output_window(rho, beta)
-    dim = rho.dim if isinstance(rho, FockOperator) else np.asarray(rho).shape[0]
-    smp = sampler or OutputSampler(beta, dim)
-
-    def compute(nodes):
-        pts, w = _grid_nodes(means, sigmas, grid, nodes)
-        p = smp.densities([rho], pts)[0]
-        mass = float(np.dot(w, p))
-        return mass, _entropy_from_density(p, w)
-
-    if grid.scheme == "adaptive":
-        nodes = max(grid.nodes_per_axis, 32)
-        mass, h = compute(nodes)
-        for _ in range(4):
-            nodes *= 2
-            mass2, h2 = compute(nodes)
-            if abs(h2 - h) < 1e-9:
-                mass, h = mass2, h2
-                break
-            mass, h = mass2, h2
-    else:
-        mass, h = compute(None)
+    means, sigmas = _output_window(state_moments(rho), beta)
+    pts, w = _grid_nodes(means, sigmas, grid)
+    sampler = OutputSampler(beta, state_array(rho).shape[0])
+    p = sampler.densities([rho], pts)[0]
+    mass = float(np.dot(w, p))
     if abs(mass - 1.0) > mass_tol:
         raise NormalizationFailure(
             f"density mass {mass} deviates from 1 beyond {mass_tol}"
         )
-    return h
+    return _entropy_from_density(p, w)
 
 
 def _average_moments(weights, states):
@@ -302,6 +285,19 @@ def _average_moments(weights, states):
     return mq, mp, eq2 - mq ** 2, ep2 - mp ** 2
 
 
+def _information(weights, dens, qweights):
+    """(h(sum_i w_i p_i) - sum_i w_i h(p_i), mass of the average density).
+
+    dens holds one density row p_i per member on quadrature weights qweights.
+    """
+    avg = weights @ dens
+    h_avg = _entropy_from_density(avg, qweights)
+    h_members = sum(
+        wi * _entropy_from_density(dens[i], qweights) for i, wi in enumerate(weights)
+    )
+    return h_avg - h_members, float(np.dot(qweights, avg))
+
+
 def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """I = h(average output) - sum_i w_i h(member output), on a shared grid.
 
@@ -309,25 +305,15 @@ def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """
     moments = _average_moments(ens.weights, ens.states)
     means, sigmas = _output_window(moments, beta)
-    dim = max(
-        s.dim if isinstance(s, FockOperator) else np.asarray(s).shape[0]
-        for s in ens.states
-    )
-    smp = OutputSampler(beta, dim)
+    dim = max(state_array(s).shape[0] for s in ens.states)
     pts, w = _grid_nodes(means, sigmas, grid)
-    dens = smp.densities(ens.states, pts)
-    wts = np.asarray(ens.weights, dtype=float)
-    avg = wts @ dens
-    mass = float(np.dot(w, avg))
+    dens = OutputSampler(beta, dim).densities(ens.states, pts)
+    mi, mass = _information(np.asarray(ens.weights, dtype=float), dens, w)
     if abs(mass - 1.0) > mass_tol:
         raise NormalizationFailure(
             f"average density mass {mass} deviates from 1 beyond {mass_tol}"
         )
-    h_avg = _entropy_from_density(avg, w)
-    h_members = sum(
-        wi * _entropy_from_density(dens[i], w) for i, wi in enumerate(wts)
-    )
-    return h_avg - h_members
+    return mi
 
 
 def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):

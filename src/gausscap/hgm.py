@@ -21,8 +21,9 @@ from .grids import (
     OutputSampler,
     QuadratureGrid,
     _average_moments,
-    _entropy_from_density,
     _grid_nodes,
+    _information,
+    _output_window,
 )
 
 
@@ -73,14 +74,9 @@ class _Objective:
         self.cfg = config
         self.dim = config.n_max + 1
         self.per = 5 if config.allow_fock else 4
-        self.sampler = OutputSampler(beta, self.dim)
-        sq = math.sqrt(alpha.alpha_q + beta.beta_q)
-        if beta.noise_type == 1:
-            means, sigmas = (0.0, 0.0), (sq, math.sqrt(alpha.alpha_p + beta.beta_p))
-        else:
-            means, sigmas = (0.0,), (sq,)
+        means, sigmas = _output_window((0.0, 0.0, alpha.alpha_q, alpha.alpha_p), beta)
         self.points, self.qweights = _grid_nodes(means, sigmas, config.grid)
-        self.bound = self.sampler.bind(self.points)
+        self.densities = OutputSampler(beta, self.dim).bind(self.points)
         self.evaluations = 0
         self.best_feasible = -math.inf
         self.best_params = None
@@ -109,12 +105,8 @@ class _Objective:
         violation = (mq ** 2 + mp ** 2
                      + (vq - self.alpha.alpha_q) ** 2
                      + (vp - self.alpha.alpha_p) ** 2)
-        dens = self.bound.densities(states)
-        avg = w @ dens
-        h_avg = _entropy_from_density(avg, self.qweights)
-        h_mem = sum(wi * _entropy_from_density(dens[i], self.qweights)
-                    for i, wi in enumerate(w))
-        return h_avg - h_mem, violation
+        mi, _ = _information(w, self.densities(states), self.qweights)
+        return mi, violation
 
     def __call__(self, params):
         self.evaluations += 1

@@ -110,6 +110,13 @@ class TestAccessibleInfo:
         assert classify_regime(alpha, beta) is Regime.L
         assert info == pytest.approx(capacity_alpha(alpha, beta), rel=1e-9)
 
+    def test_large_mixed_alpha_matches_capacity_to_rounding(self):
+        # alpha'_q from the cancellation-free form: the routes agree to rounding.
+        alpha = make_covariance(11934.105111396857, 211.97383771041288)
+        beta = make_noise(1.4803827887308242e-05, INF)
+        info = accessible_info_sharp_position(dual_ensemble(alpha, beta), beta)
+        assert info == pytest.approx(capacity_alpha(alpha, beta), rel=1e-14)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(47)
         for _ in range(100):

@@ -10,11 +10,13 @@ from gausscap.core import (
     make_covariance,
     make_noise,
 )
-from gausscap.fock import displacement_fock, gaussian_state_fock
+from gausscap.fock import displacement_fock, gaussian_state_fock, state_moments
 from gausscap.grids import (
     DiscreteEnsemble,
     OutputSampler,
     QuadratureGrid,
+    _grid_nodes,
+    _output_window,
     discretize_gaussian_ensemble,
     mutual_information,
     numeric_output_entropy,
@@ -75,6 +77,63 @@ class TestPovmDensity:
             assert p_shift == pytest.approx(p_base, abs=1e-8)
 
 
+def random_mixed_state(dim, seed):
+    """Full-rank density matrix with weight on every Fock level."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_density(rho, beta, points):
+    """Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) from displacement matrices."""
+    n_max = rho.shape[0] - 1
+    rho_b = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), n_max).matrix
+    out = []
+    for x, y in points:
+        d = displacement_fock(x, y, n_max).matrix
+        out.append(np.trace(rho @ d @ rho_b @ d.conj().T).real / (2.0 * math.pi))
+    return np.array(out)
+
+
+class TestOutputSampler:
+    def test_type1_matches_displacement_reference(self):
+        rho = random_mixed_state(41, seed=3)
+        beta = make_noise(2.0, 2.0)
+        sampler = OutputSampler(beta, 41)
+        assert sampler.factor.shape[1] > 1
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-6.0, 6.0, size=(12, 2))
+        got = sampler.densities([rho], pts)[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+
+    def test_type1_extreme_momentum_nodes(self):
+        # The largest |y| of this window sets the inner grid.  The densities
+        # there are tiny; an inner grid too coarse for that |y| aliases them
+        # into errors far above 1e-12.
+        beta = make_noise(0.2, 5.0)
+        gauss = gaussian_state_fock(make_covariance(0.707, 2.83), n_max=60)
+        means, sigmas = _output_window(state_moments(gauss), beta)
+        pts, _ = _grid_nodes(means, sigmas, QuadratureGrid())
+        edge = pts[np.abs(pts[:, 1]) >= np.abs(pts[:, 1]).max() - 1e-12]
+        pts = edge[:: len(edge) // 8]
+        rho = random_mixed_state(61, seed=7)
+        got = OutputSampler(beta, 61).densities([rho], pts)[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [make_noise(2.0, 2.0), make_noise(0.3, INF)])
+    def test_bind_matches_densities(self, beta):
+        states = [random_mixed_state(41, seed=11),
+                  gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)]
+        window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
+        pts, _ = _grid_nodes(*window, QuadratureGrid(6.0, 24))
+        sampler = OutputSampler(beta, 41)
+        direct = sampler.densities(states, pts)
+        bound = sampler.bind(pts)(states)
+        assert bound.shape == direct.shape == (2, pts.shape[0])
+        assert np.max(np.abs(bound - direct)) <= 1e-15
+
+
 class TestNumericOutputEntropy:
     def test_type1_matches_analytic(self):
         beta = make_noise(0.5, 0.5)
@@ -91,14 +150,6 @@ class TestNumericOutputEntropy:
             rho = gaussian_state_fock(alpha, n_max=60)
             h = numeric_output_entropy(rho, beta)
             assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-8)
-
-    def test_adaptive_scheme(self):
-        alpha = make_covariance(0.8, 0.7)
-        beta = make_noise(0.3, INF)
-        rho = gaussian_state_fock(alpha, n_max=50)
-        grid = QuadratureGrid(8.0, 32, "adaptive")
-        h = numeric_output_entropy(rho, beta, grid)
-        assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-7)
 
     def test_narrow_window_raises(self):
         rho = gaussian_state_fock(make_covariance(0.5, 0.5), n_max=30)
@@ -153,8 +204,3 @@ class TestMutualInformation:
         mi = mutual_information(ens, make_noise(0.5, 0.5), QuadratureGrid(8.0, 80))
         assert mi == pytest.approx(0.0, abs=1e-12)
 
-
-class TestQuadratureGrid:
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            QuadratureGrid(scheme="monte-carlo")
