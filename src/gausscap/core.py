@@ -9,12 +9,6 @@ noise type tag, never by evaluating a finite-noise formula at a sentinel.
 import math
 from dataclasses import dataclass
 
-HBAR = 1.0
-VACUUM_VARIANCE = 0.5
-
-# Symplectic form for one mode, quadrature order (q, p).
-SYMPLECTIC_FORM = ((0.0, 1.0), (-1.0, 0.0))
-
 # Relative slack accepted on the uncertainty boundary alpha_q*alpha_p = 1/4.
 BOUNDARY_RTOL = 1e-12
 

@@ -2,9 +2,10 @@
 
 Matrices act on the span of |0>..|N> (dimension N+1).  Displacement matrix
 elements use the associated-Laguerre closed form, evaluated by the stable
-three-term recurrence in the degree.  Accuracy degrades once the
-displacement magnitude approaches the truncation edge; elements are
-reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Displacement
+three-term recurrence in the degree: one Python loop over the degree,
+vectorized over the diagonal offset and the points.  Accuracy degrades
+once the displacement magnitude approaches the truncation edge; elements
+are reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Displacement
 matrices serve the operator-level checks (dualcheck, quantum_charfn);
 outcome densities are evaluated in the position representation by grids.
 Squeezes come from one cached eigendecomposition of the squeeze generator
@@ -117,36 +118,30 @@ def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
 def displacement_batch(zeta, dim):
     """Displacement matrices exp(zeta a+ - conj(zeta) a) for an array of zeta.
 
-    Returns shape (len(zeta), dim, dim).  Elements for m >= n:
-    sqrt(n!/m!) zeta^(m-n) e^{-|zeta|^2/2} L_n^{(m-n)}(|zeta|^2), with the
-    upper triangle from D(zeta)+ = D(-zeta).
+    Returns shape (len(zeta), dim, dim).  Elements for m = n + d, d >= 0:
+    sqrt(n!/m!) zeta^d e^{-|zeta|^2/2} L_n^{(d)}(|zeta|^2), with the
+    upper triangle from D(zeta)+ = D(-zeta).  One loop over the degree n
+    carries L_n^{(d)} for every offset d and every point as a (points, dim-n)
+    array and writes column n below the diagonal and row n above it.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     g = zeta.shape[0]
-    t = np.abs(zeta) ** 2
+    t = (np.abs(zeta) ** 2)[:, None]
     emt = np.exp(-0.5 * t)
     lg = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    d = np.arange(dim)
+    zd = zeta[:, None] ** d
+    zdc = (-np.conj(zeta))[:, None] ** d
     out = np.empty((g, dim, dim), dtype=complex)
-    for d in range(dim):
-        n_deg = dim - d
-        idx = np.arange(n_deg)
-        pref = np.exp(0.5 * (lg[idx] - lg[idx + d]))
-        zd = zeta ** d
-        zdc = (-np.conj(zeta)) ** d
-        l_prev2 = None
-        l_prev = None
-        for n in range(n_deg):
-            if n == 0:
-                lag = np.ones(g)
-            elif n == 1:
-                lag = 1.0 + d - t
-            else:
-                lag = ((2.0 * n - 1.0 + d - t) * l_prev - (n - 1.0 + d) * l_prev2) / n
-            val = (pref[n] * emt) * lag
-            out[:, n + d, n] = val * zd
-            if d > 0:
-                out[:, n, n + d] = val * zdc
-            l_prev2, l_prev = l_prev, lag
+    lag, lag_prev = np.ones((g, dim)), np.zeros((g, dim))
+    for n in range(dim):
+        k = dim - n
+        if n > 0:
+            lag, lag_prev = ((2.0 * n - 1.0 + d[:k] - t) * lag[:, :k]
+                             - (n - 1.0 + d[:k]) * lag_prev[:, :k]) / n, lag
+        val = (np.exp(0.5 * (lg[n] - lg[n:])) * emt) * lag
+        out[:, n:, n] = val * zd[:, :k]
+        out[:, n, n + 1:] = val[:, 1:] * zdc[:, 1:k]
     return out
 
 
@@ -162,14 +157,10 @@ def displaced_squeezed_vector(x, y, r, dim, fock_amplitudes=None):
     fock_amplitudes optionally gives the pre-squeeze expansion of psi0 in
     the number basis (normalized internally).
     """
-    if fock_amplitudes is None:
-        base = np.zeros(dim, dtype=complex)
-        base[0] = 1.0
-    else:
-        base = np.zeros(dim, dtype=complex)
-        amps = np.asarray(fock_amplitudes, dtype=complex)
-        base[: amps.shape[0]] = amps
-        base /= np.linalg.norm(base)
+    amps = np.asarray([1.0] if fock_amplitudes is None else fock_amplitudes, dtype=complex)
+    base = np.zeros(dim, dtype=complex)
+    base[: amps.shape[0]] = amps
+    base /= np.linalg.norm(base)
     if r != 0.0:
         base = squeeze_matrix(r, dim) @ base
     zeta = (x + 1j * y) / math.sqrt(2.0)

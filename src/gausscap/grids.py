@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidForSharp, NormalizationFailure, make_covariance
+from .core import InvalidForSharp, NonPositive, NormalizationFailure, make_covariance
 from .fock import DEFAULT_N, gaussian_state_fock, state_array, state_moments
 
 # Eigenvalues below this fraction of the largest are dropped from states and noise.
@@ -28,6 +28,13 @@ class QuadratureGrid:
 
     half_width: float = 8.0
     nodes_per_axis: int = 200
+
+    def __post_init__(self):
+        if not (0 < self.half_width < math.inf) or self.nodes_per_axis < 1:
+            raise NonPositive(
+                f"need finite half_width > 0 and nodes_per_axis >= 1, got "
+                f"{self.half_width} and {self.nodes_per_axis}"
+            )
 
 
 @dataclass(frozen=True)

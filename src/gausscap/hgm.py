@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
+from .core import NonPositive
 from .fock import displaced_squeezed_vector
 from .grids import (
     OutputSampler,
@@ -40,6 +41,17 @@ class SearchConfig:
     grid: QuadratureGrid = field(default_factory=lambda: QuadratureGrid(6.0, 48))
     seed_optimal: bool = False  # start 0 from the discretized Gaussian optimum
 
+    def __post_init__(self):
+        if self.members < 1 or self.n_max < 1:
+            raise NonPositive(
+                f"members and n_max must be >= 1, got {self.members} and {self.n_max}"
+            )
+
+    @property
+    def per_member(self):
+        """Packed parameters per member: [weight logit, x, y, r] (+ photon-mixing angle)."""
+        return 5 if self.allow_fock else 4
+
 
 @dataclass
 class SearchReport:
@@ -62,18 +74,13 @@ class SearchReport:
 
 
 class _Objective:
-    """Penalized negative mutual information over packed ensemble parameters.
-
-    Layout per member: [weight logit, x, y, r] plus a photon-mixing angle
-    when the Fock admixture is enabled.
-    """
+    """Penalized negative mutual information over packed ensemble parameters."""
 
     def __init__(self, alpha, beta, config):
         self.alpha = alpha
         self.beta = beta
         self.cfg = config
         self.dim = config.n_max + 1
-        self.per = 5 if config.allow_fock else 4
         means, sigmas = _output_window((0.0, 0.0, alpha.alpha_q, alpha.alpha_p), beta)
         self.points, self.qweights = _grid_nodes(means, sigmas, config.grid)
         self.densities = OutputSampler(beta, self.dim).bind(self.points)
@@ -82,23 +89,33 @@ class _Objective:
         self.best_params = None
         self.any_feasible = False
 
-    def unpack(self, params):
-        k = self.cfg.members
-        p = np.asarray(params, dtype=float).reshape(k, self.per)
+    def decode(self, params):
+        """Member weights and the (members, per_member) rows, r clipped to [-3, 3]."""
+        p = np.array(params, dtype=float).reshape(self.cfg.members, self.cfg.per_member)
         logits = np.clip(p[:, 0], -30.0, 30.0)
         w = np.exp(logits - logits.max())
         w /= w.sum()
+        p[:, 3] = np.clip(p[:, 3], -3.0, 3.0)
+        return w, p
+
+    def unpack(self, params):
+        w, p = self.decode(params)
         states = []
-        for j in range(k):
-            r = float(np.clip(p[j, 3], -3.0, 3.0))
+        for row in p:
             amps = None
             if self.cfg.allow_fock:
-                th = p[j, 4]
-                amps = [math.cos(th), math.sin(th)]
+                amps = [math.cos(row[4]), math.sin(row[4])]
             states.append(
-                displaced_squeezed_vector(p[j, 1], p[j, 2], r, self.dim, amps)
+                displaced_squeezed_vector(row[1], row[2], float(row[3]), self.dim, amps)
             )
         return w, states
+
+    def describe(self, params):
+        """Per-member report entries, with the squeezing the states were built with."""
+        w, p = self.decode(params)
+        p[:, 0] = w
+        keys = ("weight", "x", "y", "squeeze_r", "photon_mix_angle")
+        return [dict(zip(keys, map(float, row))) for row in p]
 
     def mutual_info_and_violation(self, w, states):
         mq, mp, vq, vp = _average_moments(w, states)
@@ -139,12 +156,12 @@ def _initial_points(alpha, beta, config, rng):
     per-member squeezing jittered around the Gaussian optimum and the
     displacements rescaled so the ensemble second moments hit alpha.
     """
-    k, per = config.members, 5 if config.allow_fock else 4
+    k = config.members
     d_opt = optimal_squeezing(alpha, beta)
     r_opt = 0.5 * math.log(2.0 * d_opt)
     points = []
     for _ in range(config.starts):
-        p = np.zeros((k, per))
+        p = np.zeros((k, config.per_member))
         logits = 0.1 * rng.standard_normal(k)
         w = np.exp(logits - logits.max())
         w /= w.sum()
@@ -161,19 +178,17 @@ def _initial_points(alpha, beta, config, rng):
         p[:, 2] = _feasible_displacements(rng, k, w, gp)
         points.append(p.ravel())
     if config.seed_optimal and points:
-        points[0] = _optimal_seed(alpha, beta, config)
+        points[0] = _optimal_seed(alpha, config, d_opt, r_opt)
     return points
 
 
-def _optimal_seed(alpha, beta, config):
-    """Discretization of the optimal Gaussian ensemble as a start point."""
-    k, per = config.members, 5 if config.allow_fock else 4
-    d_opt = optimal_squeezing(alpha, beta)
-    r_opt = 0.5 * math.log(2.0 * d_opt)
+def _optimal_seed(alpha, config, d_opt, r_opt):
+    """Discretization of the optimal Gaussian ensemble (squeezing d_opt) as a start point."""
+    k = config.members
     gq = max(alpha.alpha_q - d_opt, 0.0)
     gp = max(alpha.alpha_p - 0.25 / d_opt, 0.0)
     # Hermite-style symmetric placement of members along the active axes.
-    p = np.zeros((k, per))
+    p = np.zeros((k, config.per_member))
     if gp <= 1e-12 or gq <= 1e-12:
         var = max(gq, gp)
         nodes, w = np.polynomial.hermite_e.hermegauss(k)
@@ -219,19 +234,8 @@ def hgm_search(alpha, beta, config=SearchConfig()):
     ensemble_desc = []
     violation = math.inf
     if obj.best_params is not None:
-        w, states = obj.unpack(obj.best_params)
-        _, violation = obj.mutual_info_and_violation(w, states)
-        raw = obj.best_params.reshape(config.members, obj.per)
-        for j in range(config.members):
-            entry = {
-                "weight": float(w[j]),
-                "x": float(raw[j, 1]),
-                "y": float(raw[j, 2]),
-                "squeeze_r": float(raw[j, 3]),
-            }
-            if config.allow_fock:
-                entry["photon_mix_angle"] = float(raw[j, 4])
-            ensemble_desc.append(entry)
+        _, violation = obj.mutual_info_and_violation(*obj.unpack(obj.best_params))
+        ensemble_desc = obj.describe(obj.best_params)
 
     gap = best - ceiling if feasible else -math.inf
     return SearchReport(

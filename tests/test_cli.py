@@ -154,6 +154,15 @@ class TestHgmSearchCommand:
         res = run_ok(runner, args, env={"GAUSSCAP_SEED": "11"})
         assert json.loads(res.output)["seed"] == 11
 
+    @pytest.mark.parametrize("flag", ["--members", "--truncation", "--grid-nodes"])
+    def test_zero_size_exit_2(self, runner, flag):
+        res = runner.invoke(main, ["hgm-search", "--alpha-q", "1", "--alpha-p", "1",
+                                   "--beta-q", "0.5", "--beta-p", "0.5",
+                                   "--starts", "1", "--iters", "0", flag, "0"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)  # not an uncaught error
+        assert "error: NonPositive" in res.output
+
 
 class TestCltDemoCommand:
     def test_convergence_table(self, runner):

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -103,6 +105,23 @@ class TestGaussianStateFock:
             gaussian_state_fock(make_covariance(50.0, 50.0), n_max=10)
 
 
+def _double_loop_displacement(zeta, dim):
+    """The Laguerre closed form with an outer loop over the offset d (reference)."""
+    t = np.abs(zeta) ** 2
+    emt = np.exp(-0.5 * t)
+    lg = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    out = np.empty((len(zeta), dim, dim), dtype=complex)
+    for d in range(dim):
+        lag_prev, lag = np.zeros_like(t), np.ones_like(t)
+        for n in range(dim - d):
+            if n > 0:
+                lag, lag_prev = ((2.0 * n - 1.0 + d - t) * lag - (n - 1.0 + d) * lag_prev) / n, lag
+            val = (np.exp(0.5 * (lg[n] - lg[n + d])) * emt) * lag
+            out[:, n + d, n] = val * zeta ** d
+            out[:, n, n + d] = val * (-np.conj(zeta)) ** d
+    return out
+
+
 class TestDisplacement:
     def test_matches_matrix_exponential(self):
         dim = 40
@@ -135,12 +154,45 @@ class TestDisplacement:
         assert np.allclose(block, np.eye(30), atol=1e-10)
 
     def test_batch_consistency(self):
-        zs = np.array([0.3 + 0.2j, -1.0 + 0.5j, 0.0])
-        batch = displacement_batch(zs, 20)
-        for i, z in enumerate(zs):
-            x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
-            single = displacement_fock(x, y, n_max=19).matrix
-            assert np.allclose(batch[i], single, atol=1e-13)
+        # A few points at dim 20, and the 41 x 41 (x, y) grid at dim 8 that
+        # quantum_charfn evaluates for the CLT check.
+        axis = np.linspace(-4.0, 4.0, 41)
+        grid = (axis[:, None] + 1j * axis[None, :]).ravel() / math.sqrt(2)
+        for zs, dim in [(np.array([0.3 + 0.2j, -1.0 + 0.5j, 0.0]), 20), (grid, 8)]:
+            batch = displacement_batch(zs, dim)
+            for i, z in enumerate(zs):
+                x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
+                single = displacement_fock(x, y, n_max=dim - 1).matrix
+                assert np.allclose(batch[i], single, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [8, 20, 25, 41, 61, 100])
+    def test_matches_double_loop_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        zs = rng.uniform(0.0, 6.0, 20) * np.exp(2j * np.pi * rng.uniform(size=20))
+        err = np.abs(displacement_batch(zs, dim) - _double_loop_displacement(zs, dim))
+        assert err.max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", [25, 61])
+    def test_every_element_matches_mpmath(self, dim):
+        # <n+d|D|n> = sqrt(n!/(n+d)!) zeta^d e^{-t/2} L_n^{(d)}(t), t = |zeta|^2,
+        # and <n|D|n+d> the same with (-conj zeta)^d; L from its finite sum.
+        for radius in (0.5, 2.0, 3.0):
+            zeta = cmath.rect(radius, 0.7)
+            got = displacement_batch([zeta], dim)[0]
+            ref = np.empty((dim, dim), dtype=complex)
+            with mpmath.workdps(50):
+                z = mpmath.mpc(zeta)
+                t = abs(z) ** 2
+                t_pow = [t ** i / math.factorial(i) for i in range(dim)]
+                for n in range(dim):
+                    for d in range(dim - n):
+                        lag = mpmath.fsum((-1) ** i * math.comb(n + d, n - i) * t_pow[i]
+                                          for i in range(n + 1))
+                        c = (mpmath.sqrt(mpmath.mpf(math.factorial(n)) / math.factorial(n + d))
+                             * mpmath.exp(-t / 2) * lag)
+                        ref[n + d, n] = complex(c * z ** d)
+                        ref[n, n + d] = complex(c * (-mpmath.conj(z)) ** d)
+            assert np.abs(got - ref).max() <= 1e-13, radius
 
 
 class TestDisplacedSqueezedVector:

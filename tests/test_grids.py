@@ -7,6 +7,7 @@ from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha
 from gausscap.core import (
     InvalidForSharp,
     NormalizationFailure,
+    ValidationError,
     make_covariance,
     make_noise,
 )
@@ -132,6 +133,13 @@ class TestOutputSampler:
         bound = sampler.bind(pts)(states)
         assert bound.shape == direct.shape == (2, pts.shape[0])
         assert np.max(np.abs(bound - direct)) <= 1e-15
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("half_width, nodes", [(0.0, 10), (-1.0, 10), (INF, 10), (6.0, 0)])
+    def test_rejects_empty_window(self, half_width, nodes):
+        with pytest.raises(ValidationError):
+            QuadratureGrid(half_width, nodes)
 
 
 class TestNumericOutputEntropy:

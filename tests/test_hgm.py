@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
+import pytest
+
 from gausscap.core import make_covariance, make_noise
 from gausscap.grids import QuadratureGrid
-from gausscap.hgm import SearchConfig, SearchReport, hgm_search
+from gausscap.hgm import SearchConfig, SearchReport, _Objective, hgm_search
 
 FAST = SearchConfig(
     members=3, starts=2, max_iter=40, seed=7, n_max=16,
@@ -53,3 +56,12 @@ class TestHgmSearch:
         report = hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
         assert report.feasible
         assert report.best_value_nats <= report.ceiling_nats + 1e-3
+
+    def test_report_gives_the_squeezing_the_states_use(self):
+        # unpack clips r to [-3, 3]; the report must describe the same states.
+        obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
+        best = np.zeros((FAST.members, FAST.per_member))
+        best[0, 3], best[1, 3], best[2, 3] = 5.0, -4.0, 0.25
+        ensemble = obj.describe(best.ravel())
+        assert [m["squeeze_r"] for m in ensemble] == [3.0, -3.0, 0.25]
+        assert sum(m["weight"] for m in ensemble) == pytest.approx(1.0)
