@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 # Engine name -> submodule that defines it.
 _ENGINE_EXPORTS = {
     "FockOperator": "fock",
-    "displacement_fock": "fock",
     "gaussian_state_fock": "fock",
     "quantum_charfn": "fock",
     "DiscreteEnsemble": "grids",

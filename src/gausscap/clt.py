@@ -2,9 +2,10 @@
 
 Mixing n = 2^m copies of a state through the Hadamard-pattern orthogonal
 symplectic transform leaves each non-trivial marginal with characteristic
-function phi(z/sqrt(n))^(n/2) phi(-z/sqrt(n))^(n/2), which converges to the
-Gaussian with the state's covariance.  Gaussian inputs are exact fixed
-points of the scaling.
+function phi(z/sqrt(n))^(n/2) phi(-z/sqrt(n))^(n/2).  Every characteristic
+function has phi(-z) = conj(phi(z)), so that is |phi(z/sqrt(n))|^n, one
+evaluation of phi per n; it converges to the Gaussian with the state's
+covariance.  Gaussian inputs are exact fixed points of the scaling.
 """
 
 import math
@@ -26,13 +27,11 @@ def gaussian_charfn(alpha):
 
 
 def clt_marginal_charfn(phi, n, x, y):
-    """Characteristic function of a mixed marginal after the n-copy transform."""
+    """Characteristic function |phi(z/sqrt(n))|^n of a marginal after the n-copy transform."""
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     s = math.sqrt(n)
-    half = n // 2
-    return phi(np.asarray(x) / s, np.asarray(y) / s) ** half * \
-        phi(-np.asarray(x) / s, -np.asarray(y) / s) ** half
+    return np.abs(phi(np.asarray(x) / s, np.asarray(y) / s)) ** n
 
 
 def clt_convergence_report(phi, alpha, n_list, half_width=4.0, nodes=41):

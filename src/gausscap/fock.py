@@ -1,15 +1,18 @@
-"""Truncated Fock-basis operators: ladder matrices, displacement, Gaussian states.
+"""Truncated Fock-basis states and the action of displacements on them.
 
-Matrices act on the span of |0>..|N> (dimension N+1).  Displacement matrix
-elements use the associated-Laguerre closed form, evaluated by the stable
-three-term recurrence in the degree: one Python loop over the degree,
-vectorized over the diagonal offset and the points.  Accuracy degrades
-once the displacement magnitude approaches the truncation edge; elements
-are reliable for |zeta|^2 well below N/2 (zeta = (x+iy)/sqrt(2)).  Displacement
-matrices serve the operator-level checks (dualcheck, quantum_charfn);
-outcome densities are evaluated in the position representation by grids.
-Squeezes come from one cached eigendecomposition of the squeeze generator
-per dimension, so the module needs numpy only.
+States live on the span of |0>..|N> (dimension N+1).  Two routes apply a
+displacement D(x,y), and no dense displacement matrix is built:
+
+- Stress-search members D(x,y) S(r)(cos t|0> + sin t|1>) are the exact
+  projections onto |0>..|N>, from the recurrence of the annihilator of
+  D S |0> (Yuen, PRA 13, 2226 (1976)), one loop over n for all members.
+- Every other action, <n|D(x,y)|c_r> for fixed columns c_r, is an integral
+  over one Gauss-Legendre grid of inner positions with the oscillator
+  eigenfunctions tabulated on it (displaced_amplitudes).  Outcome densities,
+  the operator duality check and the characteristic function use it.
+
+Squeezed thermal states come from one cached eigendecomposition of the
+squeeze generator per dimension, so the module needs numpy only.
 """
 
 import functools
@@ -22,6 +25,9 @@ from .core import TruncationInsufficient
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
+
+# Eigenvalues below this fraction of the largest are dropped from states and noise.
+EIG_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -48,16 +54,6 @@ def state_array(state):
 
 def destroy(dim):
     return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
-def position_operator(dim):
-    a = destroy(dim)
-    return (a + a.T) / math.sqrt(2.0)
-
-
-def momentum_operator(dim):
-    a = destroy(dim)
-    return -1j * (a - a.T) / math.sqrt(2.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,90 +111,148 @@ def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
     return FockOperator(rho)
 
 
-def displacement_batch(zeta, dim):
-    """Displacement matrices exp(zeta a+ - conj(zeta) a) for an array of zeta.
+def square_root_columns(mat):
+    """Columns c_r with mat = sum_r c_r c_r+: eigenvectors scaled by sqrt(eigenvalue)."""
+    vals, vecs = np.linalg.eigh(mat)
+    keep = vals > EIG_TOL * vals.max()
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
-    Returns shape (len(zeta), dim, dim).  Elements for m = n + d, d >= 0:
-    sqrt(n!/m!) zeta^d e^{-|zeta|^2/2} L_n^{(d)}(|zeta|^2), with the
-    upper triangle from D(zeta)+ = D(-zeta).  One loop over the degree n
-    carries L_n^{(d)} for every offset d and every point as a (points, dim-n)
-    array and writes column n below the diagonal and row n above it.
+
+def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
+    """Projection onto |0>..|dim-1> of D(x,y) S(r)(cos theta |0> + sin theta |1>).
+
+    The arguments broadcast against each other; the result has their shape
+    plus a last axis of length dim, and its squared norm is the mass kept by
+    the truncation.  g = D S |0> is annihilated by cosh r a - sinh r a+ - c,
+    c = cosh r zeta - sinh r conj(zeta), zeta = (x+iy)/sqrt(2), so
+    g_{n+1} = (c g_n + sinh r sqrt(n) g_{n-1}) / (cosh r sqrt(n+1)) from
+    g_0 = exp(-|zeta|^2/2 + tanh r conj(zeta)^2/2)/sqrt(cosh r).  The photon
+    part D S |1> = (cosh r a+ - sinh r a - conj(c)) g reads g one level
+    past the truncation.
     """
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    g = zeta.shape[0]
-    t = (np.abs(zeta) ** 2)[:, None]
-    emt = np.exp(-0.5 * t)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    d = np.arange(dim)
-    zd = zeta[:, None] ** d
-    zdc = (-np.conj(zeta))[:, None] ** d
-    out = np.empty((g, dim, dim), dtype=complex)
-    lag, lag_prev = np.ones((g, dim)), np.zeros((g, dim))
-    for n in range(dim):
-        k = dim - n
-        if n > 0:
-            lag, lag_prev = ((2.0 * n - 1.0 + d[:k] - t) * lag[:, :k]
-                             - (n - 1.0 + d[:k]) * lag_prev[:, :k]) / n, lag
-        val = (np.exp(0.5 * (lg[n] - lg[n:])) * emt) * lag
-        out[:, n:, n] = val * zd[:, :k]
-        out[:, n, n + 1:] = val[:, 1:] * zdc[:, 1:k]
-    return out
-
-
-def displacement_fock(x, y, n_max=DEFAULT_N):
-    """Unitary displacement D(x,y) = exp(i(y q - x p)) on the truncated basis."""
-    zeta = (x + 1j * y) / math.sqrt(2.0)
-    return FockOperator(displacement_batch([zeta], n_max + 1)[0])
-
-
-def displaced_squeezed_vector(x, y, r, dim, fock_amplitudes=None):
-    """State vector D(x,y) S(r) |psi0>, psi0 defaulting to vacuum.
-
-    fock_amplitudes optionally gives the pre-squeeze expansion of psi0 in
-    the number basis (normalized internally).
-    """
-    amps = np.asarray([1.0] if fock_amplitudes is None else fock_amplitudes, dtype=complex)
-    base = np.zeros(dim, dtype=complex)
-    base[: amps.shape[0]] = amps
-    base /= np.linalg.norm(base)
-    if r != 0.0:
-        base = squeeze_matrix(r, dim) @ base
-    zeta = (x + 1j * y) / math.sqrt(2.0)
-    return displacement_batch([zeta], dim)[0] @ base
+    x, y, r, theta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                           for v in (x, y, r, theta)))
+    shape = x.shape
+    zeta = ((x + 1j * y) / math.sqrt(2.0)).ravel()
+    r, theta = r.ravel(), theta.ravel()
+    ch, sh = np.cosh(r), np.sinh(r)
+    c = ch * zeta - sh * np.conj(zeta)
+    root = np.sqrt(np.arange(dim + 1.0))[:, None]
+    g = np.empty((dim + 1, zeta.shape[0]), dtype=complex)
+    g[0] = np.exp(-0.5 * np.abs(zeta) ** 2 + 0.5 * np.tanh(r) * np.conj(zeta) ** 2) / np.sqrt(ch)
+    g[1] = c * g[0] / ch
+    for n in range(1, dim):
+        g[n + 1] = (c * g[n] + sh * root[n] * g[n - 1]) / (ch * root[n + 1])
+    photon = -np.conj(c) * g[:dim] - sh * root[1:] * g[1:]
+    photon[1:] += ch * root[1:dim] * g[:dim - 1]
+    vec = np.cos(theta) * g[:dim] + np.sin(theta) * photon
+    return vec.T.reshape(shape + (dim,))
 
 
 def state_moments(rho):
-    """Means and variances of (q, p) for a density matrix or state vector."""
+    """Means and variances of (q, p) for a density matrix or state vector.
+
+    Read off the ladder sums <a>, <a^2> and <a+a> of the normalized state,
+    which need only the first three bands below the diagonal of rho.
+    """
     mat = state_array(rho)
     dim = mat.shape[0]
-    q = position_operator(dim)
-    p = momentum_operator(dim)
-    if mat.ndim == 2:
-        mq = np.trace(mat @ q).real
-        mp = np.trace(mat @ p).real
-        vq = np.trace(mat @ (q @ q)).real - mq ** 2
-        vp = np.trace(mat @ (p @ p)).real - mp ** 2
-    else:
-        v = mat
-        mq = np.vdot(v, q @ v).real
-        mp = np.vdot(v, p @ v).real
-        vq = np.vdot(v, q @ (q @ v)).real - mq ** 2
-        vp = np.vdot(v, p @ (p @ v)).real - mp ** 2
-    return mq, mp, vq, vp
+    b0, b1, b2 = (mat[k:] * np.conj(mat[:dim - k]) if mat.ndim == 1 else np.diagonal(mat, -k)
+                  for k in range(3))
+    n = np.arange(dim, dtype=float)
+    norm = b0.real.sum()
+    a1 = np.dot(np.sqrt(n[1:]), b1) / norm
+    a2 = np.dot(np.sqrt(n[1:-1] * n[2:]), b2).real / norm
+    number = np.dot(n, b0.real) / norm
+    mq, mp = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
+    return mq, mp, number + 0.5 + a2 - mq ** 2, number + 0.5 - a2 - mp ** 2
+
+
+def _hermite_functions(q, dim):
+    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q))."""
+    q = np.asarray(q, dtype=float)
+    psi = np.empty((dim, q.shape[0]))
+    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
+    if dim > 1:
+        psi[1] = math.sqrt(2.0) * q * psi[0]
+    for n in range(2, dim):
+        psi[n] = (math.sqrt(2.0 / n) * q * psi[n - 1]
+                  - math.sqrt((n - 1.0) / n) * psi[n - 2])
+    return psi
+
+
+@functools.lru_cache(maxsize=32)
+def _leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1]; read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _inner_grid(dim, reach):
+    """Inner positions q, weights and psi_n(q), n < dim, on [-q_max, q_max].
+
+    q_max = sqrt(2 dim) + 6 covers the Fock support.  The integrands are a
+    product of two truncated Fock-space functions, each with wavenumbers up
+    to sqrt(2 dim), times a factor with wavenumbers up to reach.
+    Gauss-Legendre resolves them once the node count exceeds q_max times the
+    total wavenumber over 2; 64 nodes more take the error to rounding (every
+    <m|D|n> at dim 25 and 61 and |zeta| <= 3 within 1.1e-14 of mpmath, where
+    32 more left 2.0e-8 at the Fock edge).  The count is capped at 6000 nodes.
+    """
+    q_max = math.sqrt(2.0 * dim) + 6.0
+    n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 64
+    x, w = _leggauss(min(n, 6000))
+    q = q_max * x
+    return q, q_max * w, _hermite_functions(q, dim)
+
+
+def displaced_amplitudes(columns, xs, ys):
+    """<n|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
+
+    Yields one array (dim, rank, len(ys)) per x of xs.  <q|D(x,y)|c> =
+    e^{-ixy/2} e^{iyq} c(q-x), so <n|D(x,y)|c_r> = int psi_n(q) c_r(q-x)
+    e^{i(yq - xy/2)} dq: a (dim rank, Q) matrix times a (Q, len(ys)) Fourier
+    kernel on the inner grid sized for max |y|.  The kernel is kept as
+    interleaved cos and sin columns, so real columns take one real matmul;
+    complex columns take two.
+    """
+    dim = columns.shape[0]
+    ys = np.asarray(ys, dtype=float)
+    q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
+    psi_w = psi * w
+    waves = np.exp(1j * np.outer(q, ys))
+    kernel = np.empty_like(waves)  # reused: a new kernel per row raised peak RSS by 23 MB
+    parts = [columns.real]
+    if np.iscomplexobj(columns) and columns.imag.any():
+        parts.append(columns.imag)
+    for x in xs:
+        np.multiply(waves, np.exp(-0.5j * x * ys), out=kernel)
+        h = _hermite_functions(q - x, dim)
+        amps = [((psi_w[:, None, :] * (part.T @ h)[None, :, :]).reshape(-1, q.shape[0])
+                 @ kernel.view(float)).view(complex) for part in parts]
+        amps = amps[0] if len(amps) == 1 else amps[0] + 1j * amps[1]
+        yield amps.reshape(dim, -1, ys.shape[0])
 
 
 def quantum_charfn(rho):
-    """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable."""
-    mat = state_array(rho)
-    dim = mat.shape[0]
+    """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable.
+
+    rho is Hermitian.  With rho = sum_k lam_k v_k v_k+,
+    Tr[rho D] = sum_k lam_k <v_k|D|v_k>, from displaced_amplitudes on the
+    tensor of the distinct x and y values, one x row at a time.
+    """
+    vals, vecs = np.linalg.eigh(state_array(rho))
+    keep = np.abs(vals) > EIG_TOL * np.abs(vals).max()
+    vals, vecs = vals[keep], vecs[:, keep]
 
     def phi(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        zeta = ((x + 1j * y) / math.sqrt(2.0)).ravel()
-        d = displacement_batch(zeta, dim)
-        vals = np.einsum("gij,ji->g", d, mat)
-        return vals.reshape(shape) if shape else vals[0]
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        xs, ix = np.unique(x.ravel(), return_inverse=True)
+        ys, iy = np.unique(y.ravel(), return_inverse=True)
+        rows = displaced_amplitudes(vecs, xs, ys)
+        table = np.array([np.einsum("k,nk,nkj->j", vals, vecs.conj(), a) for a in rows])
+        return table[ix, iy].reshape(x.shape)[()]
 
     return phi

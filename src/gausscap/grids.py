@@ -6,20 +6,30 @@ workhorse is OutputSampler.  It evaluates every density in the position
 representation, on one Gauss-Legendre grid of inner positions with the
 oscillator eigenfunctions tabulated on it: type 1 from the overlaps of the
 states with the displaced noise eigenvectors, one Fourier matmul per outcome
-row; type 2 as the Gaussian smearing of the states' position distributions.
+row (fock.displaced_amplitudes, shared with the operator checks); type 2 as
+the Gaussian smearing of the states' position distributions.  Discretized
+Gaussian ensembles are exact projections of their members onto the
+truncated basis (fock.displaced_squeezed_vector).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import InvalidForSharp, NonPositive, NormalizationFailure, make_covariance
-from .fock import DEFAULT_N, gaussian_state_fock, state_array, state_moments
-
-# Eigenvalues below this fraction of the largest are dropped from states and noise.
-_EIG_TOL = 1e-13
+from .fock import (
+    DEFAULT_N,
+    EIG_TOL,
+    _inner_grid,
+    _leggauss,
+    displaced_amplitudes,
+    displaced_squeezed_vector,
+    gaussian_state_fock,
+    square_root_columns,
+    state_array,
+    state_moments,
+)
 
 
 @dataclass(frozen=True)
@@ -57,45 +67,6 @@ class DiscreteEnsemble:
         return len(self.states)
 
 
-def _hermite_functions(q, dim):
-    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q))."""
-    q = np.asarray(q, dtype=float)
-    psi = np.empty((dim, q.shape[0]))
-    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
-    if dim > 1:
-        psi[1] = math.sqrt(2.0) * q * psi[0]
-    for n in range(2, dim):
-        psi[n] = (math.sqrt(2.0 / n) * q * psi[n - 1]
-                  - math.sqrt((n - 1.0) / n) * psi[n - 2])
-    return psi
-
-
-@functools.lru_cache(maxsize=32)
-def _leggauss(n):
-    """Gauss-Legendre nodes and weights on [-1, 1]; read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _inner_grid(dim, reach):
-    """Inner positions q, weights and psi_n(q), n < dim, on [-q_max, q_max].
-
-    q_max = sqrt(2 dim) + 6 covers the Fock support.  The integrands are a
-    product of two truncated Fock-space functions, each with wavenumbers up
-    to sqrt(2 dim), times a factor with wavenumbers up to reach.
-    Gauss-Legendre resolves them once the node count exceeds q_max times the
-    total wavenumber over 2; 32 nodes more take the error to rounding.  The
-    count is capped at 6000 nodes.
-    """
-    q_max = math.sqrt(2.0 * dim) + 6.0
-    n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 32
-    x, w = _leggauss(min(n, 6000))
-    q = q_max * x
-    return q, q_max * w, _hermite_functions(q, dim)
-
-
 def _state_components(states):
     """(P, V): column k of V is an eigenvector of state i with weight P[i, k].
 
@@ -108,7 +79,7 @@ def _state_components(states):
             comps.append((np.ones(1), (mat / np.linalg.norm(mat))[:, None]))
             continue
         vals, vecs = np.linalg.eigh(mat)
-        keep = vals > _EIG_TOL * max(vals.max(), 1.0)
+        keep = vals > EIG_TOL * max(vals.max(), 1.0)
         comps.append((vals[keep], vecs[:, keep]))
     vecs = np.hstack([v for _, v in comps])
     probs = np.zeros((len(comps), vecs.shape[1]))
@@ -128,7 +99,7 @@ class OutputSampler:
     sqrt(eigenvalue).  Type 2 (beta_p = +inf): one-dimensional,
     Tr[rho exp(-(q-x)^2/(2 beta_q))]/sqrt(2 pi beta_q), the Gaussian smearing
     of the position distribution of rho.  Both are integrals over the inner
-    grid of _inner_grid, sized for the outcome points at hand.
+    grid of fock._inner_grid, sized for the outcome points at hand.
     """
 
     def __init__(self, beta, dim=DEFAULT_N + 1):
@@ -142,9 +113,7 @@ class OutputSampler:
                 make_covariance(beta.beta_q, beta.beta_p), dim - 1
             )
             # rho_beta is real: its covariance is diagonal.
-            vals, vecs = np.linalg.eigh(rho_b.matrix.real)
-            keep = vals > _EIG_TOL * vals.max()
-            self.factor = vecs[:, keep] * np.sqrt(vals[keep])
+            self.factor = square_root_columns(rho_b.matrix.real)
 
     def densities(self, states, points):
         """Density rows for each state at the given outcome points.
@@ -167,12 +136,12 @@ class OutputSampler:
     def _amplitudes(self, points):
         """Point-dependent factors on the tensor of the distinct x and y values.
 
-        Returns (psi, rows, index): the Hermite functions of the inner grid,
-        an iterable of factors whose last axis runs over outcome points, and
-        the position of each given point in the row-major tensor.  Type 1
-        rows are the amplitudes A[n, r, y] = <n|D(x,y)|f_r> of one x each,
-        up to a phase per point; type 2 has one row, the smearing kernel
-        (Q, n_x) with the quadrature weights folded in.
+        Returns (psi, rows, index): the Hermite functions of the inner grid
+        (type 2 only), an iterable of factors whose last axis runs over
+        outcome points, and the position of each given point in the
+        row-major tensor.  Type 1 rows are the amplitudes
+        A[n, r, y] = <n|D(x,y)|f_r> of one x each; type 2 has one row, the
+        smearing kernel (Q, n_x) with the quadrature weights folded in.
         """
         points = np.asarray(points, dtype=float)
         if self.outcome_dim == 1:
@@ -185,23 +154,7 @@ class OutputSampler:
             return psi, [kernel], index
         xs, ix = np.unique(points[:, 0], return_inverse=True)
         ys, iy = np.unique(points[:, 1], return_inverse=True)
-        q, w, psi = _inner_grid(self.dim, float(np.abs(ys).max()))
-        return psi, self._rows(q, psi * w, xs, ys), ix * ys.shape[0] + iy
-
-    def _rows(self, q, psi_w, xs, ys):
-        """Type-1 amplitudes of each outcome row x, shape (dim, rank, n_y).
-
-        <q|D(x,y)|f> = e^{-ixy/2} e^{iyq} f(q-x), so up to that phase
-        <n|D(x,y)|f_r> = int psi_n(q) f_r(q-x) e^{iyq} dq: a real
-        (dim rank, Q) matrix times the fixed Fourier kernel (Q, n_y).
-        """
-        fourier = np.hstack([np.cos(np.outer(q, ys)), np.sin(np.outer(q, ys))])
-        ny = ys.shape[0]
-        for x in xs:
-            shifted = self.factor.T @ _hermite_functions(q - x, self.dim)
-            c = (psi_w[:, None, :] * shifted[None, :, :]).reshape(-1, q.shape[0])
-            re_im = c @ fourier
-            yield (re_im[:, :ny] + 1j * re_im[:, ny:]).reshape(self.dim, -1, ny)
+        return None, displaced_amplitudes(self.factor, xs, ys), ix * ys.shape[0] + iy
 
     def _evaluate(self, states, psi, rows, index):
         """Densities of the states at the points whose factors _amplitudes gave."""
@@ -328,12 +281,10 @@ def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
 
     Displacements follow the ensemble's Gaussian with covariance
     diag(gamma_q, gamma_p); axes with zero variance collapse to a point.
-    Returns a DiscreteEnsemble of pure displaced squeezed states.
+    Returns a DiscreteEnsemble of pure displaced squeezed states, each the
+    exact projection onto |0>..|n_max>.
     """
-    from .fock import displaced_squeezed_vector
-
     r = 0.5 * math.log(2.0 * spec.delta)
-    dim = n_max + 1
 
     def axis(var):
         if var <= 0:
@@ -343,9 +294,5 @@ def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
 
     xs, wx = axis(spec.gamma_q)
     ys, wy = axis(spec.gamma_p)
-    weights, states = [], []
-    for xi, wxi in zip(xs, wx):
-        for yi, wyi in zip(ys, wy):
-            weights.append(wxi * wyi)
-            states.append(displaced_squeezed_vector(xi, yi, r, dim))
-    return DiscreteEnsemble(np.asarray(weights), tuple(states))
+    states = displaced_squeezed_vector(xs[:, None], ys[None, :], r, n_max + 1)
+    return DiscreteEnsemble(np.outer(wx, wy).ravel(), tuple(states.reshape(-1, n_max + 1)))

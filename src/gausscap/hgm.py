@@ -66,6 +66,7 @@ class SearchReport:
     flagged_excess: bool
     budget_exhausted: bool
     violation: float
+    min_kept_mass: float  # smallest member norm^2 in the best ensemble (truncation)
     starts: int
     evaluations: int
 
@@ -99,16 +100,10 @@ class _Objective:
         return w, p
 
     def unpack(self, params):
+        """Member weights and states, the exact projections onto |0>..|n_max>."""
         w, p = self.decode(params)
-        states = []
-        for row in p:
-            amps = None
-            if self.cfg.allow_fock:
-                amps = [math.cos(row[4]), math.sin(row[4])]
-            states.append(
-                displaced_squeezed_vector(row[1], row[2], float(row[3]), self.dim, amps)
-            )
-        return w, states
+        theta = p[:, 4] if self.cfg.allow_fock else 0.0
+        return w, displaced_squeezed_vector(p[:, 1], p[:, 2], p[:, 3], self.dim, theta)
 
     def describe(self, params):
         """Per-member report entries, with the squeezing the states were built with."""
@@ -232,9 +227,11 @@ def hgm_search(alpha, beta, config=SearchConfig()):
     feasible = obj.any_feasible
     best = obj.best_feasible if feasible else -math.inf
     ensemble_desc = []
-    violation = math.inf
+    violation = min_kept_mass = math.inf
     if obj.best_params is not None:
-        _, violation = obj.mutual_info_and_violation(*obj.unpack(obj.best_params))
+        w, states = obj.unpack(obj.best_params)
+        _, violation = obj.mutual_info_and_violation(w, states)
+        min_kept_mass = float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         ensemble_desc = obj.describe(obj.best_params)
 
     gap = best - ceiling if feasible else -math.inf
@@ -250,6 +247,7 @@ def hgm_search(alpha, beta, config=SearchConfig()):
         flagged_excess=bool(feasible and gap > config.feasibility_tol),
         budget_exhausted=not feasible,
         violation=float(violation),
+        min_kept_mass=min_kept_mass,
         starts=config.starts,
         evaluations=obj.evaluations,
     )

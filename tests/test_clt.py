@@ -57,6 +57,31 @@ class TestMarginalCharfn:
         assert clt_marginal_charfn(phi, n, x, y) == pytest.approx(expect, abs=1e-10)
 
 
+    def test_one_phi_call_per_n(self):
+        # phi(-z) = conj(phi(z)), so the marginal is |phi(z/sqrt(n))|^n.
+        phi = one_photon_charfn()
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return phi(x, y)
+
+        axis = np.linspace(-4.0, 4.0, 41)
+        xg, yg = np.meshgrid(axis, axis, indexing="ij")
+        for n in (4, 1024):
+            calls.clear()
+            got = clt_marginal_charfn(counted, n, xg, yg)
+            assert len(calls) == 1
+            s, half = math.sqrt(n), n // 2
+            two_calls = phi(xg / s, yg / s) ** half * phi(-xg / s, -yg / s) ** half
+            # Rounding of phi is raised to the power n in both forms
+            # (1.1e-15 apart at n = 4, 1.7e-13 at n = 1024).
+            assert np.abs(got - two_calls).max() <= n * 1e-15
+        calls.clear()
+        clt_convergence_report(counted, make_covariance(1.5, 1.5), [4, 1024])
+        assert len(calls) == 2
+
+
 class TestConvergenceReport:
     def test_one_photon_converges(self):
         phi = one_photon_charfn()

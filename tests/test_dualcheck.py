@@ -1,9 +1,35 @@
 import math
 
+import numpy as np
 import pytest
 
+from dense_displacement import displacement_matrix
 from gausscap.core import InvalidForSharp, make_covariance, make_noise
-from gausscap.dualcheck import dual_operator_check
+from gausscap.dualcheck import _psd_sqrt, _trace_norm, dual_operator_check
+from gausscap.duality import dual_ensemble
+from gausscap.fock import gaussian_state_fock
+
+
+def dense_dual_check(alpha, beta, n_max, sample_radius, samples_per_axis):
+    """The duality check with dense truncated displacement matrices."""
+    dual = dual_ensemble(alpha, beta)
+    sqrt_bar = _psd_sqrt(gaussian_state_fock(alpha, n_max).matrix)
+    rho_beta = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), n_max).matrix
+    rho_prime = gaussian_state_fock(
+        make_covariance(dual.alpha_prime_q, dual.alpha_prime_p), n_max).matrix
+    scale = math.sqrt(1.0 - 0.25 / (alpha.alpha_q * alpha.alpha_p))
+    cx = scale * alpha.alpha_q / (alpha.alpha_q + beta.beta_q)
+    cy = scale * alpha.alpha_p / (alpha.alpha_p + beta.beta_p)
+    axis = np.linspace(-sample_radius, sample_radius, samples_per_axis)
+    worst = 0.0
+    for x in axis:
+        for y in axis:
+            d = displacement_matrix(x, y, n_max + 1)
+            num = sqrt_bar @ d @ rho_beta @ d.conj().T @ sqrt_bar
+            dp = displacement_matrix(cx * x, cy * y, n_max + 1)
+            closed = dp @ rho_prime @ dp.conj().T
+            worst = max(worst, _trace_norm(num / np.trace(num).real - closed))
+    return worst
 
 
 class TestDualOperatorCheck:
@@ -21,6 +47,15 @@ class TestDualOperatorCheck:
         fine = dual_operator_check(alpha, beta, n_max=40,
                                    sample_radius=1.5, samples_per_axis=3)
         assert fine <= coarse + 1e-12
+
+    @pytest.mark.parametrize("n_max", [17, 24, 30])
+    def test_matches_dense_displacement(self, n_max):
+        # Same truncated operators as the dense route, so the same gap, also
+        # where truncation makes it large.
+        alpha, beta = make_covariance(1.0, 1.0), make_noise(0.2, 5.0)
+        args = (n_max, 1.5, 3)
+        dense = dense_dual_check(alpha, beta, *args)
+        assert dual_operator_check(alpha, beta, *args) == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_rejects_position_measurements(self):
         alpha = make_covariance(1.0, 1.0)

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense_displacement import double_loop_displacement
 from gausscap.core import TruncationInsufficient, make_covariance
 from gausscap.fock import (
     FockOperator,
     destroy,
+    displaced_amplitudes,
     displaced_squeezed_vector,
-    displacement_batch,
-    displacement_fock,
     gaussian_state_fock,
-    momentum_operator,
-    position_operator,
     quantum_charfn,
     squeeze_matrix,
     state_moments,
@@ -29,12 +27,6 @@ class TestLadderOperators:
         a = destroy(dim)
         comm = a @ a.conj().T - a.conj().T @ a
         assert np.allclose(comm[:-1, :-1], np.eye(dim - 1), atol=1e-12)
-
-    def test_canonical_commutator(self):
-        dim = 20
-        q, p = position_operator(dim), momentum_operator(dim)
-        comm = q @ p - p @ q
-        assert np.allclose(comm[:-1, :-1], 1j * np.eye(dim - 1), atol=1e-12)
 
 
 class TestSqueeze:
@@ -105,21 +97,9 @@ class TestGaussianStateFock:
             gaussian_state_fock(make_covariance(50.0, 50.0), n_max=10)
 
 
-def _double_loop_displacement(zeta, dim):
-    """The Laguerre closed form with an outer loop over the offset d (reference)."""
-    t = np.abs(zeta) ** 2
-    emt = np.exp(-0.5 * t)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    out = np.empty((len(zeta), dim, dim), dtype=complex)
-    for d in range(dim):
-        lag_prev, lag = np.zeros_like(t), np.ones_like(t)
-        for n in range(dim - d):
-            if n > 0:
-                lag, lag_prev = ((2.0 * n - 1.0 + d - t) * lag - (n - 1.0 + d) * lag_prev) / n, lag
-            val = (np.exp(0.5 * (lg[n] - lg[n + d])) * emt) * lag
-            out[:, n + d, n] = val * zeta ** d
-            out[:, n, n + d] = val * (-np.conj(zeta)) ** d
-    return out
+def grid_displacement(x, y, dim):
+    """<m|D(x,y)|n> for m, n < dim from the position-grid amplitudes."""
+    return next(displaced_amplitudes(np.eye(dim), [x], [y]))[:, :, 0]
 
 
 class TestDisplacement:
@@ -129,15 +109,15 @@ class TestDisplacement:
         a = destroy(dim)
         zeta = (x + 1j * y) / math.sqrt(2.0)
         direct = expm(zeta * a.conj().T - np.conj(zeta) * a)
-        d = displacement_fock(x, y, n_max=dim - 1).matrix
-        # agreement away from the truncation edge
+        d = grid_displacement(x, y, dim)
+        # agreement away from the truncation edge of the exponential
         assert np.allclose(d[:20, :20], direct[:20, :20], atol=1e-9)
 
     def test_vacuum_overlap_closed_form(self):
         # <n|D|0> = zeta^n e^{-|zeta|^2/2} / sqrt(n!)
         x, y = 1.2, 0.4
         zeta = (x + 1j * y) / math.sqrt(2.0)
-        d = displacement_fock(x, y, n_max=25).matrix
+        d = grid_displacement(x, y, 26)
         for n in range(10):
             expect = zeta ** n * math.exp(-abs(zeta) ** 2 / 2) / math.sqrt(
                 math.factorial(n)
@@ -145,32 +125,31 @@ class TestDisplacement:
             assert d[n, 0] == pytest.approx(expect, abs=1e-13)
 
     def test_zero_displacement_identity(self):
-        d = displacement_fock(0.0, 0.0, n_max=15).matrix
+        d = grid_displacement(0.0, 0.0, 16)
         assert np.allclose(d, np.eye(16), atol=1e-14)
 
     def test_unitary_low_block(self):
-        d = displacement_fock(1.0, 1.0, n_max=60).matrix
+        d = grid_displacement(1.0, 1.0, 61)
         block = (d.conj().T @ d)[:30, :30]
         assert np.allclose(block, np.eye(30), atol=1e-10)
 
     def test_batch_consistency(self):
-        # A few points at dim 20, and the 41 x 41 (x, y) grid at dim 8 that
-        # quantum_charfn evaluates for the CLT check.
-        axis = np.linspace(-4.0, 4.0, 41)
-        grid = (axis[:, None] + 1j * axis[None, :]).ravel() / math.sqrt(2)
-        for zs, dim in [(np.array([0.3 + 0.2j, -1.0 + 0.5j, 0.0]), 20), (grid, 8)]:
-            batch = displacement_batch(zs, dim)
-            for i, z in enumerate(zs):
-                x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
-                single = displacement_fock(x, y, n_max=dim - 1).matrix
-                assert np.allclose(batch[i], single, atol=1e-13)
+        # The rows of a tensor of (x, y) values, sized for its largest |y|,
+        # against one point at a time: a few points at dim 20, and the
+        # 41 x 41 grid at dim 8 that quantum_charfn evaluates for the CLT check.
+        for axis, dim in [(np.array([-1.0, 0.0, 0.3]), 20), (np.linspace(-4.0, 4.0, 41), 8)]:
+            for x, row in zip(axis, displaced_amplitudes(np.eye(dim), axis, axis)):
+                for j, y in enumerate(axis):
+                    assert np.allclose(row[:, :, j], grid_displacement(x, y, dim), atol=1e-13)
 
     @pytest.mark.parametrize("dim", [8, 20, 25, 41, 61, 100])
     def test_matches_double_loop_reference(self, dim):
         rng = np.random.default_rng(dim)
         zs = rng.uniform(0.0, 6.0, 20) * np.exp(2j * np.pi * rng.uniform(size=20))
-        err = np.abs(displacement_batch(zs, dim) - _double_loop_displacement(zs, dim))
-        assert err.max() <= 1e-15
+        ref = double_loop_displacement(zs, dim)
+        for z, d in zip(zs, ref):
+            x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
+            assert np.abs(grid_displacement(x, y, dim) - d).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [25, 61])
     def test_every_element_matches_mpmath(self, dim):
@@ -178,7 +157,7 @@ class TestDisplacement:
         # and <n|D|n+d> the same with (-conj zeta)^d; L from its finite sum.
         for radius in (0.5, 2.0, 3.0):
             zeta = cmath.rect(radius, 0.7)
-            got = displacement_batch([zeta], dim)[0]
+            got = grid_displacement(math.sqrt(2) * zeta.real, math.sqrt(2) * zeta.imag, dim)
             ref = np.empty((dim, dim), dtype=complex)
             with mpmath.workdps(50):
                 z = mpmath.mpc(zeta)
@@ -212,10 +191,79 @@ class TestDisplacedSqueezedVector:
 
     def test_fock_amplitudes(self):
         # pure |1> without squeeze or displacement
-        v = displaced_squeezed_vector(0.0, 0.0, 0.0, 10, fock_amplitudes=[0, 1])
+        v = displaced_squeezed_vector(0.0, 0.0, 0.0, 10, theta=math.pi / 2)
         expect = np.zeros(10)
         expect[1] = 1.0
         assert np.allclose(v, expect, atol=1e-14)
+
+    def test_matches_dense_product(self):
+        # The exact projection onto |0>..|24> against the first 25 entries of
+        # a dim-400 dense product, which has converged for these members.
+        dim, big = 25, 400
+        rng = np.random.default_rng(4)
+        zs = rng.uniform(0.0, 2.9, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+        rs = rng.uniform(-1.5, 1.5, 6)
+        thetas = rng.uniform(0.0, math.pi, 6)
+        got = displaced_squeezed_vector(math.sqrt(2) * zs.real, math.sqrt(2) * zs.imag,
+                                        rs, dim, thetas)
+        assert got.shape == (6, dim)
+        a = destroy(big)
+        gen = 0.5 * (a.T @ a.T - a @ a)
+        for z, r, theta, v in zip(zs, rs, thetas, got):
+            base = np.zeros(big)
+            base[:2] = math.cos(theta), math.sin(theta)
+            ref = expm(z * a.T - np.conj(z) * a) @ (expm(r * gen) @ base)
+            assert np.abs(v - ref[:dim]).max() <= 1e-14
+
+    @pytest.mark.parametrize("r", [3.0, -3.0])
+    def test_matches_mpmath_at_clip_squeezing(self, r):
+        # No dense product up to dim 600 converges at |r| = 3; integrate
+        # <n|D S(cos|0> + sin|1>)> over position wavefunctions instead.
+        x, y, theta, dim = 2.0, 0.5, 1.0, 25
+        got = displaced_squeezed_vector(x, y, r, dim, theta)
+        with mpmath.workdps(20):
+            s = mpmath.exp(-r)
+            cache = {}
+
+            def products(q):
+                # psi_n(q) <q|D(x,y) S(r) psi0>, for every n at once
+                if q not in cache:
+                    u = (q - x) * s
+                    member = (mpmath.sqrt(s) * mpmath.pi ** -0.25 * mpmath.exp(-u * u / 2)
+                              * (math.cos(theta) + math.sin(theta) * mpmath.sqrt(2) * u)
+                              * mpmath.expj(y * q - x * y / 2))
+                    psi = [mpmath.pi ** -0.25 * mpmath.exp(-q * q / 2)]
+                    psi.append(mpmath.sqrt(2) * q * psi[0])
+                    for n in range(2, dim):
+                        psi.append(mpmath.sqrt(mpmath.mpf(2) / n) * q * psi[-1]
+                                   - mpmath.sqrt(mpmath.mpf(n - 1) / n) * psi[-2])
+                    cache[q] = [p * member for p in psi]
+                return cache[q]
+
+            ref = np.array([complex(mpmath.quad(lambda q: products(q)[n], [-16, x - 1, x + 1, 16]))
+                            for n in range(dim)])
+        assert np.abs(got - ref).max() <= 1e-14
+
+
+class TestStateMoments:
+    @pytest.mark.parametrize("x, y, r, theta", [(0.7, -0.4, 0.3, 0.6), (2.0, 0.5, 3.0, 1.0)])
+    def test_matches_quadrature_operators(self, x, y, r, theta):
+        # q and p on two extra levels act exactly on |0>..|dim-1>; the second
+        # member keeps 9 % of its mass, and the moments are of the normalized state.
+        dim = 25
+        v = displaced_squeezed_vector(x, y, r, dim, theta)
+        padded = np.concatenate([v, np.zeros(2)])
+        a = destroy(dim + 2)
+        q = (a + a.T) / math.sqrt(2.0)
+        p = -1j * (a - a.T) / math.sqrt(2.0)
+        mass = np.vdot(v, v).real
+        mq = np.vdot(padded, q @ padded).real / mass
+        mp = np.vdot(padded, p @ padded).real / mass
+        vq = np.vdot(q @ padded, q @ padded).real / mass - mq ** 2
+        vp = np.vdot(p @ padded, p @ padded).real / mass - mp ** 2
+        assert np.allclose(state_moments(v), (mq, mp, vq, vp), rtol=0.0, atol=1e-12)
+        assert np.allclose(state_moments(np.outer(v, v.conj())), (mq, mp, vq, vp),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestQuantumCharfn:
@@ -235,6 +283,18 @@ class TestQuantumCharfn:
         x, y = 0.9, -0.4
         t = (x ** 2 + y ** 2) / 2.0
         assert phi(x, y) == pytest.approx(math.exp(-t / 2.0) * (1.0 - t), abs=1e-12)
+
+    def test_complex_coherent_state(self):
+        # <b|D(z)|b> = exp(-|z|^2/2 + z conj(b) - conj(z) b) for the coherent
+        # state |b>, whose density matrix is complex.
+        x0, y0 = 0.8, -0.5
+        v = displaced_squeezed_vector(x0, y0, 0.0, 40)
+        phi = quantum_charfn(np.outer(v, v.conj()))
+        b = (x0 + 1j * y0) / math.sqrt(2.0)
+        for x, y in [(0.3, 0.9), (-1.2, 0.4), (0.0, -2.0)]:
+            z = (x + 1j * y) / math.sqrt(2.0)
+            expect = cmath.exp(-abs(z) ** 2 / 2 + z * b.conjugate() - z.conjugate() * b)
+            assert phi(x, y) == pytest.approx(expect, abs=1e-12)
 
     def test_origin_is_trace(self):
         rho = gaussian_state_fock(make_covariance(1.2, 0.8), n_max=50)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_displacement import displacement_matrix
 from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha
 from gausscap.core import (
     InvalidForSharp,
@@ -11,7 +12,7 @@ from gausscap.core import (
     make_covariance,
     make_noise,
 )
-from gausscap.fock import displacement_fock, gaussian_state_fock, state_moments
+from gausscap.fock import FockOperator, gaussian_state_fock, state_moments
 from gausscap.grids import (
     DiscreteEnsemble,
     OutputSampler,
@@ -67,11 +68,8 @@ class TestPovmDensity:
         dim = 41
         beta = make_noise(0.6, 0.8)
         rho0 = gaussian_state_fock(make_covariance(0.7, 0.6), n_max=dim - 1)
-        d = displacement_fock(0.9, -0.4, n_max=dim - 1).matrix
-        shifted = d @ rho0.matrix @ d.conj().T
-        from gausscap.fock import FockOperator
-
-        rho1 = FockOperator(shifted)
+        d = displacement_matrix(0.9, -0.4, dim)
+        rho1 = FockOperator(d @ rho0.matrix @ d.conj().T)
         for x, y in [(0.0, 0.0), (1.2, 0.3)]:
             p_shift = povm_density(rho1, beta, x, y)
             p_base = povm_density(rho0, beta, x - 0.9, y + 0.4)
@@ -87,12 +85,12 @@ def random_mixed_state(dim, seed):
 
 
 def reference_density(rho, beta, points):
-    """Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) from displacement matrices."""
-    n_max = rho.shape[0] - 1
-    rho_b = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), n_max).matrix
+    """Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) from dense displacement matrices."""
+    dim = rho.shape[0]
+    rho_b = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), dim - 1).matrix
     out = []
     for x, y in points:
-        d = displacement_fock(x, y, n_max).matrix
+        d = displacement_matrix(x, y, dim)
         out.append(np.trace(rho @ d @ rho_b @ d.conj().T).real / (2.0 * math.pi))
     return np.array(out)
 

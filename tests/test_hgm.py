@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gausscap.core import make_covariance, make_noise
+from gausscap.fock import displaced_squeezed_vector
 from gausscap.grids import QuadratureGrid
 from gausscap.hgm import SearchConfig, SearchReport, _Objective, hgm_search
 
@@ -65,3 +66,22 @@ class TestHgmSearch:
         ensemble = obj.describe(best.ravel())
         assert [m["squeeze_r"] for m in ensemble] == [3.0, -3.0, 0.25]
         assert sum(m["weight"] for m in ensemble) == pytest.approx(1.0)
+
+    def test_members_are_exact_projections(self):
+        # (x, y, r, theta) = (2, 0.5, 3, 1) keeps 9.1 % of its mass in
+        # |0>..|24>; the member is not renormalized.
+        cfg = SearchConfig(members=1, n_max=24)
+        obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
+        _, states = obj.unpack([0.0, 2.0, 0.5, 3.0, 1.0])
+        assert states.shape == (1, 25)
+        assert np.vdot(states[0], states[0]).real == pytest.approx(0.091342, abs=1e-6)
+
+    def test_report_gives_the_smallest_kept_mass(self):
+        report = hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
+        masses = []
+        for m in report.ensemble:
+            v = displaced_squeezed_vector(m["x"], m["y"], m["squeeze_r"], FAST.n_max + 1,
+                                          m["photon_mix_angle"])
+            masses.append(np.vdot(v, v).real)
+        assert 0.0 < report.min_kept_mass <= 1.0
+        assert report.min_kept_mass == pytest.approx(min(masses), abs=1e-15)
