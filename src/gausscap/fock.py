@@ -153,7 +153,8 @@ def state_moments(rho):
     """Means and variances of (q, p) for a density matrix or state vector.
 
     Read off the ladder sums <a>, <a^2> and <a+a> of the normalized state,
-    which need only the first three bands below the diagonal of rho.
+    which need only the first three bands below the diagonal of rho.  A
+    norm that is not positive and finite raises TruncationInsufficient.
     """
     mat = state_array(rho)
     dim = mat.shape[0]
@@ -161,6 +162,8 @@ def state_moments(rho):
                   for k in range(3))
     n = np.arange(dim, dtype=float)
     norm = b0.real.sum()
+    if not 0.0 < norm < math.inf:
+        raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
     a1 = np.dot(np.sqrt(n[1:]), b1) / norm
     a2 = np.dot(np.sqrt(n[1:-1] * n[2:]), b2).real / norm
     number = np.dot(n, b0.real) / norm

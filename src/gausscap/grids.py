@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidForSharp, NonPositive, NormalizationFailure, make_covariance
+from .core import (
+    InvalidForSharp,
+    NonPositive,
+    NormalizationFailure,
+    TruncationInsufficient,
+    make_covariance,
+)
 from .fock import (
     DEFAULT_N,
     EIG_TOL,
@@ -70,13 +76,17 @@ class DiscreteEnsemble:
 def _state_components(states):
     """(P, V): column k of V is an eigenvector of state i with weight P[i, k].
 
-    A state vector is one normalized column with weight 1.
+    A state vector is one normalized column with weight 1.  A state whose
+    norm (trace) is not positive and finite raises TruncationInsufficient.
     """
     comps = []
     for s in states:
         mat = state_array(s)
+        norm = np.linalg.norm(mat) if mat.ndim == 1 else np.trace(mat).real
+        if not 0.0 < norm < math.inf:
+            raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
         if mat.ndim == 1:
-            comps.append((np.ones(1), (mat / np.linalg.norm(mat))[:, None]))
+            comps.append((np.ones(1), (mat / norm)[:, None]))
             continue
         vals, vecs = np.linalg.eigh(mat)
         keep = vals > EIG_TOL * max(vals.max(), 1.0)
@@ -227,7 +237,7 @@ def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     sampler = OutputSampler(beta, state_array(rho).shape[0])
     p = sampler.densities([rho], pts)[0]
     mass = float(np.dot(w, p))
-    if abs(mass - 1.0) > mass_tol:
+    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise NormalizationFailure(
             f"density mass {mass} deviates from 1 beyond {mass_tol}"
         )
@@ -269,7 +279,7 @@ def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     pts, w = _grid_nodes(means, sigmas, grid)
     dens = OutputSampler(beta, dim).densities(ens.states, pts)
     mi, mass = _information(np.asarray(ens.weights, dtype=float), dens, w)
-    if abs(mass - 1.0) > mass_tol:
+    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise NormalizationFailure(
             f"average density mass {mass} deviates from 1 beyond {mass_tol}"
         )

@@ -1,11 +1,14 @@
 """Stress search for ensembles beating the Gaussian-maximizer ceiling.
 
 Multi-start Nelder-Mead over small discrete ensembles of displaced squeezed
-states (optionally with a one-photon admixture), with a quadratic penalty
-holding the ensemble average at the target covariance.  A feasible value
-above the closed-form ceiling is reported as a flagged finding, never
-asserted as a violation: in the open regimes the ceiling itself is
-hypothetical.
+states (optionally with a one-photon admixture).  Every evaluated ensemble
+has the target average covariance exactly: the member displacements are
+centered and scaled onto that constraint surface from the closed-form
+moments of the undisplaced members, and a point that cannot be placed, or
+whose members lose mass to the truncation, scores its excess instead of an
+information value.  A value above the closed-form ceiling is reported as a
+flagged finding, never asserted as a violation: in the open regimes the
+ceiling itself is hypothetical.
 """
 
 import json
@@ -27,6 +30,11 @@ from .grids import (
     _output_window,
 )
 
+# A best value this far above the ceiling is flagged as an excess.
+EXCESS_TOL = 1e-3
+# Members must keep at least 1 - KEPT_MASS_TOL of their norm^2 in |0>..|n_max>.
+KEPT_MASS_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -35,11 +43,8 @@ class SearchConfig:
     starts: int = 16
     max_iter: int = 200
     seed: int = 0
-    penalty_weight: float = 1e3
-    feasibility_tol: float = 1e-3
     n_max: int = 24
     grid: QuadratureGrid = field(default_factory=lambda: QuadratureGrid(6.0, 48))
-    seed_optimal: bool = False  # start 0 from the discretized Gaussian optimum
 
     def __post_init__(self):
         if self.members < 1 or self.n_max < 1:
@@ -65,7 +70,7 @@ class SearchReport:
     feasible: bool
     flagged_excess: bool
     budget_exhausted: bool
-    violation: float
+    violation: float  # squared moment error of the truncated best ensemble
     min_kept_mass: float  # smallest member norm^2 in the best ensemble (truncation)
     starts: int
     evaluations: int
@@ -75,7 +80,7 @@ class SearchReport:
 
 
 class _Objective:
-    """Penalized negative mutual information over packed ensemble parameters."""
+    """Negative mutual information of the packed ensemble moved onto the constraint."""
 
     def __init__(self, alpha, beta, config):
         self.alpha = alpha
@@ -86,9 +91,8 @@ class _Objective:
         self.points, self.qweights = _grid_nodes(means, sigmas, config.grid)
         self.densities = OutputSampler(beta, self.dim).bind(self.points)
         self.evaluations = 0
-        self.best_feasible = -math.inf
+        self.best_value = -math.inf
         self.best_params = None
-        self.any_feasible = False
 
     def decode(self, params):
         """Member weights and the (members, per_member) rows, r clipped to [-3, 3]."""
@@ -112,104 +116,84 @@ class _Objective:
         keys = ("weight", "x", "y", "squeeze_r", "photon_mix_angle")
         return [dict(zip(keys, map(float, row))) for row in p]
 
-    def mutual_info_and_violation(self, w, states):
-        mq, mp, vq, vp = _average_moments(w, states)
-        violation = (mq ** 2 + mp ** 2
-                     + (vq - self.alpha.alpha_q) ** 2
-                     + (vp - self.alpha.alpha_p) ** 2)
-        mi, _ = _information(w, self.densities(states), self.qweights)
-        return mi, violation
+    def place(self, params):
+        """(params with x, y moved onto the constraint surface, excess).
+
+        Per axis the member means u are centered and scaled so that their
+        spread w.u^2 fills the room alpha - w.v left by the member variances.
+        The excess, the summed |room| of the axes where that is impossible,
+        is 0 when the point was placed.
+        """
+        w, p = self.decode(params)
+        offset, var_q, var_p = _member_moments(p[:, 3], p[:, 4] if self.cfg.allow_fock else 0.0)
+        excess = 0.0
+        for col, off, var, target in ((1, offset, var_q, self.alpha.alpha_q),
+                                      (2, 0.0, var_p, self.alpha.alpha_p)):
+            u = p[:, col] + off
+            u -= w @ u
+            room = target - w @ var
+            spread = w @ (u * u)
+            if room < 0.0 or spread == 0.0 < room:
+                excess += abs(room)
+            else:
+                p[:, col] = u * math.sqrt(room / spread if spread > 0.0 else 0.0) - off
+        return p.ravel(), excess
 
     def __call__(self, params):
         self.evaluations += 1
+        params, excess = self.place(params)
+        if excess > 0.0:
+            return excess
         w, states = self.unpack(params)
-        mi, violation = self.mutual_info_and_violation(w, states)
-        if violation < self.cfg.feasibility_tol:
-            self.any_feasible = True
-            if mi > self.best_feasible:
-                self.best_feasible = mi
-                self.best_params = np.array(params, dtype=float)
-        return -(mi - self.cfg.penalty_weight * violation)
+        lost = 1.0 - float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
+        if not lost <= KEPT_MASS_TOL:
+            return lost
+        mi, _ = _information(w, self.densities(states), self.qweights)
+        if mi > self.best_value:
+            self.best_value = mi
+            self.best_params = params
+        return -mi
 
 
-def _feasible_displacements(rng, k, weights, target_var):
-    """Zero-mean displacements whose weighted variance matches target_var."""
-    if target_var <= 1e-12 or k < 2:
-        return np.zeros(k)
-    x = rng.standard_normal(k)
-    x -= weights @ x
-    var = weights @ x ** 2
-    if var <= 0:
-        return np.zeros(k)
-    return x * math.sqrt(target_var / var)
+def _member_moments(r, theta):
+    """q mean and the q, p variances of S(r)(cos theta |0> + sin theta |1>).
+
+    Its p mean is 0; S(r) scales q by e^r and p by e^-r.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    s2 = s * s
+    return (math.sqrt(2.0) * np.exp(r) * c * s,
+            np.exp(2.0 * r) * (0.5 + s2 - 2.0 * c * c * s2),
+            np.exp(-2.0 * r) * (0.5 + s2))
 
 
 def _initial_points(alpha, beta, config, rng):
-    """Random starts built to satisfy the covariance constraint at t = 0.
+    """Random starts around the Gaussian optimum, one per configured start.
 
-    Members start as pure squeezed states (no photon admixture), with
-    per-member squeezing jittered around the Gaussian optimum and the
-    displacements rescaled so the ensemble second moments hit alpha.
+    Weights are near uniform and displacements raw (the objective places
+    them).  Photon-mixing angles have scale 0.3 rad, and the squeezing,
+    jittered around the optimum, is clipped so that every member variance
+    stays inside the target on both quadratures.
     """
     k = config.members
-    d_opt = optimal_squeezing(alpha, beta)
-    r_opt = 0.5 * math.log(2.0 * d_opt)
+    r_opt = 0.5 * math.log(2.0 * optimal_squeezing(alpha, beta))
     points = []
     for _ in range(config.starts):
         p = np.zeros((k, config.per_member))
-        logits = 0.1 * rng.standard_normal(k)
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        p[:, 0] = logits
+        p[:, 0] = 0.1 * rng.standard_normal(k)
         r = r_opt + 0.15 * rng.standard_normal(k)
-        # Keep every member variance inside the target on both quadratures.
-        r_lo = -0.5 * math.log(2.0 * alpha.alpha_p)
-        r_hi = 0.5 * math.log(2.0 * alpha.alpha_q)
-        p[:, 3] = np.clip(r, r_lo, r_hi)
-        r = p[:, 3]
-        gq = alpha.alpha_q - float(w @ (0.5 * np.exp(2.0 * r)))
-        gp = alpha.alpha_p - float(w @ (0.5 * np.exp(-2.0 * r)))
-        p[:, 1] = _feasible_displacements(rng, k, w, gq)
-        p[:, 2] = _feasible_displacements(rng, k, w, gp)
+        p[:, 1:3] = rng.standard_normal((k, 2))
+        theta = 0.0
+        if config.allow_fock:
+            theta = p[:, 4] = 0.3 * rng.standard_normal(k)
+        _, vq0, vp0 = _member_moments(0.0, theta)
+        p[:, 3] = np.clip(r, -0.5 * np.log(alpha.alpha_p / vp0), 0.5 * np.log(alpha.alpha_q / vq0))
         points.append(p.ravel())
-    if config.seed_optimal and points:
-        points[0] = _optimal_seed(alpha, config, d_opt, r_opt)
     return points
 
 
-def _optimal_seed(alpha, config, d_opt, r_opt):
-    """Discretization of the optimal Gaussian ensemble (squeezing d_opt) as a start point."""
-    k = config.members
-    gq = max(alpha.alpha_q - d_opt, 0.0)
-    gp = max(alpha.alpha_p - 0.25 / d_opt, 0.0)
-    # Hermite-style symmetric placement of members along the active axes.
-    p = np.zeros((k, config.per_member))
-    if gp <= 1e-12 or gq <= 1e-12:
-        var = max(gq, gp)
-        nodes, w = np.polynomial.hermite_e.hermegauss(k)
-        col = 1 if gq > gp else 2
-        p[:, col] = nodes * math.sqrt(var)
-        p[:, 0] = np.log(np.maximum(w / w.sum(), 1e-12))
-    else:
-        kx = max(int(round(math.sqrt(k))), 1)
-        ky = max(k // kx, 1)
-        nx, wx = np.polynomial.hermite_e.hermegauss(kx)
-        ny, wy = np.polynomial.hermite_e.hermegauss(ky)
-        idx = 0
-        for i in range(kx):
-            for j in range(ky):
-                if idx >= k:
-                    break
-                p[idx, 1] = nx[i] * math.sqrt(gq)
-                p[idx, 2] = ny[j] * math.sqrt(gp)
-                p[idx, 0] = math.log(max(wx[i] * wy[j], 1e-12))
-                idx += 1
-    p[:, 3] = r_opt
-    return p.ravel()
-
-
 def hgm_search(alpha, beta, config=SearchConfig()):
-    """Best penalized-feasible mutual information over the configured family."""
+    """Best mutual information over the configured family on the constraint surface."""
     regime = classify_regime(alpha, beta)
     ceiling = capacity_alpha(alpha, beta)
     rng = np.random.default_rng(config.seed)
@@ -224,19 +208,20 @@ def hgm_search(alpha, beta, config=SearchConfig()):
                          "fatol": 1e-8, "adaptive": True},
             )
 
-    feasible = obj.any_feasible
-    best = obj.best_feasible if feasible else -math.inf
+    feasible = obj.best_params is not None
     ensemble_desc = []
     violation = min_kept_mass = math.inf
-    if obj.best_params is not None:
+    if feasible:
         w, states = obj.unpack(obj.best_params)
-        _, violation = obj.mutual_info_and_violation(w, states)
+        mq, mp, vq, vp = _average_moments(w, states)
+        violation = (mq ** 2 + mp ** 2
+                     + (vq - alpha.alpha_q) ** 2 + (vp - alpha.alpha_p) ** 2)
         min_kept_mass = float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         ensemble_desc = obj.describe(obj.best_params)
 
-    gap = best - ceiling if feasible else -math.inf
+    gap = obj.best_value - ceiling if feasible else -math.inf
     return SearchReport(
-        best_value_nats=best,
+        best_value_nats=obj.best_value,
         ceiling_nats=ceiling,
         gap=gap,
         regime=regime.value,
@@ -244,7 +229,7 @@ def hgm_search(alpha, beta, config=SearchConfig()):
         seed=config.seed,
         ensemble=ensemble_desc,
         feasible=feasible,
-        flagged_excess=bool(feasible and gap > config.feasibility_tol),
+        flagged_excess=bool(feasible and gap > EXCESS_TOL),
         budget_exhausted=not feasible,
         violation=float(violation),
         min_kept_mass=min_kept_mass,

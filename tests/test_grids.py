@@ -8,11 +8,17 @@ from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha
 from gausscap.core import (
     InvalidForSharp,
     NormalizationFailure,
+    TruncationInsufficient,
     ValidationError,
     make_covariance,
     make_noise,
 )
-from gausscap.fock import FockOperator, gaussian_state_fock, state_moments
+from gausscap.fock import (
+    FockOperator,
+    displaced_squeezed_vector,
+    gaussian_state_fock,
+    state_moments,
+)
 from gausscap.grids import (
     DiscreteEnsemble,
     OutputSampler,
@@ -210,3 +216,19 @@ class TestMutualInformation:
         mi = mutual_information(ens, make_noise(0.5, 0.5), QuadratureGrid(8.0, 80))
         assert mi == pytest.approx(0.0, abs=1e-12)
 
+
+class TestZeroNormStates:
+    # A coherent state at x = 80 keeps nothing in |0>..|24>: its norm is 0.
+    @pytest.mark.parametrize("beta", [make_noise(0.5, 0.5), make_noise(0.2, INF)])
+    def test_raises_truncation_insufficient(self, beta):
+        lost = displaced_squeezed_vector(80.0, 0.0, 0.0, 25)
+        vacuum = displaced_squeezed_vector(0.0, 0.0, 0.0, 25)
+        assert np.linalg.norm(lost) == 0.0
+        ens = DiscreteEnsemble(np.array([0.5, 0.5]), (vacuum, lost))
+        with pytest.raises(TruncationInsufficient):
+            mutual_information(ens, beta, QuadratureGrid(6.0, 24))
+        with pytest.raises(TruncationInsufficient):
+            numeric_output_entropy(lost, beta, QuadratureGrid(6.0, 24))
+        points = np.zeros((1, 2)) if beta.noise_type == 1 else np.zeros(1)
+        with pytest.raises(TruncationInsufficient):
+            OutputSampler(beta, 25).densities([lost], points)

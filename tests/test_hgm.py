@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from gausscap.core import make_covariance, make_noise
-from gausscap.fock import displaced_squeezed_vector
-from gausscap.grids import QuadratureGrid
-from gausscap.hgm import SearchConfig, SearchReport, _Objective, hgm_search
+from gausscap.fock import displaced_squeezed_vector, state_moments
+from gausscap.grids import QuadratureGrid, _average_moments
+from gausscap.hgm import (
+    SearchConfig,
+    SearchReport,
+    _initial_points,
+    _member_moments,
+    _Objective,
+    hgm_search,
+)
 
 FAST = SearchConfig(
     members=3, starts=2, max_iter=40, seed=7, n_max=16,
@@ -25,7 +32,7 @@ class TestHgmSearch:
         assert report.best_value_nats <= report.ceiling_nats + 2e-2
         assert not report.flagged_excess
         assert report.ceiling_nats == math.log(1.5)
-        assert report.violation < FAST.feasibility_tol
+        assert report.violation < 1e-6
         assert len(report.ensemble) == FAST.members
 
     def test_left_regime_marked_hypothetical(self):
@@ -85,3 +92,62 @@ class TestHgmSearch:
             masses.append(np.vdot(v, v).real)
         assert 0.0 < report.min_kept_mass <= 1.0
         assert report.min_kept_mass == pytest.approx(min(masses), abs=1e-15)
+
+    def test_starts_explore_the_photon_mixing_angle(self):
+        # In regime L the Gaussian optimum sits on the p-variance bound, so
+        # the starts must squeeze less where they mix in a photon.
+        alpha, beta = make_covariance(1, 2), make_noise(0.2, math.inf)
+        cfg = SearchConfig(members=4, starts=8, n_max=16, grid=QuadratureGrid(5.0, 16))
+        starts = _initial_points(alpha, beta, cfg, np.random.default_rng(0))
+        theta = np.array([x0.reshape(cfg.members, cfg.per_member)[:, 4] for x0 in starts])
+        assert np.std(theta) > 0.1
+        obj = _Objective(alpha, beta, cfg)
+        assert [obj.place(x0)[1] for x0 in starts] == [0.0] * cfg.starts
+
+
+class TestConstraintSurface:
+    def test_member_moments_match_the_states(self):
+        rng = np.random.default_rng(5)
+        for r, theta in rng.uniform(-1.2, 1.2, (8, 2)):
+            offset, var_q, var_p = _member_moments(r, theta)
+            moments = state_moments(displaced_squeezed_vector(0.3, -0.7, r, 301, theta))
+            assert np.allclose(moments, (0.3 + offset, -0.7, var_q, var_p), rtol=0.0, atol=1e-13)
+
+    def test_placed_ensembles_hold_the_average_covariance(self):
+        # Random packed points, placed, have the target moments up to truncation.
+        cfg = SearchConfig(members=4, n_max=60, grid=QuadratureGrid(5.0, 16))
+        alpha = make_covariance(1.5, 2.0)
+        obj = _Objective(alpha, make_noise(0.5, 0.5), cfg)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            raw = rng.standard_normal((cfg.members, cfg.per_member))
+            raw[:, 3:] *= 0.3
+            placed, excess = obj.place(raw.ravel())
+            assert excess == 0.0
+            w, states = obj.unpack(placed)
+            assert np.allclose(_average_moments(w, states), (0.0, 0.0, 1.5, 2.0),
+                               rtol=0.0, atol=1e-10)
+            # Placing is idempotent, up to the last bit of the re-centering.
+            again, excess = obj.place(placed)
+            assert excess == 0.0
+            assert np.allclose(again, placed, rtol=0.0, atol=1e-15)
+
+    def test_members_wider_than_alpha_score_their_excess(self):
+        obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
+        wide = np.zeros((FAST.members, FAST.per_member))
+        wide[:, 1], wide[:, 2], wide[:, 3] = [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0], 1.5
+        # The q axis has room 1 - e^3/2 < 0; the p axis can be placed.
+        assert obj(wide.ravel()) == pytest.approx(0.5 * math.exp(3.0) - 1.0)
+        assert obj.best_params is None
+
+    def test_members_that_leave_the_truncation_score_their_lost_mass(self):
+        # Logits (0, -25): placing sends the light member to x = y = 1.9e5,
+        # where it keeps nothing of its norm.
+        cfg = SearchConfig(members=2, allow_fock=False, n_max=24, grid=QuadratureGrid(5.0, 16))
+        obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
+        point = np.array([[0.0, 0.0, 0.0, 0.0], [-25.0, 1.0, 1.0, 0.0]]).ravel()
+        placed, excess = obj.place(point)
+        assert excess == 0.0
+        assert placed[5] == pytest.approx(1.9e5, rel=0.05)
+        assert obj(point) == 1.0
+        assert obj.best_params is None
