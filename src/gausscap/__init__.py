@@ -2,9 +2,8 @@
 
 The closed-form layer (``core``, ``capacity``, ``duality``) needs only the
 standard library and is imported eagerly.  The truncated-Fock engine
-(``fock``, ``grids``, ``clt``, ``dualcheck``, ``hgm``) needs numpy, and scipy
-only for the stress search in ``hgm`` (its Nelder-Mead); it and its
-re-exported names load on first attribute access (PEP 562).
+(``fock``, ``grids``, ``clt``, ``dualcheck``, ``hgm``) needs numpy alone;
+it and its re-exported names load on first attribute access (PEP 562).
 """
 
 import importlib

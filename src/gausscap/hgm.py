@@ -9,6 +9,11 @@ whose members lose mass to the truncation, scores its excess instead of an
 information value.  A value above the closed-form ceiling is reported as a
 flagged finding, never asserted as a violation: in the open regimes the
 ceiling itself is hypothetical.
+
+The simplex method is the adaptive Nelder-Mead of Gao and Han (Comput.
+Optim. Appl. 51 (2012) 259) in numpy: ``_nelder_mead`` takes the steps of
+scipy's unbounded ``minimize(method="Nelder-Mead", adaptive=True)`` in the
+same order, so the search visits the same points without loading scipy.
 """
 
 import json
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
 from .core import NonPositive
@@ -76,7 +80,9 @@ class SearchReport:
     evaluations: int
 
     def to_json(self, **kwargs):
-        return json.dumps(self.__dict__, **kwargs)
+        """RFC 8259 JSON: the infinities of an infeasible search are written as null."""
+        return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                           for k, v in self.__dict__.items()}, **kwargs)
 
 
 class _Objective:
@@ -192,6 +198,58 @@ def _initial_points(alpha, beta, config, rng):
     return points
 
 
+def _nelder_mead(f, x0, max_iter):
+    """Minimize f from x0 by adaptive Nelder-Mead; returns the best vertex.
+
+    A port of scipy's unbounded Nelder-Mead with adaptive=True: the same
+    initial simplex, coefficients (reflection 1, expansion 1 + 2/n,
+    contraction 0.75 - 1/2n, shrink 1 - 1/n), argsort ordering, stopping
+    test and step order, at most max_iter - 1 steps and no cap on
+    evaluations.  f gets a copy of each point.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(v.copy()) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts the first simplex twice; an unstable sort may swap ties
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    for _ in range(max_iter - 1):
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-5
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr.copy())
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = f(xe.copy())
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = f(xc.copy())
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc.copy())
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0]
+
+
 def hgm_search(alpha, beta, config=SearchConfig()):
     """Best mutual information over the configured family on the constraint surface."""
     regime = classify_regime(alpha, beta)
@@ -202,11 +260,7 @@ def hgm_search(alpha, beta, config=SearchConfig()):
     for x0 in _initial_points(alpha, beta, config, rng):
         obj(x0)
         if config.max_iter > 0:
-            minimize(
-                obj, x0, method="Nelder-Mead",
-                options={"maxiter": config.max_iter, "xatol": 1e-5,
-                         "fatol": 1e-8, "adaptive": True},
-            )
+            _nelder_mead(obj, x0, config.max_iter)
 
     feasible = obj.best_params is not None
     ensemble_desc = []

@@ -154,6 +154,20 @@ class TestHgmSearchCommand:
         res = run_ok(runner, args, env={"GAUSSCAP_SEED": "11"})
         assert json.loads(res.output)["seed"] == 11
 
+    def test_infeasible_search_prints_valid_json(self, runner):
+        # One pure member has no spread to fill the room, so nothing is feasible.
+        def reject(name):
+            raise ValueError(f"not RFC 8259 JSON: {name}")
+
+        res = run_ok(runner, ["hgm-search", "--alpha-q", "1", "--alpha-p", "1",
+                              "--beta-q", "0.5", "--beta-p", "0.5",
+                              "--members", "1", "--starts", "1", "--iters", "20"])
+        payload = json.loads(res.output, parse_constant=reject)
+        assert payload["feasible"] is False
+        for key in ("best_value_nats", "gap", "violation", "min_kept_mass"):
+            assert payload[key] is None
+        assert payload["ceiling_nats"] == pytest.approx(math.log(1.5))
+
     @pytest.mark.parametrize("flag", ["--members", "--truncation", "--grid-nodes"])
     def test_zero_size_exit_2(self, runner, flag):
         res = runner.invoke(main, ["hgm-search", "--alpha-q", "1", "--alpha-p", "1",

@@ -1,5 +1,5 @@
 """The closed-form layer loads without the numpy/scipy engine or a process pool,
-and the Fock engine outside the stress search loads without scipy."""
+and the Fock engine, the stress search included, loads without scipy."""
 
 import json
 import os
@@ -51,7 +51,22 @@ def test_engine_loads_on_first_use():
 
 
 def test_fock_engine_loads_no_scipy():
-    code = "import gausscap.fock, gausscap.grids, gausscap.clt, gausscap.dualcheck"
+    code = "import gausscap.fock, gausscap.grids, gausscap.clt, gausscap.dualcheck, gausscap.hgm"
+    assert "scipy" not in heavy_modules_after(code)
+
+
+def test_stress_search_loads_no_scipy():
+    code = ("from gausscap import make_covariance, make_noise\n"
+            "from gausscap.hgm import SearchConfig, hgm_search\n"
+            "hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5),\n"
+            "           SearchConfig(starts=1, max_iter=2, n_max=8))")
+    assert "scipy" not in heavy_modules_after(code)
+
+
+def test_stress_search_command_loads_no_scipy():
+    args = ["hgm-search", "--alpha-q", "1", "--alpha-p", "1", "--beta-q", "0.5",
+            "--beta-p", "0.5", "--starts", "1", "--iters", "2", "-n", "8"]
+    code = f"from gausscap.cli import main\nmain({args!r}, standalone_mode=False)"
     assert "scipy" not in heavy_modules_after(code)
 
 

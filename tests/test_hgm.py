@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from gausscap.core import make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
@@ -12,6 +13,7 @@ from gausscap.hgm import (
     SearchReport,
     _initial_points,
     _member_moments,
+    _nelder_mead,
     _Objective,
     hgm_search,
 )
@@ -57,6 +59,16 @@ class TestHgmSearch:
         assert payload["seed"] == 7
         assert payload["starts"] == 2
         assert SearchReport(**payload).best_value_nats == report.best_value_nats
+
+    def test_infeasible_report_keeps_its_floats_and_writes_null(self):
+        cfg = SearchConfig(members=1, starts=1, max_iter=5, n_max=8, grid=QuadratureGrid(5.0, 12))
+        report = hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
+        assert not report.feasible
+        assert (report.best_value_nats, report.gap) == (-math.inf, -math.inf)
+        assert (report.violation, report.min_kept_mass) == (math.inf, math.inf)
+        payload = json.loads(report.to_json())
+        assert [k for k, v in payload.items() if v is None] == [
+            "best_value_nats", "gap", "violation", "min_kept_mass"]
 
     def test_zero_iterations_still_feasible(self):
         cfg = SearchConfig(members=3, starts=2, max_iter=0, seed=1, n_max=16,
@@ -151,3 +163,66 @@ class TestConstraintSurface:
         assert placed[5] == pytest.approx(1.9e5, rel=0.05)
         assert obj(point) == 1.0
         assert obj.best_params is None
+
+
+def _recorded(f):
+    """f, and the list of every point it is called with."""
+    points = []
+
+    def g(x):
+        points.append(np.array(x))
+        return f(x)
+
+    return g, points
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+class TestNelderMead:
+    """_nelder_mead visits the points scipy's adaptive Nelder-Mead visits, in order."""
+
+    def run_both(self, f, x0, max_iter):
+        ours, our_points = _recorded(f)
+        best = _nelder_mead(ours, x0, max_iter)
+        theirs, their_points = _recorded(f)
+        res = minimize(theirs, x0, method="Nelder-Mead",
+                       options={"maxiter": max_iter, "xatol": 1e-5, "fatol": 1e-8,
+                                "adaptive": True})
+        assert len(our_points) == len(their_points) == res.nfev
+        for a, b in zip(our_points, their_points):
+            assert np.array_equal(a, b)
+        assert np.array_equal(best, res.x)
+        return res
+
+    def test_rosenbrock_10d(self):
+        x0 = np.linspace(-1.2, 1.5, 10)
+        res = self.run_both(_rosenbrock, x0, 400)
+        assert res.nit == 400  # ran to the step limit
+
+    def test_shrink_steps(self):
+        # On a staircase the contracted point ties the worst vertex, so the
+        # simplex shrinks: more than the two evaluations a step makes without.
+        def staircase(x):
+            return float(np.floor(2.0 * np.sum(x * x)))
+
+        x0 = np.array([0.9, -1.3, 2.2, 0.4])
+        res = self.run_both(staircase, x0, 200)
+        assert res.nfev > x0.size + 1 + 2 * (res.nit - 1)
+
+    def test_tolerance_break(self):
+        def bowl(x):
+            return float(np.sum((x - 0.5) ** 2))
+
+        res = self.run_both(bowl, np.array([1.0, -2.0, 3.0]), 10_000)
+        assert res.success
+        assert res.nit < 10_000
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_few_steps_and_zero_coordinates(self, max_iter):
+        # A zero coordinate is perturbed to 0.00025 in the initial simplex;
+        # max_iter 0 and 1 evaluate that simplex only.
+        x0 = np.array([0.0, 1.5, 0.0, -0.7])
+        res = self.run_both(_rosenbrock, x0, max_iter)
+        assert (res.nfev == x0.size + 1) == (max_iter < 2)
