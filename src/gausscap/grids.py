@@ -7,9 +7,12 @@ representation, on one Gauss-Legendre grid of inner positions with the
 oscillator eigenfunctions tabulated on it: type 1 from the overlaps of the
 states with the displaced noise eigenvectors, one Fourier matmul per outcome
 row (fock.displaced_amplitudes, shared with the operator checks); type 2 as
-the Gaussian smearing of the states' position distributions.  Discretized
-Gaussian ensembles are exact projections of their members onto the
-truncated basis (fock.displaced_squeezed_vector).
+the Gaussian smearing of the states' position distributions.  Entropies and
+mutual information stream the densities on the tensor quadrature grid one
+outcome row at a time into one reducer (_information), so no
+(states x outcome points) array is held.  Discretized Gaussian ensembles are
+exact projections of their members onto the truncated basis
+(fock.displaced_squeezed_vector).
 """
 
 import math
@@ -73,10 +76,11 @@ class DiscreteEnsemble:
         return len(self.states)
 
 
-def _state_components(states):
+def _state_components(states, dim):
     """(P, V): column k of V is an eigenvector of state i with weight P[i, k].
 
-    A state vector is one normalized column with weight 1.  A state whose
+    A state vector is one normalized column with weight 1.  Columns are
+    zero-padded to dim rows, which is exact in the Fock basis.  A state whose
     norm (trace) is not positive and finite raises TruncationInsufficient.
     """
     comps = []
@@ -91,10 +95,12 @@ def _state_components(states):
         vals, vecs = np.linalg.eigh(mat)
         keep = vals > EIG_TOL * max(vals.max(), 1.0)
         comps.append((vals[keep], vecs[:, keep]))
-    vecs = np.hstack([v for _, v in comps])
-    probs = np.zeros((len(comps), vecs.shape[1]))
+    cols = sum(p.shape[0] for p, _ in comps)
+    vecs = np.zeros((dim, cols), dtype=np.result_type(*(v for _, v in comps)))
+    probs = np.zeros((len(comps), cols))
     col = 0
-    for i, (p, _) in enumerate(comps):
+    for i, (p, v) in enumerate(comps):
+        vecs[:v.shape[0], col:col + p.shape[0]] = v
         probs[i, col:col + p.shape[0]] = p
         col += p.shape[0]
     return probs, vecs
@@ -109,7 +115,9 @@ class OutputSampler:
     sqrt(eigenvalue).  Type 2 (beta_p = +inf): one-dimensional,
     Tr[rho exp(-(q-x)^2/(2 beta_q))]/sqrt(2 pi beta_q), the Gaussian smearing
     of the position distribution of rho.  Both are integrals over the inner
-    grid of fock._inner_grid, sized for the outcome points at hand.
+    grid of fock._inner_grid, sized for the outcome points at hand.  On a
+    tensor grid of outcomes, stream yields the densities one outcome row at a
+    time; densities and bind give them at arbitrary points.
     """
 
     def __init__(self, beta, dim=DEFAULT_N + 1):
@@ -129,57 +137,74 @@ class OutputSampler:
         """Density rows for each state at the given outcome points.
 
         points: array (G, 2) for type 1 or (G,) for type 2.  Returns
-        (n_states, G) real array.  Type 1 builds its amplitudes one outcome
-        row at a time.
+        (n_states, G) real array.
         """
-        return self._evaluate(states, *self._amplitudes(points))
+        axes, index = self._tensor(points)
+        return np.concatenate(list(self.stream(states, axes)), axis=1)[:, index]
 
     def bind(self, points):
         """densities(states, points) for fixed points, as a function of states.
 
         The amplitudes of every outcome row are built once, here.
         """
-        psi, rows, index = self._amplitudes(points)
+        axes, index = self._tensor(points)
+        psi, rows = self._amplitudes(axes)
         rows = [np.concatenate(list(rows), axis=-1)]
-        return lambda states: self._evaluate(states, psi, rows, index)
+        return lambda states: next(self._evaluate(states, psi, rows))[:, index]
 
-    def _amplitudes(self, points):
-        """Point-dependent factors on the tensor of the distinct x and y values.
+    def stream(self, states, axes):
+        """Densities of the states on the tensor grid of axes, one outcome row at a time.
 
-        Returns (psi, rows, index): the Hermite functions of the inner grid
-        (type 2 only), an iterable of factors whose last axis runs over
-        outcome points, and the position of each given point in the
-        row-major tensor.  Type 1 rows are the amplitudes
-        A[n, r, y] = <n|D(x,y)|f_r> of one x each; type 2 has one row, the
-        smearing kernel (Q, n_x) with the quadrature weights folded in.
+        axes: (xs, ys) for type 1, (xs,) for type 2.  Type 1 yields one
+        (n_states, len(ys)) block per x of xs; type 2 yields one
+        (n_states, len(xs)) block.
+        """
+        return self._evaluate(states, *self._amplitudes(axes))
+
+    def _tensor(self, points):
+        """(axes, index): the distinct values per outcome axis and each point's tensor position.
+
+        The position counts row-major over the tensor grid of the axes.
         """
         points = np.asarray(points, dtype=float)
         if self.outcome_dim == 1:
             xs, index = np.unique(points.ravel(), return_inverse=True)
+            return (xs,), index
+        xs, ix = np.unique(points[:, 0], return_inverse=True)
+        ys, iy = np.unique(points[:, 1], return_inverse=True)
+        return (xs, ys), ix * ys.shape[0] + iy
+
+    def _amplitudes(self, axes):
+        """Point-dependent factors on the tensor grid of axes.
+
+        Returns (psi, rows): the Hermite functions of the inner grid (type 2
+        only) and an iterable of factors whose last axis runs over outcome
+        points.  Type 1 rows are the amplitudes A[n, r, y] = <n|D(x,y)|f_r>
+        of one x each; type 2 has one row, the smearing kernel (Q, n_x) with
+        the quadrature weights folded in.
+        """
+        if self.outcome_dim == 1:
+            (xs,) = axes
             bq = self.beta.beta_q
             # The kernel's Fourier transform exp(-k^2 bq/2) is e^-32 at this k.
             q, w, psi = _inner_grid(self.dim, 8.0 / math.sqrt(bq))
             kernel = np.exp(-((q[:, None] - xs[None, :]) ** 2) / (2.0 * bq))
             kernel *= (w / math.sqrt(2.0 * math.pi * bq))[:, None]
-            return psi, [kernel], index
-        xs, ix = np.unique(points[:, 0], return_inverse=True)
-        ys, iy = np.unique(points[:, 1], return_inverse=True)
-        return None, displaced_amplitudes(self.factor, xs, ys), ix * ys.shape[0] + iy
+            return psi, [kernel]
+        return None, displaced_amplitudes(self.factor, *axes)
 
-    def _evaluate(self, states, psi, rows, index):
-        """Densities of the states at the points whose factors _amplitudes gave."""
-        probs, vecs = _state_components(states)
+    def _evaluate(self, states, psi, rows):
+        """Yields the densities of the states on each row of factors _amplitudes gave."""
+        probs, vecs = _state_components(states, self.dim)
         if self.outcome_dim == 1:
             position = probs @ (np.abs(psi.T @ vecs) ** 2).T  # (n_states, Q)
-            out = np.concatenate([position @ kernel for kernel in rows], axis=1)
-        else:
-            blocks = []
-            for a in rows:
-                dim, rank, g = a.shape
-                overlap = np.abs(vecs.conj().T @ a.reshape(dim, rank * g)) ** 2
-                blocks.append((probs @ overlap).reshape(-1, rank, g).sum(axis=1))
-            out = np.concatenate(blocks, axis=1) / (2.0 * math.pi)
-        return out[:, index]
+            for kernel in rows:
+                yield position @ kernel
+            return
+        for a in rows:
+            dim, rank, g = a.shape
+            overlap = np.abs(vecs.conj().T @ a.reshape(dim, rank * g)) ** 2
+            yield (probs @ overlap).reshape(-1, rank, g).sum(axis=1) / (2.0 * math.pi)
 
 
 def povm_density(rho, beta, x, y=0.0):
@@ -192,22 +217,28 @@ def povm_density(rho, beta, x, y=0.0):
     return float(sampler.densities([rho], pts)[0, 0])
 
 
-def _gauss_legendre_axis(center, sigma, half_width, nodes):
-    x, w = _leggauss(nodes)
-    scale = half_width * sigma
-    return center + scale * x, scale * w
+def _grid_axes(means, sigmas, grid):
+    """Gauss-Legendre (nodes, weights) per axis over center +- half_width*sigma."""
+    x, w = _leggauss(grid.nodes_per_axis)
+    return [(m + grid.half_width * s * x, grid.half_width * s * w)
+            for m, s in zip(means, sigmas)]
 
 
 def _grid_nodes(means, sigmas, grid):
-    """Tensor nodes/weights over windows center +- half_width*sigma per axis."""
-    n = grid.nodes_per_axis
-    axes = [_gauss_legendre_axis(m, s, grid.half_width, n) for m, s in zip(means, sigmas)]
+    """Nodes/weights of the tensor of _grid_axes, flattened row-major (x outer)."""
+    axes = _grid_axes(means, sigmas, grid)
     if len(axes) == 1:
-        return axes[0][0], axes[0][1]
-    xg, yg = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-    wg = np.outer(axes[0][1], axes[1][1])
-    pts = np.stack([xg.ravel(), yg.ravel()], axis=1)
-    return pts, wg.ravel()
+        return axes[0]
+    (xs, wx), (ys, wy) = axes
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([xg.ravel(), yg.ravel()], axis=1), np.outer(wx, wy).ravel()
+
+
+def _grid_blocks(sampler, states, axes):
+    """(densities, quadrature weights) of the states per outcome row of the axes' tensor."""
+    nodes, weights = zip(*axes)
+    row_weights = [weights[0]] if len(axes) == 1 else (wx * weights[1] for wx in weights[0])
+    return zip(sampler.stream(states, nodes), row_weights)
 
 
 def _output_window(moments, beta):
@@ -222,9 +253,22 @@ def _output_window(moments, beta):
     return means, sigmas
 
 
-def _entropy_from_density(p, w):
-    mask = p > 0
-    return -float(np.dot(w[mask], p[mask] * np.log(p[mask])))
+def _information(weights, blocks):
+    """(h(avg), h(avg) - sum_i w_i h(p_i), mass of avg), avg = sum_i w_i p_i.
+
+    blocks yields (p, qweights) pairs: densities p (members, points) on part
+    of the outcome grid and the quadrature weights of those points.  An
+    entropy -sum qweights p log p takes the densities > 0 only.
+    """
+    h_avg = h_members = mass = 0.0
+    for p, qweights in blocks:
+        rows = np.vstack([weights @ p, p])
+        positive = rows > 0
+        ent = -(np.where(positive, rows * np.log(np.where(positive, rows, 1.0)), 0.0) @ qweights)
+        h_avg += ent[0]
+        h_members += weights @ ent[1:]
+        mass += rows[0] @ qweights
+    return float(h_avg), float(h_avg - h_members), float(mass)
 
 
 def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
@@ -232,16 +276,14 @@ def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
 
     The grid window is centered on the state's output Gaussian.
     """
-    means, sigmas = _output_window(state_moments(rho), beta)
-    pts, w = _grid_nodes(means, sigmas, grid)
+    axes = _grid_axes(*_output_window(state_moments(rho), beta), grid)
     sampler = OutputSampler(beta, state_array(rho).shape[0])
-    p = sampler.densities([rho], pts)[0]
-    mass = float(np.dot(w, p))
+    h, _, mass = _information(np.ones(1), _grid_blocks(sampler, [rho], axes))
     if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise NormalizationFailure(
             f"density mass {mass} deviates from 1 beyond {mass_tol}"
         )
-    return _entropy_from_density(p, w)
+    return h
 
 
 def _average_moments(weights, states):
@@ -255,30 +297,16 @@ def _average_moments(weights, states):
     return mq, mp, eq2 - mq ** 2, ep2 - mp ** 2
 
 
-def _information(weights, dens, qweights):
-    """(h(sum_i w_i p_i) - sum_i w_i h(p_i), mass of the average density).
-
-    dens holds one density row p_i per member on quadrature weights qweights.
-    """
-    avg = weights @ dens
-    h_avg = _entropy_from_density(avg, qweights)
-    h_members = sum(
-        wi * _entropy_from_density(dens[i], qweights) for i, wi in enumerate(weights)
-    )
-    return h_avg - h_members, float(np.dot(qweights, avg))
-
-
 def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """I = h(average output) - sum_i w_i h(member output), on a shared grid.
 
     The Lebesgue-reference constants cancel exactly between the two terms.
+    Members of different dimensions are zero-padded to the largest.
     """
-    moments = _average_moments(ens.weights, ens.states)
-    means, sigmas = _output_window(moments, beta)
-    dim = max(state_array(s).shape[0] for s in ens.states)
-    pts, w = _grid_nodes(means, sigmas, grid)
-    dens = OutputSampler(beta, dim).densities(ens.states, pts)
-    mi, mass = _information(np.asarray(ens.weights, dtype=float), dens, w)
+    axes = _grid_axes(*_output_window(_average_moments(ens.weights, ens.states), beta), grid)
+    sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in ens.states))
+    weights = np.asarray(ens.weights, dtype=float)
+    _, mi, mass = _information(weights, _grid_blocks(sampler, ens.states, axes))
     if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise NormalizationFailure(
             f"average density mass {mass} deviates from 1 beyond {mass_tol}"

@@ -154,7 +154,7 @@ class _Objective:
         lost = 1.0 - float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         if not lost <= KEPT_MASS_TOL:
             return lost
-        mi, _ = _information(w, self.densities(states), self.qweights)
+        _, mi, _ = _information(w, [(self.densities(states), self.qweights)])
         if mi > self.best_value:
             self.best_value = mi
             self.best_params = params

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gausscap.grids import (
     DiscreteEnsemble,
     OutputSampler,
     QuadratureGrid,
+    _average_moments,
     _grid_nodes,
     _output_window,
     discretize_gaussian_ensemble,
@@ -185,8 +187,6 @@ class TestDiscreteEnsemble:
         spec = GaussianEnsembleSpec(0.325, 0.675, 0.0)
         ens = discretize_gaussian_ensemble(spec, nodes=11, n_max=40)
         assert len(ens) == 11
-        from gausscap.grids import _average_moments
-
         mq, mp, vq, vp = _average_moments(ens.weights, ens.states)
         assert abs(mq) < 1e-10 and abs(mp) < 1e-10
         assert vq == pytest.approx(1.0, abs=1e-8)
@@ -215,6 +215,79 @@ class TestMutualInformation:
         ens = DiscreteEnsemble(np.array([1.0]), (rho,))
         mi = mutual_information(ens, make_noise(0.5, 0.5), QuadratureGrid(8.0, 80))
         assert mi == pytest.approx(0.0, abs=1e-12)
+
+    def test_members_of_different_sizes(self):
+        # The dim-25 member is zero-padded to dim 31, which is exact.
+        small = displaced_squeezed_vector(0.5, 0.0, 0.0, 25)
+        large = displaced_squeezed_vector(-0.5, 0.0, 0.0, 31)
+        padded = np.pad(small, (0, 6))
+        beta, grid, halves = make_noise(0.5, 0.5), QuadratureGrid(8.0, 80), np.array([0.5, 0.5])
+        mi = mutual_information(DiscreteEnsemble(halves, (small, large)), beta, grid)
+        same = mutual_information(DiscreteEnsemble(halves, (padded, large)), beta, grid)
+        assert mi == same
+        assert mi == pytest.approx(0.1114214821847, abs=1e-12)
+
+    def test_traced_peak_of_the_oracle_ensemble(self):
+        # 225 members on the default 200 x 200 grid: the full density matrix
+        # alone would take 72 MB.
+        spec = GaussianEnsembleSpec(0.5, 0.5, 0.5)
+        ens = discretize_gaussian_ensemble(spec, nodes=15, n_max=60)
+        tracemalloc.start()
+        try:
+            mutual_information(ens, make_noise(0.5, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def dense_information(weights, dens, qweights):
+    """(h(avg), MI, mass) from the whole (members, points) density matrix."""
+
+    def entropy(p):
+        mask = p > 0
+        return -float(np.dot(qweights[mask], p[mask] * np.log(p[mask])))
+
+    avg = weights @ dens
+    h_members = sum(wi * entropy(dens[i]) for i, wi in enumerate(weights))
+    return entropy(avg), entropy(avg) - h_members, float(np.dot(qweights, avg))
+
+
+class TestStreamedReducer:
+    """The row-streamed entropies and MI against one dense reduction."""
+
+    @staticmethod
+    def ensemble():
+        mixed = gaussian_state_fock(make_covariance(1.2, 0.7), n_max=40).matrix
+        return DiscreteEnsemble(
+            np.array([0.3, 0.25, 0.45]),
+            (displaced_squeezed_vector(0.8, -0.4, 0.3, 41),
+             displaced_squeezed_vector(-0.6, 0.5, -0.2, 41, 0.4),
+             FockOperator(mixed)),
+        )
+
+    @staticmethod
+    def dense(weights, states, beta, grid):
+        window = _output_window(_average_moments(weights, states), beta)
+        pts, qweights = _grid_nodes(*window, grid)
+        dens = OutputSampler(beta, 41).densities(states, pts)
+        return dens, dense_information(np.asarray(weights, dtype=float), dens, qweights)
+
+    @pytest.mark.parametrize("beta, grid", [
+        (make_noise(0.5, 0.5), QuadratureGrid(8.0, 60)),
+        (make_noise(1.0, 4.0), QuadratureGrid(8.0, 60)),
+        (make_noise(0.3, INF), QuadratureGrid()),
+        (make_noise(0.2, INF), QuadratureGrid(40.0, 200)),
+    ])
+    def test_matches_dense_reduction(self, beta, grid):
+        ens = self.ensemble()
+        dens, (_, mi, _) = self.dense(ens.weights, ens.states, beta, grid)
+        assert mutual_information(ens, beta, grid) == pytest.approx(mi, abs=1e-12)
+        # The 40-sigma window reaches densities <= 0, which the entropies skip.
+        assert np.any(dens <= 0.0) == (grid.half_width == 40.0)
+        for state in ens.states:
+            _, (h, _, _) = self.dense([1.0], [state], beta, grid)
+            assert numeric_output_entropy(state, beta, grid) == pytest.approx(h, abs=1e-12)
 
 
 class TestZeroNormStates:
