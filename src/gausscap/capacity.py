@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
+    NumericsError,
     OneModeCovariance,
     OutOfInterval,
     _energy_value,
@@ -52,9 +53,14 @@ class CapacityResult:
     regime: Regime
     ensemble: GaussianEnsembleSpec
     hypothetical: bool
-    # Debug: value of the mandatory internal cross-check by direct
-    # maximization over the energy shell (None if skipped).
+    # The cross-check by direct maximization over the energy shell and its
+    # distance from capacity_nats (None if skipped).
     optimizer_check_nats: float | None = None
+    cross_check_gap: float | None = None
+
+
+# Largest cross-check gap accepted where the closed form is proven (regime C).
+CROSS_CHECK_TOL = 1e-9
 
 
 def critical_squeezing(beta):
@@ -174,7 +180,9 @@ def capacity_energy(beta, E, cross_check=True):
 
     Selects the closed-form branch by the threshold conditions and, unless
     disabled, cross-checks it against a direct maximization over the energy
-    shell alpha_q + alpha_p = 2E.
+    shell alpha_q + alpha_p = 2E.  In regime C a gap above CROSS_CHECK_TOL
+    raises NumericsError; in L and R, where the closed form rests on the
+    Gaussian-maximizer hypothesis, the gap is only recorded.
     """
     e = _energy_value(E)
     bq = beta.beta_q
@@ -209,9 +217,15 @@ def capacity_energy(beta, E, cross_check=True):
             ap = 2.0 * e - aq
 
     alpha = make_covariance(aq, ap)
-    check = None
+    check = gap = None
     if cross_check:
         _, check = _shell_maximum(beta, e)
+        gap = abs(check - cap)
+        if regime is Regime.C and not gap <= CROSS_CHECK_TOL:
+            raise NumericsError(
+                f"regime C capacity {cap} and shell maximum {check} differ by "
+                f"{gap:.3e} > {CROSS_CHECK_TOL}"
+            )
     return CapacityResult(
         capacity_nats=cap,
         optimal_alpha=alpha,
@@ -219,4 +233,5 @@ def capacity_energy(beta, E, cross_check=True):
         ensemble=_ensemble_for(alpha, beta),
         hypothetical=regime is not Regime.C,
         optimizer_check_nats=check,
+        cross_check_gap=gap,
     )

@@ -6,10 +6,13 @@ displacement D(x,y), and no dense displacement matrix is built:
 - Stress-search members D(x,y) S(r)(cos t|0> + sin t|1>) are the exact
   projections onto |0>..|N>, from the recurrence of the annihilator of
   D S |0> (Yuen, PRA 13, 2226 (1976)), one loop over n for all members.
-- Every other action, <n|D(x,y)|c_r> for fixed columns c_r, is an integral
+- Every other action, <b|D(x,y)|c_r> for fixed columns c_r, is an integral
   over one Gauss-Legendre grid of inner positions with the oscillator
-  eigenfunctions tabulated on it (displaced_amplitudes).  Outcome densities,
-  the operator duality check and the characteristic function use it.
+  eigenfunctions tabulated on it (displaced_amplitudes).  The bras b are
+  the Fock levels |n>, or given vectors when there are fewer of them (the
+  eigen-components of the states whose outcome densities are wanted).
+  Outcome densities, the operator duality check and the characteristic
+  function use it.
 
 Squeezed thermal states come from one cached eigendecomposition of the
 squeeze generator per dimension, so the module needs numpy only.
@@ -211,32 +214,65 @@ def _inner_grid(dim, reach):
     return q, q_max * w, _hermite_functions(q, dim)
 
 
-def displaced_amplitudes(columns, xs, ys):
-    """<n|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
+def _real_parts(mat):
+    """(part, phase) pairs summing to mat: its real part, and its imaginary part unless zero."""
+    parts = [(np.ascontiguousarray(mat.real), 1.0)]
+    if np.iscomplexobj(mat) and mat.imag.any():
+        parts.append((np.ascontiguousarray(mat.imag), 1j))
+    return parts
 
-    Yields one array (dim, rank, len(ys)) per x of xs.  <q|D(x,y)|c> =
-    e^{-ixy/2} e^{iyq} c(q-x), so <n|D(x,y)|c_r> = int psi_n(q) c_r(q-x)
-    e^{i(yq - xy/2)} dq: a (dim rank, Q) matrix times a (Q, len(ys)) Fourier
-    kernel on the inner grid sized for max |y|.  The kernel is kept as
-    interleaved cos and sin columns, so real columns take one real matmul;
-    complex columns take two.
+
+def displaced_amplitudes(columns, xs, ys, bras=None):
+    """<b_k|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
+
+    <q|D(x,y)|c> = e^{-ixy/2} e^{iyq} c(q-x), so <b|D(x,y)|c_r> =
+    int b(q)* c_r(q-x) e^{i(yq - xy/2)} dq: the products of the weighted bra
+    wavefunctions and the shifted columns, a (bras rank, Q) matrix, times a
+    (Q, len(ys)) Fourier kernel on the inner grid sized for max |y|.  The
+    kernel is kept as interleaved cos and sin columns, so each real part of
+    the product takes one real matmul: real bras and columns take one,
+    a complex side two.
+
+    By default the bras are the Fock basis |n>, and one array
+    (dim, rank, len(ys)) is yielded per x of xs.  bras (dim, K) gives the
+    Fock coefficients of K bras b_k instead, for fewer bras than levels;
+    then each x yields an iterator over blocks (B, rank, len(ys)) of
+    consecutive bras, B = max(1, dim // rank), so that a block's product
+    holds no more numbers than the Hermite table.  Use a row's blocks
+    before drawing the next row: the kernel is reused.
     """
     dim = columns.shape[0]
     ys = np.asarray(ys, dtype=float)
     q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
-    psi_w = psi * w
+    psi *= w
+    if bras is not None:
+        step = max(1, dim // columns.shape[1])
+        weighted = _real_parts(bras.conj().T @ psi)
+        blocks = [[(part[k:k + step], phase) for part, phase in weighted]
+                  for k in range(0, bras.shape[1], step)]
     waves = np.exp(1j * np.outer(q, ys))
     kernel = np.empty_like(waves)  # reused: a new kernel per row raised peak RSS by 23 MB
-    parts = [columns.real]
-    if np.iscomplexobj(columns) and columns.imag.any():
-        parts.append(columns.imag)
+    cols = _real_parts(columns)
+
+    def amplitudes(bra_parts, shifted):
+        total = None
+        for b, bra_phase in bra_parts:
+            for c, col_phase in shifted:
+                amps = ((b[:, None, :] * c[None, :, :]).reshape(-1, q.shape[0])
+                        @ kernel.view(float)).view(complex)
+                if bra_phase * col_phase != 1.0:
+                    amps = (bra_phase * col_phase) * amps
+                total = amps if total is None else total + amps
+        return total.reshape(b.shape[0], -1, ys.shape[0])
+
     for x in xs:
         np.multiply(waves, np.exp(-0.5j * x * ys), out=kernel)
         h = _hermite_functions(q - x, dim)
-        amps = [((psi_w[:, None, :] * (part.T @ h)[None, :, :]).reshape(-1, q.shape[0])
-                 @ kernel.view(float)).view(complex) for part in parts]
-        amps = amps[0] if len(amps) == 1 else amps[0] + 1j * amps[1]
-        yield amps.reshape(dim, -1, ys.shape[0])
+        shifted = [(part.T @ h, phase) for part, phase in cols]
+        if bras is None:
+            yield amplitudes([(psi, 1.0)], shifted)
+        else:
+            yield (amplitudes(block, shifted) for block in blocks)
 
 
 def quantum_charfn(rho):

@@ -4,10 +4,15 @@ Outcome densities are taken relative to Lebesgue measure; the reference
 measure constant therefore drops from every difference of entropies.  The
 workhorse is OutputSampler.  It evaluates every density in the position
 representation, on one Gauss-Legendre grid of inner positions with the
-oscillator eigenfunctions tabulated on it: type 1 from the overlaps of the
-states with the displaced noise eigenvectors, one Fourier matmul per outcome
-row (fock.displaced_amplitudes, shared with the operator checks); type 2 as
-the Gaussian smearing of the states' position distributions.  Entropies and
+oscillator eigenfunctions tabulated on it: type 1 from the amplitudes of the
+displaced noise eigenvectors, one Fourier matmul per outcome row
+(fock.displaced_amplitudes, shared with the operator checks); type 2 as the
+Gaussian smearing of the states' position distributions.  Type-1 amplitudes
+are taken in whichever basis has fewer vectors: the states' own
+eigen-components, reduced over the noise rank one block at a time, or the
+Fock levels, overlapped with the components afterwards (bind, whose states
+are not known in advance, and ensembles with at least as many components
+as levels).  Entropies and
 mutual information stream the densities on the tensor quadrature grid one
 outcome row at a time into one reducer (_information), so no
 (states x outcome points) array is held.  Discretized Gaussian ensembles are
@@ -145,21 +150,39 @@ class OutputSampler:
     def bind(self, points):
         """densities(states, points) for fixed points, as a function of states.
 
-        The amplitudes of every outcome row are built once, here.
+        The point-dependent factors are built once, here, in the Fock basis:
+        the states are not known yet.
         """
         axes, index = self._tensor(points)
-        psi, rows = self._amplitudes(axes)
-        rows = [np.concatenate(list(rows), axis=-1)]
-        return lambda states: next(self._evaluate(states, psi, rows))[:, index]
+        if self.outcome_dim == 1:
+            psi, kernel = self._smearing(*axes)
+            return lambda states: (_position_density(
+                *_state_components(states, self.dim), psi) @ kernel)[:, index]
+        amps = np.concatenate(list(displaced_amplitudes(self.factor, *axes)), axis=-1)
+        return lambda states: _fock_density(*_state_components(states, self.dim), amps)[:, index]
 
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, one outcome row at a time.
 
         axes: (xs, ys) for type 1, (xs,) for type 2.  Type 1 yields one
         (n_states, len(ys)) block per x of xs; type 2 yields one
-        (n_states, len(xs)) block.
+        (n_states, len(xs)) block.  Type 1 takes the basis with fewer bras:
+        the states' eigen-components when there are fewer of them than Fock
+        levels, the Fock basis otherwise.
         """
-        return self._evaluate(states, *self._amplitudes(axes))
+        probs, vecs = _state_components(states, self.dim)
+        if self.outcome_dim == 1:
+            psi, kernel = self._smearing(*axes)
+            yield _position_density(probs, vecs, psi) @ kernel
+            return
+        if vecs.shape[1] >= self.dim:
+            for amps in displaced_amplitudes(self.factor, *axes):
+                yield _fock_density(probs, vecs, amps)
+            return
+        for blocks in displaced_amplitudes(self.factor, *axes, vecs):
+            # sum_r |<v_k|D|f_r>|^2 per component k, one block of components at a time
+            noise = np.concatenate([(a.real ** 2 + a.imag ** 2).sum(axis=1) for a in blocks])
+            yield probs @ noise / (2.0 * math.pi)
 
     def _tensor(self, points):
         """(axes, index): the distinct values per outcome axis and each point's tensor position.
@@ -174,37 +197,29 @@ class OutputSampler:
         ys, iy = np.unique(points[:, 1], return_inverse=True)
         return (xs, ys), ix * ys.shape[0] + iy
 
-    def _amplitudes(self, axes):
-        """Point-dependent factors on the tensor grid of axes.
+    def _smearing(self, xs):
+        """Type-2 factors (psi, kernel): the inner grid's Hermite functions and smearing kernel.
 
-        Returns (psi, rows): the Hermite functions of the inner grid (type 2
-        only) and an iterable of factors whose last axis runs over outcome
-        points.  Type 1 rows are the amplitudes A[n, r, y] = <n|D(x,y)|f_r>
-        of one x each; type 2 has one row, the smearing kernel (Q, n_x) with
-        the quadrature weights folded in.
+        The kernel (Q, n_x) has the quadrature weights folded in.
         """
-        if self.outcome_dim == 1:
-            (xs,) = axes
-            bq = self.beta.beta_q
-            # The kernel's Fourier transform exp(-k^2 bq/2) is e^-32 at this k.
-            q, w, psi = _inner_grid(self.dim, 8.0 / math.sqrt(bq))
-            kernel = np.exp(-((q[:, None] - xs[None, :]) ** 2) / (2.0 * bq))
-            kernel *= (w / math.sqrt(2.0 * math.pi * bq))[:, None]
-            return psi, [kernel]
-        return None, displaced_amplitudes(self.factor, *axes)
+        bq = self.beta.beta_q
+        # The kernel's Fourier transform exp(-k^2 bq/2) is e^-32 at this k.
+        q, w, psi = _inner_grid(self.dim, 8.0 / math.sqrt(bq))
+        kernel = np.exp(-((q[:, None] - xs[None, :]) ** 2) / (2.0 * bq))
+        kernel *= (w / math.sqrt(2.0 * math.pi * bq))[:, None]
+        return psi, kernel
 
-    def _evaluate(self, states, psi, rows):
-        """Yields the densities of the states on each row of factors _amplitudes gave."""
-        probs, vecs = _state_components(states, self.dim)
-        if self.outcome_dim == 1:
-            position = probs @ (np.abs(psi.T @ vecs) ** 2).T  # (n_states, Q)
-            for kernel in rows:
-                yield position @ kernel
-            return
-        for a in rows:
-            dim, rank, g = a.shape
-            overlap = np.abs(vecs.conj().T @ a.reshape(dim, rank * g)) ** 2
-            yield (probs @ overlap).reshape(-1, rank, g).sum(axis=1) / (2.0 * math.pi)
+
+def _position_density(probs, vecs, psi):
+    """(n_states, Q): position densities of the states at the inner nodes of psi."""
+    return probs @ (np.abs(psi.T @ vecs) ** 2).T
+
+
+def _fock_density(probs, vecs, amps):
+    """Type-1 densities of the states from the amplitudes amps[n, r, y] = <n|D|f_r>."""
+    dim, rank, g = amps.shape
+    overlap = np.abs(vecs.conj().T @ amps.reshape(dim, rank * g)) ** 2
+    return (probs @ overlap).reshape(-1, rank, g).sum(axis=1) / (2.0 * math.pi)
 
 
 def povm_density(rho, beta, x, y=0.0):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import gausscap.capacity
 from gausscap.capacity import (
+    CROSS_CHECK_TOL,
     Regime,
     _noisy_position_ratio,
     capacity_alpha,
@@ -21,6 +23,7 @@ from gausscap.capacity import (
 )
 from gausscap.core import (
     EnergyBelowVacuum,
+    NumericsError,
     OutOfInterval,
     make_covariance,
     make_noise,
@@ -220,6 +223,23 @@ class TestCapacityEnergy:
             assert res.optimizer_check_nats == pytest.approx(
                 res.capacity_nats, abs=1e-9
             )
+            assert res.cross_check_gap == abs(res.optimizer_check_nats - res.capacity_nats)
+        assert capacity_energy(beta, e, cross_check=False).cross_check_gap is None
+
+    @pytest.mark.parametrize("beta, regime", [(make_noise(0.5, 0.5), Regime.C),
+                                              (make_noise(0.2, INF), Regime.L)])
+    def test_wrong_shell_maximum_raises_only_in_center(self, monkeypatch, beta, regime):
+        # The closed form is proven in C only; in L and R a gap is recorded.
+        right = capacity_energy(beta, 1.0, cross_check=False).capacity_nats
+        wrong = right - 3.0 * CROSS_CHECK_TOL
+        monkeypatch.setattr(gausscap.capacity, "_shell_maximum", lambda b, e: (1.0, wrong))
+        if regime is Regime.C:
+            with pytest.raises(NumericsError, match="regime C"):
+                capacity_energy(beta, 1.0)
+            return
+        res = capacity_energy(beta, 1.0)
+        assert res.regime is regime
+        assert res.cross_check_gap == pytest.approx(3.0 * CROSS_CHECK_TOL, rel=1e-6)
 
     def test_cross_check_large_energy_grid(self):
         # The shell endpoints used to cancel below alpha_q*alpha_p = 1/4 from

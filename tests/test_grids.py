@@ -27,6 +27,7 @@ from gausscap.grids import (
     _average_moments,
     _grid_nodes,
     _output_window,
+    _state_components,
     discretize_gaussian_ensemble,
     mutual_information,
     numeric_output_entropy,
@@ -84,10 +85,11 @@ class TestPovmDensity:
             assert p_shift == pytest.approx(p_base, abs=1e-8)
 
 
-def random_mixed_state(dim, seed):
-    """Full-rank density matrix with weight on every Fock level."""
+def random_mixed_state(dim, seed, rank=None):
+    """Density matrix of the given rank (default full) with complex eigenvectors."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = (dim, rank or dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -128,17 +130,34 @@ class TestOutputSampler:
         got = OutputSampler(beta, 61).densities([rho], pts)[0]
         assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
 
+    def test_type1_component_basis_matches_reference(self):
+        # Fewer eigen-components than Fock levels: the densities take the
+        # states' own basis, whose complex bras need both real matmuls.
+        rho = random_mixed_state(41, seed=13, rank=5)
+        _, vecs = _state_components([rho], 41)
+        assert vecs.shape[1] == 5 and np.abs(vecs.imag).max() > 0.1
+        beta = make_noise(2.0, 2.0)
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-6.0, 6.0, size=(12, 2))
+        got = OutputSampler(beta, 41).densities([rho], pts)[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+
     @pytest.mark.parametrize("beta", [make_noise(2.0, 2.0), make_noise(0.3, INF)])
     def test_bind_matches_densities(self, beta):
-        states = [random_mixed_state(41, seed=11),
-                  gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)]
+        # bind works in the Fock basis; densities of the low-rank pair (21
+        # components < 41 levels) work in the components' basis.
         window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
         pts, _ = _grid_nodes(*window, QuadratureGrid(6.0, 24))
         sampler = OutputSampler(beta, 41)
-        direct = sampler.densities(states, pts)
-        bound = sampler.bind(pts)(states)
-        assert bound.shape == direct.shape == (2, pts.shape[0])
-        assert np.max(np.abs(bound - direct)) <= 1e-15
+        gauss = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)
+        for first, low_rank in [(random_mixed_state(41, seed=11), False),
+                                (random_mixed_state(41, seed=11, rank=3), True)]:
+            states = [first, gauss]
+            assert (_state_components(states, 41)[1].shape[1] < 41) == low_rank
+            direct = sampler.densities(states, pts)
+            bound = sampler.bind(pts)(states)
+            assert bound.shape == direct.shape == (2, pts.shape[0])
+            assert np.max(np.abs(bound - direct)) <= 1e-15
 
 
 class TestQuadratureGrid:
@@ -239,6 +258,20 @@ class TestMutualInformation:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_traced_peak_of_the_rank_59_entropy(self):
+        # Criterion 06's mixed noise: in the Fock basis each outcome row built
+        # a (61 levels x 59 noise columns x inner nodes) product, 38 MB traced.
+        rho = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)
+        beta = make_noise(2.0, 2.0)
+        assert OutputSampler(beta, 61).factor.shape[1] == 59
+        tracemalloc.start()
+        try:
+            numeric_output_entropy(rho, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 def dense_information(weights, dens, qweights):
