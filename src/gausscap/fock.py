@@ -1,21 +1,16 @@
 """Truncated Fock-basis states and the action of displacements on them.
 
-States live on the span of |0>..|N> (dimension N+1).  Two routes apply a
-displacement D(x,y), and no dense displacement matrix is built:
-
-- Stress-search members D(x,y) S(r)(cos t|0> + sin t|1>) are the exact
-  projections onto |0>..|N>, from the recurrence of the annihilator of
-  D S |0> (Yuen, PRA 13, 2226 (1976)), one loop over n for all members.
-- Every other action, <b|D(x,y)|c_r> for fixed columns c_r, is an integral
-  over one Gauss-Legendre grid of inner positions with the oscillator
-  eigenfunctions tabulated on it (displaced_amplitudes).  The bras b are
-  the Fock levels |n>, or given vectors when there are fewer of them (the
-  eigen-components of the states whose outcome densities are wanted).
-  Outcome densities, the operator duality check and the characteristic
-  function use it.
-
-Squeezed thermal states come from one cached eigendecomposition of the
-squeeze generator per dimension, so the module needs numpy only.
+States live on the span of |0>..|N> (dimension N+1), and no dense
+displacement matrix is built.  Displaced squeezed vectors
+D(x,y) S(r)(cos t|0> + sin t|1>) are the exact projections onto |0>..|N>,
+from the recurrence of the annihilator of D S |0> (Yuen, PRA 13, 2226
+(1976)): the stress-search members and the vectors of every type-1 outcome
+density (grids.OutputSampler).  The operator duality check and the
+characteristic function take <n|D(x,y)|c_r> for fixed columns c_r from one
+Gauss-Legendre grid of inner positions with the oscillator eigenfunctions
+tabulated on it (displaced_amplitudes).  Squeezed thermal states come from
+one cached eigendecomposition of the squeeze generator per dimension, so
+the module needs numpy only.
 """
 
 import functools
@@ -146,9 +141,11 @@ def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
     g[1] = c * g[0] / ch
     for n in range(1, dim):
         g[n + 1] = (c * g[n] + sh * root[n] * g[n - 1]) / (ch * root[n + 1])
-    photon = -np.conj(c) * g[:dim] - sh * root[1:] * g[1:]
-    photon[1:] += ch * root[1:dim] * g[:dim - 1]
-    vec = np.cos(theta) * g[:dim] + np.sin(theta) * photon
+    vec = g[:dim]
+    if theta.any():
+        photon = -np.conj(c) * vec - sh * root[1:] * g[1:]
+        photon[1:] += ch * root[1:dim] * g[:dim - 1]
+        vec = np.cos(theta) * vec + np.sin(theta) * photon
     return vec.T.reshape(shape + (dim,))
 
 
@@ -174,11 +171,15 @@ def state_moments(rho):
     return mq, mp, number + 0.5 + a2 - mq ** 2, number + 0.5 - a2 - mp ** 2
 
 
-def _hermite_functions(q, dim):
-    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q))."""
+def _hermite_functions(q, dim, log_start=None):
+    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q)).
+
+    log_start replaces the Gaussian factor -q^2/2 of psi_0 in the log, which
+    scales every row by exp(log_start + q^2/2).
+    """
     q = np.asarray(q, dtype=float)
     psi = np.empty((dim, q.shape[0]))
-    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
+    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q if log_start is None else log_start)
     if dim > 1:
         psi[1] = math.sqrt(2.0) * q * psi[0]
     for n in range(2, dim):
@@ -188,11 +189,10 @@ def _hermite_functions(q, dim):
 
 
 @functools.lru_cache(maxsize=32)
-def _leggauss(n):
-    """Gauss-Legendre nodes and weights on [-1, 1]; read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
+def _gauss_rule(n, hermite=False):
+    """Gauss-Legendre nodes and weights on [-1, 1], or Gauss-Hermite for exp(-t^2); read-only."""
+    x, w = (np.polynomial.hermite.hermgauss if hermite else np.polynomial.legendre.leggauss)(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -209,70 +209,38 @@ def _inner_grid(dim, reach):
     """
     q_max = math.sqrt(2.0 * dim) + 6.0
     n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 64
-    x, w = _leggauss(min(n, 6000))
+    x, w = _gauss_rule(min(n, 6000))
     q = q_max * x
     return q, q_max * w, _hermite_functions(q, dim)
 
 
-def _real_parts(mat):
-    """(part, phase) pairs summing to mat: its real part, and its imaginary part unless zero."""
-    parts = [(np.ascontiguousarray(mat.real), 1.0)]
-    if np.iscomplexobj(mat) and mat.imag.any():
-        parts.append((np.ascontiguousarray(mat.imag), 1j))
-    return parts
+def displaced_amplitudes(columns, xs, ys):
+    """<n|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
 
-
-def displaced_amplitudes(columns, xs, ys, bras=None):
-    """<b_k|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
-
-    <q|D(x,y)|c> = e^{-ixy/2} e^{iyq} c(q-x), so <b|D(x,y)|c_r> =
-    int b(q)* c_r(q-x) e^{i(yq - xy/2)} dq: the products of the weighted bra
-    wavefunctions and the shifted columns, a (bras rank, Q) matrix, times a
-    (Q, len(ys)) Fourier kernel on the inner grid sized for max |y|.  The
-    kernel is kept as interleaved cos and sin columns, so each real part of
-    the product takes one real matmul: real bras and columns take one,
-    a complex side two.
-
-    By default the bras are the Fock basis |n>, and one array
-    (dim, rank, len(ys)) is yielded per x of xs.  bras (dim, K) gives the
-    Fock coefficients of K bras b_k instead, for fewer bras than levels;
-    then each x yields an iterator over blocks (B, rank, len(ys)) of
-    consecutive bras, B = max(1, dim // rank), so that a block's product
-    holds no more numbers than the Hermite table.  Use a row's blocks
-    before drawing the next row: the kernel is reused.
+    <q|D(x,y)|c> = e^{-ixy/2} e^{iyq} c(q-x), so <n|D(x,y)|c_r> =
+    int psi_n(q) c_r(q-x) e^{i(yq - xy/2)} dq: the products of the weighted
+    Hermite functions and the shifted columns, a (dim rank, Q) matrix, times
+    a (Q, len(ys)) Fourier kernel on the inner grid sized for max |y|.  The
+    kernel is kept as interleaved cos and sin columns, so the real and the
+    imaginary part of the columns take one real matmul each.  One array
+    (dim, rank, len(ys)) is yielded per x of xs.
     """
     dim = columns.shape[0]
     ys = np.asarray(ys, dtype=float)
     q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
     psi *= w
-    if bras is not None:
-        step = max(1, dim // columns.shape[1])
-        weighted = _real_parts(bras.conj().T @ psi)
-        blocks = [[(part[k:k + step], phase) for part, phase in weighted]
-                  for k in range(0, bras.shape[1], step)]
     waves = np.exp(1j * np.outer(q, ys))
     kernel = np.empty_like(waves)  # reused: a new kernel per row raised peak RSS by 23 MB
-    cols = _real_parts(columns)
-
-    def amplitudes(bra_parts, shifted):
-        total = None
-        for b, bra_phase in bra_parts:
-            for c, col_phase in shifted:
-                amps = ((b[:, None, :] * c[None, :, :]).reshape(-1, q.shape[0])
-                        @ kernel.view(float)).view(complex)
-                if bra_phase * col_phase != 1.0:
-                    amps = (bra_phase * col_phase) * amps
-                total = amps if total is None else total + amps
-        return total.reshape(b.shape[0], -1, ys.shape[0])
-
+    parts = [np.ascontiguousarray(columns.real)]  # and the imaginary part, times 1j
+    if np.iscomplexobj(columns) and columns.imag.any():
+        parts.append(np.ascontiguousarray(columns.imag))
     for x in xs:
         np.multiply(waves, np.exp(-0.5j * x * ys), out=kernel)
         h = _hermite_functions(q - x, dim)
-        shifted = [(part.T @ h, phase) for part, phase in cols]
-        if bras is None:
-            yield amplitudes([(psi, 1.0)], shifted)
-        else:
-            yield (amplitudes(block, shifted) for block in blocks)
+        amps = [((psi[:, None, :] * (part.T @ h)[None, :, :]).reshape(-1, q.shape[0])
+                 @ kernel.view(float)).view(complex) for part in parts]
+        total = amps[0] if len(amps) == 1 else amps[0] + 1j * amps[1]
+        yield total.reshape(dim, -1, ys.shape[0])
 
 
 def quantum_charfn(rho):

@@ -1,23 +1,15 @@
 """Quadrature grids, POVM outcome densities, entropies and mutual information.
 
-Outcome densities are taken relative to Lebesgue measure; the reference
-measure constant therefore drops from every difference of entropies.  The
-workhorse is OutputSampler.  It evaluates every density in the position
-representation, on one Gauss-Legendre grid of inner positions with the
-oscillator eigenfunctions tabulated on it: type 1 from the amplitudes of the
-displaced noise eigenvectors, one Fourier matmul per outcome row
-(fock.displaced_amplitudes, shared with the operator checks); type 2 as the
-Gaussian smearing of the states' position distributions.  Type-1 amplitudes
-are taken in whichever basis has fewer vectors: the states' own
-eigen-components, reduced over the noise rank one block at a time, or the
-Fock levels, overlapped with the components afterwards (bind, whose states
-are not known in advance, and ensembles with at least as many components
-as levels).  Entropies and
-mutual information stream the densities on the tensor quadrature grid one
-outcome row at a time into one reducer (_information), so no
-(states x outcome points) array is held.  Discretized Gaussian ensembles are
-exact projections of their members onto the truncated basis
-(fock.displaced_squeezed_vector).
+Outcome densities are taken relative to Lebesgue measure, whose constant
+drops from every difference of entropies.  OutputSampler needs no noise
+matrix: a type-1 measurement is the pure one with noise state S(r)|0>,
+e^{2r} = 2 beta_q, followed by classical Gaussian noise of variance
+delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo, Quantum
+Systems, Channels, Information, 2nd ed. 2019, ch. 12), and the position
+density of types 2 and 3 is exact on a Gauss-Hermite rule.  Entropies and
+mutual information stream the densities on the tensor quadrature grid a
+block of outcome rows at a time into one reducer (_information), so no
+(states x outcome points) array is held.
 """
 
 import math
@@ -26,24 +18,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InvalidForSharp,
+    BOUNDARY_RTOL,
     NonPositive,
     NormalizationFailure,
+    NumericsError,
     TruncationInsufficient,
-    make_covariance,
 )
 from .fock import (
     DEFAULT_N,
     EIG_TOL,
-    _inner_grid,
-    _leggauss,
-    displaced_amplitudes,
+    _hermite_functions,
+    _gauss_rule,
     displaced_squeezed_vector,
-    gaussian_state_fock,
-    square_root_columns,
     state_array,
     state_moments,
 )
+
+TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
+# A 32-node Gauss-Legendre panel of half-width a integrates exp(ikv) to 1e-14 for |k| a <= 32.
+PANEL_NODES = 32
+SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
+BLOCK_NODES = 256  # vectors per block: one 200-node row, 0.7 MB of overlaps with 225 members
+# Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
+# is smeared so; on a 200-node row, 10 cost what the panels cost (delta = 1e-3).
+HERMITE_NODES_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -114,29 +112,29 @@ def _state_components(states, dim):
 class OutputSampler:
     """Evaluates POVM outcome densities of Fock states for a fixed noise.
 
-    Type 1 (finite beta): two-dimensional outcomes, density
-    Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = sum_r <f_r|D+ rho D|f_r>/(2 pi),
-    with f_r the columns of factor: the eigenvectors of rho_beta scaled by
-    sqrt(eigenvalue).  Type 2 (beta_p = +inf): one-dimensional,
-    Tr[rho exp(-(q-x)^2/(2 beta_q))]/sqrt(2 pi beta_q), the Gaussian smearing
-    of the position distribution of rho.  Both are integrals over the inner
-    grid of fock._inner_grid, sized for the outcome points at hand.  On a
-    tensor grid of outcomes, stream yields the densities one outcome row at a
-    time; densities and bind give them at arbitrary points.
+    Type 1 (finite beta) has outcomes (x, y), density
+    Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = int p1(x,v) N(y - v; delta) dv;
+    types 2 and 3 (beta_p = +inf) have outcomes x.  Each x has vectors u_j,
+    one per inner node, and a smearing matrix S shared by all x: the
+    densities at x are S @ sum_k p_k |<u_j|v_k>|^2 over the states' v_k.
     """
 
     def __init__(self, beta, dim=DEFAULT_N + 1):
-        if beta.noise_type == 3:
-            raise InvalidForSharp("no POVM matrix family for the sharp measurement")
         self.beta = beta
         self.dim = dim
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
-        if beta.noise_type == 1:
-            rho_b = gaussian_state_fock(
-                make_covariance(beta.beta_q, beta.beta_p), dim - 1
-            )
-            # rho_beta is real: its covariance is diagonal.
-            self.factor = square_root_columns(rho_b.matrix.real)
+        bq, bp = beta.beta_q, beta.beta_p
+        if beta.noise_type != 1:
+            self.rule = _gauss_rule(1 if bq == 0.0 else dim, hermite=True)
+            return
+        self.r = 0.5 * math.log(2.0 * bq)
+        # make_noise accepts bq*bp down to (1 - BOUNDARY_RTOL)/4, where delta < 0.
+        delta = bp - 0.25 / bq
+        self.delta = delta if delta > BOUNDARY_RTOL * bp else 0.0
+        # p1(x, v) has wavenumbers in v up to twice the position extent of the
+        # narrower of the Fock support and S(r)|0>.
+        self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(bq))
+        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))
 
     def densities(self, states, points):
         """Density rows for each state at the given outcome points.
@@ -144,97 +142,126 @@ class OutputSampler:
         points: array (G, 2) for type 1 or (G,) for type 2.  Returns
         (n_states, G) real array.
         """
-        axes, index = self._tensor(points)
-        return np.concatenate(list(self.stream(states, axes)), axis=1)[:, index]
+        return self.bind(points)(states)
 
     def bind(self, points):
         """densities(states, points) for fixed points, as a function of states.
 
-        The point-dependent factors are built once, here, in the Fock basis:
-        the states are not known yet.
+        The vectors are built here, a block at a time: each point's own
+        nodes, or under panel smearing one v grid per distinct x for all y.
         """
-        axes, index = self._tensor(points)
-        if self.outcome_dim == 1:
-            psi, kernel = self._smearing(*axes)
-            return lambda states: (_position_density(
-                *_state_components(states, self.dim), psi) @ kernel)[:, index]
-        amps = np.concatenate(list(displaced_amplitudes(self.factor, *axes)), axis=-1)
-        return lambda states: _fock_density(*_state_components(states, self.dim), amps)[:, index]
+        points = np.asarray(points, dtype=float).reshape(-1, self.outcome_dim)
+        xs, index = points[:, 0], slice(None)
+        if self.outcome_dim == 1 or self.rule is not None:
+            nodes, smear = self._smearing_kernel(points[:, -1])
+        else:
+            xs, ix = np.unique(xs, return_inverse=True)
+            ys, iy = np.unique(points[:, 1], return_inverse=True)
+            nodes, smear = self._smearing_kernel(ys)
+            index = ix * len(ys) + iy
+        vectors = np.concatenate(list(self._vector_blocks(xs, nodes)))
+        return lambda states: _reduce(
+            *_state_components(states, self.dim), vectors, smear)[:, index]
 
     def stream(self, states, axes):
-        """Densities of the states on the tensor grid of axes, one outcome row at a time.
+        """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
 
-        axes: (xs, ys) for type 1, (xs,) for type 2.  Type 1 yields one
-        (n_states, len(ys)) block per x of xs; type 2 yields one
-        (n_states, len(xs)) block.  Type 1 takes the basis with fewer bras:
-        the states' eigen-components when there are fewer of them than Fock
-        levels, the Fock basis otherwise.
+        Yields (n_states, m) blocks of the outcomes of consecutive x, x outer.
         """
         probs, vecs = _state_components(states, self.dim)
-        if self.outcome_dim == 1:
-            psi, kernel = self._smearing(*axes)
-            yield _position_density(probs, vecs, psi) @ kernel
-            return
-        if vecs.shape[1] >= self.dim:
-            for amps in displaced_amplitudes(self.factor, *axes):
-                yield _fock_density(probs, vecs, amps)
-            return
-        for blocks in displaced_amplitudes(self.factor, *axes, vecs):
-            # sum_r |<v_k|D|f_r>|^2 per component k, one block of components at a time
-            noise = np.concatenate([(a.real ** 2 + a.imag ** 2).sum(axis=1) for a in blocks])
-            yield probs @ noise / (2.0 * math.pi)
+        nodes, smear = self._smearing_kernel(axes[1] if self.outcome_dim == 2 else None)
+        for vectors in self._vector_blocks(axes[0], nodes.ravel()):
+            yield _reduce(probs, vecs, vectors, smear)
 
-    def _tensor(self, points):
-        """(axes, index): the distinct values per outcome axis and each point's tensor position.
+    def _smearing_kernel(self, ys):
+        """(nodes, smear): the inner nodes of each x; smear maps each block of them to outcomes.
 
-        The position counts row-major over the tensor grid of the axes.
+        Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
+        (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
+        W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise
+        Gauss-Legendre panels over the ys widened by TAIL deviations,
+        resolving the noise kernel plus the bandwidth, and
+        smear[y, v] = w_v N(y - v; delta) / 2 pi.
         """
-        points = np.asarray(points, dtype=float)
+        t, w = self.rule or (None, None)
         if self.outcome_dim == 1:
-            xs, index = np.unique(points.ravel(), return_inverse=True)
-            return (xs,), index
-        xs, ix = np.unique(points[:, 0], return_inverse=True)
-        ys, iy = np.unique(points[:, 1], return_inverse=True)
-        return (xs, ys), ix * ys.shape[0] + iy
+            return t, np.ones((1, len(t)))
+        ys = np.asarray(ys, dtype=float)
+        if t is not None:
+            return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), w[None, :] / (
+                2.0 * math.pi ** 1.5)
+        sd = math.sqrt(self.delta)
+        lo, hi = ys.min() - TAIL * sd, ys.max() + TAIL * sd
+        panels = math.ceil((hi - lo) * (self.bandwidth + TAIL / sd) / (2.0 * PANEL_NODES))
+        if panels * PANEL_NODES > SMEARING_NODES_MAX:
+            raise NumericsError(f"classical noise {self.delta:.3e} over a window of {hi - lo:.3g} "
+                                f"needs {panels * PANEL_NODES} > {SMEARING_NODES_MAX} nodes")
+        t, w = _gauss_rule(PANEL_NODES)
+        half = 0.5 * (hi - lo) / panels
+        v = ((lo + half * (2.0 * np.arange(panels) + 1.0))[:, None] + half * t).ravel()
+        smear = np.subtract.outer(ys, v)  # one (outcomes, nodes) array, updated in place
+        smear *= smear / (-2.0 * self.delta)
+        np.exp(smear, out=smear)
+        smear *= np.tile(half * w, panels) / ((2.0 * math.pi) ** 1.5 * sd)
+        return v, smear
 
-    def _smearing(self, xs):
-        """Type-2 factors (psi, kernel): the inner grid's Hermite functions and smearing kernel.
+    def _vector_blocks(self, xs, nodes):
+        """Fock coefficient rows u_j of consecutive xs, about BLOCK_NODES per block, x outer.
 
-        The kernel (Q, n_x) has the quadrature weights folded in.
+        nodes: (n,) shared by every x, or (len(xs), n).  Type 1: D(x,v) S(r)|0>
+        per node v.  Types 2 and 3: with b = 1 + 2 beta_q, the density at x
+        is exp(-x^2/b)/sqrt(pi b) sum_j W_j rho(q_j) e^{q_j^2} at
+        q_j = x/b + t_j sqrt(2 beta_q/b), exact as rho(q) e^{q^2} is a
+        polynomial; u_j holds the Hermite functions at q_j times sqrt(W_j).
         """
-        bq = self.beta.beta_q
-        # The kernel's Fourier transform exp(-k^2 bq/2) is e^-32 at this k.
-        q, w, psi = _inner_grid(self.dim, 8.0 / math.sqrt(bq))
-        kernel = np.exp(-((q[:, None] - xs[None, :]) ** 2) / (2.0 * bq))
-        kernel *= (w / math.sqrt(2.0 * math.pi * bq))[:, None]
-        return psi, kernel
+        xs = np.asarray(xs, dtype=float)[:, None]
+        step = max(1, BLOCK_NODES // nodes.shape[-1])
+        for k in range(0, len(xs), step):
+            x, v = xs[k:k + step], nodes if nodes.ndim == 1 else nodes[k:k + step]
+            if self.outcome_dim == 2:
+                yield displaced_squeezed_vector(x, v, self.r, self.dim).reshape(-1, self.dim)
+                continue
+            b = 1.0 + 2.0 * self.beta.beta_q
+            log_start = 0.5 * np.log(self.rule[1]) - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
+            q = x / b + v * math.sqrt(2.0 * self.beta.beta_q / b)
+            yield _hermite_functions(q.ravel(), self.dim, log_start.ravel()).T
 
 
-def _position_density(probs, vecs, psi):
-    """(n_states, Q): position densities of the states at the inner nodes of psi."""
-    return probs @ (np.abs(psi.T @ vecs) ** 2).T
+def _hermite_rule(omega):
+    """The fewest Gauss-Hermite nodes, at most HERMITE_NODES_MAX, that integrate
+    cos(k t) e^{-t^2} to 1e-15 for every k <= omega; None if there are none."""
+    k = np.linspace(0.0, omega, 33)
+    exact = math.sqrt(math.pi) * np.exp(-0.25 * k * k)
+    for m in range(1, HERMITE_NODES_MAX + 1):
+        t, w = _gauss_rule(m, hermite=True)
+        if np.abs(np.cos(np.outer(k, t)) @ w - exact).max() <= 1e-15:
+            return t, w
+    return None
 
 
-def _fock_density(probs, vecs, amps):
-    """Type-1 densities of the states from the amplitudes amps[n, r, y] = <n|D|f_r>."""
-    dim, rank, g = amps.shape
-    overlap = np.abs(vecs.conj().T @ amps.reshape(dim, rank * g)) ** 2
-    return (probs @ overlap).reshape(-1, rank, g).sum(axis=1) / (2.0 * math.pi)
+def _reduce(probs, vecs, vectors, smear):
+    """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2, smeared per block of nodes j.
+
+    Matmul operands share a dtype, which keeps it in BLAS: real u_j take one
+    real matmul with the interleaved parts of v_k, as |u.v| = |<u|v>|."""
+    if np.iscomplexobj(vecs) and not np.iscomplexobj(vectors):
+        amps = (vectors @ vecs.view(float)).view(complex)
+    else:
+        amps = vectors @ vecs.conj().astype(vectors.dtype, copy=False)
+    dens = probs @ (np.abs(amps) ** 2).T
+    n = dens.shape[0]
+    return (dens.reshape(n, -1, smear.shape[1]) @ smear.T).reshape(n, -1)
 
 
 def povm_density(rho, beta, x, y=0.0):
     """Outcome density of a single state at one point (convenience wrapper)."""
     sampler = OutputSampler(beta, state_array(rho).shape[0])
-    if sampler.outcome_dim == 2:
-        pts = np.array([[x, y]])
-    else:
-        pts = np.array([x])
-    return float(sampler.densities([rho], pts)[0, 0])
+    return float(sampler.densities([rho], [x, y][:sampler.outcome_dim])[0, 0])
 
 
 def _grid_axes(means, sigmas, grid):
     """Gauss-Legendre (nodes, weights) per axis over center +- half_width*sigma."""
-    x, w = _leggauss(grid.nodes_per_axis)
+    x, w = _gauss_rule(grid.nodes_per_axis)
     return [(m + grid.half_width * s * x, grid.half_width * s * w)
             for m, s in zip(means, sigmas)]
 
@@ -250,10 +277,13 @@ def _grid_nodes(means, sigmas, grid):
 
 
 def _grid_blocks(sampler, states, axes):
-    """(densities, quadrature weights) of the states per outcome row of the axes' tensor."""
+    """(densities, quadrature weights) of the states per block of the axes' tensor."""
     nodes, weights = zip(*axes)
-    row_weights = [weights[0]] if len(axes) == 1 else (wx * weights[1] for wx in weights[0])
-    return zip(sampler.stream(states, nodes), row_weights)
+    flat = weights[0] if len(axes) == 1 else np.outer(*weights).ravel()
+    start = 0
+    for p in sampler.stream(states, nodes):
+        yield p, flat[start:start + p.shape[1]]
+        start += p.shape[1]
 
 
 def _output_window(moments, beta):

@@ -1,14 +1,15 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_displacement import displacement_matrix
-from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha
+from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha, optimal_squeezing
 from gausscap.core import (
-    InvalidForSharp,
     NormalizationFailure,
+    NumericsError,
     TruncationInsufficient,
     ValidationError,
     make_covariance,
@@ -67,10 +68,16 @@ class TestPovmDensity:
             expect = math.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
             assert povm_density(rho, beta, x) == pytest.approx(expect, abs=1e-9)
 
-    def test_sharp_rejected(self):
-        rho = gaussian_state_fock(make_covariance(0.5, 0.5), n_max=10)
-        with pytest.raises(InvalidForSharp):
-            povm_density(rho, make_noise(0.0, INF), 0.0)
+    def test_sharp_measurement(self):
+        # beta = (0, inf): the density is |psi(x)|^2, e^{-x^2}/sqrt(pi) for the vacuum.
+        beta = make_noise(0.0, INF)
+        vacuum = gaussian_state_fock(make_covariance(0.5, 0.5), n_max=10)
+        for x in (0.0, 0.8, -1.6, 3.0):
+            expect = math.exp(-x * x) / math.sqrt(math.pi)
+            assert povm_density(vacuum, beta, x) == pytest.approx(expect, abs=1e-12)
+        alpha = make_covariance(1.4, 0.5)
+        h = numeric_output_entropy(gaussian_state_fock(alpha, n_max=60), beta)
+        assert h == pytest.approx(0.5 * (LN_2PI_E + math.log(alpha.alpha_q)), abs=1e-11)
 
     def test_displacement_covariance(self):
         # displacing the state shifts the outcome density
@@ -94,9 +101,13 @@ def random_mixed_state(dim, seed, rank=None):
     return rho / np.trace(rho).real
 
 
-def reference_density(rho, beta, points):
-    """Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) from dense displacement matrices."""
-    dim = rho.shape[0]
+def reference_density(rho, beta, points, dim):
+    """Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) from dense displacement matrices.
+
+    rho is zero-padded to dim, and rho_beta truncated there: dim is chosen
+    so that the truncation of rho_beta moves the densities by under 1e-14.
+    """
+    rho = np.pad(rho, (0, dim - rho.shape[0]))
     rho_b = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), dim - 1).matrix
     out = []
     for x, y in points:
@@ -109,17 +120,15 @@ class TestOutputSampler:
     def test_type1_matches_displacement_reference(self):
         rho = random_mixed_state(41, seed=3)
         beta = make_noise(2.0, 2.0)
-        sampler = OutputSampler(beta, 41)
-        assert sampler.factor.shape[1] > 1
         rng = np.random.default_rng(5)
         pts = rng.uniform(-6.0, 6.0, size=(12, 2))
-        got = sampler.densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+        got = OutputSampler(beta, 41).densities([rho], pts)[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts, 81))) <= 1e-12
 
     def test_type1_extreme_momentum_nodes(self):
-        # The largest |y| of this window sets the inner grid.  The densities
-        # there are tiny; an inner grid too coarse for that |y| aliases them
-        # into errors far above 1e-12.
+        # The densities at the largest |y| of this window are tiny; a
+        # smearing grid too coarse or too narrow for that |y| misses them by
+        # far more than 1e-12.
         beta = make_noise(0.2, 5.0)
         gauss = gaussian_state_fock(make_covariance(0.707, 2.83), n_max=60)
         means, sigmas = _output_window(state_moments(gauss), beta)
@@ -128,11 +137,10 @@ class TestOutputSampler:
         pts = edge[:: len(edge) // 8]
         rho = random_mixed_state(61, seed=7)
         got = OutputSampler(beta, 61).densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+        assert np.max(np.abs(got - reference_density(rho, beta, pts, 141))) <= 1e-12
 
     def test_type1_component_basis_matches_reference(self):
-        # Fewer eigen-components than Fock levels: the densities take the
-        # states' own basis, whose complex bras need both real matmuls.
+        # A low-rank state with complex eigen-components.
         rho = random_mixed_state(41, seed=13, rank=5)
         _, vecs = _state_components([rho], 41)
         assert vecs.shape[1] == 5 and np.abs(vecs.imag).max() > 0.1
@@ -140,24 +148,56 @@ class TestOutputSampler:
         rng = np.random.default_rng(17)
         pts = rng.uniform(-6.0, 6.0, size=(12, 2))
         got = OutputSampler(beta, 41).densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts))) <= 1e-12
+        assert np.max(np.abs(got - reference_density(rho, beta, pts, 81))) <= 1e-12
 
-    @pytest.mark.parametrize("beta", [make_noise(2.0, 2.0), make_noise(0.3, INF)])
+    @pytest.mark.parametrize("beta", [make_noise(2.0, 2.0), make_noise(0.3, INF),
+                                      make_noise(0.5, 0.5)])
     def test_bind_matches_densities(self, beta):
-        # bind works in the Fock basis; densities of the low-rank pair (21
-        # components < 41 levels) work in the components' basis.
-        window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
-        pts, _ = _grid_nodes(*window, QuadratureGrid(6.0, 24))
+        # bind against the streamed rows of the tensor of the points' distinct
+        # x and y, on a tensor grid and on 400 scattered points.
         sampler = OutputSampler(beta, 41)
+        window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
+        grid, _ = _grid_nodes(*window, QuadratureGrid(6.0, 24))
+        rng = np.random.default_rng(19)
+        scattered = rng.uniform(-4.0, 4.0, size=(400, 2))[:, :sampler.outcome_dim].squeeze()
         gauss = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)
-        for first, low_rank in [(random_mixed_state(41, seed=11), False),
-                                (random_mixed_state(41, seed=11, rank=3), True)]:
-            states = [first, gauss]
-            assert (_state_components(states, 41)[1].shape[1] < 41) == low_rank
-            direct = sampler.densities(states, pts)
-            bound = sampler.bind(pts)(states)
-            assert bound.shape == direct.shape == (2, pts.shape[0])
-            assert np.max(np.abs(bound - direct)) <= 1e-15
+        for pts in (grid, scattered):
+            axes, index = zip(*(np.unique(c, return_inverse=True)
+                                for c in pts.reshape(len(pts), -1).T))
+            flat = index[0] if len(axes) == 1 else index[0] * len(axes[1]) + index[1]
+            for first in (random_mixed_state(41, seed=11),
+                          random_mixed_state(41, seed=11, rank=3)):
+                states = [first, gauss]
+                bound = sampler.bind(pts)(states)
+                direct = np.concatenate(list(sampler.stream(states, axes)), axis=1)[:, flat]
+                assert bound.shape == direct.shape == (2, pts.shape[0])
+                assert np.max(np.abs(bound - direct)) <= 1e-15
+
+    @pytest.mark.parametrize("delta", [-1e-13, 0.0, 1e-6, 1e-4, 1e-3, 1e-2])
+    def test_small_classical_noise(self, delta):
+        # beta_q beta_p = 1/4 + delta beta_q: a nearly pure measurement.
+        # |delta| <= 1e-12 beta_p is the pure one; up to 1e-3 a Gauss-Hermite
+        # rule smears around each y, and 1e-2 takes the panels.
+        alpha, bq = make_covariance(1.2, 0.7), 1.0
+        bp = 0.25 / bq + delta if delta >= 0.0 else 0.25 / bq * (1.0 + delta)
+        beta = make_noise(bq, bp)
+        pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(12, 2))
+        vq, vp = alpha.alpha_q + bq, alpha.alpha_p + bp
+        expect = (np.exp(-pts[:, 0] ** 2 / (2.0 * vq) - pts[:, 1] ** 2 / (2.0 * vp))
+                  / (2.0 * math.pi * math.sqrt(vq * vp)))
+        got = OutputSampler(beta, 61).densities([gaussian_state_fock(alpha, n_max=60)], pts)[0]
+        assert np.max(np.abs(got - expect)) <= 1e-11
+        rho = random_mixed_state(21, seed=29)
+        got = OutputSampler(beta, 21).densities([rho], pts[:4])[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts[:4], 81))) <= 1e-12
+
+    def test_classical_noise_past_the_cap_raises(self):
+        # delta = 0.01 takes the panels, and a 600-wide window of y would
+        # need about 30,000 nodes per outcome row.
+        beta = make_noise(1.0, 0.26)
+        rho = gaussian_state_fock(make_covariance(1.2, 0.7), n_max=60)
+        with pytest.raises(NumericsError):
+            OutputSampler(beta, 61).densities([rho], [[0.0, -300.0], [0.0, 300.0]])
 
 
 class TestQuadratureGrid:
@@ -177,12 +217,32 @@ class TestNumericOutputEntropy:
             assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-7)
 
     def test_type2_matches_analytic(self):
-        beta = make_noise(0.2, INF)
-        for aq, ap in [(0.5, 0.5), (1.4, 0.5)]:
+        # beta_q = 0 is the sharp measurement; each entropy takes under 0.1 s.
+        for aq, ap in [(0.5, 0.5), (1.4, 0.5), (1.0, 2.0)]:
             alpha = make_covariance(aq, ap)
             rho = gaussian_state_fock(alpha, n_max=60)
-            h = numeric_output_entropy(rho, beta)
-            assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-8)
+            for bq in (0.0, 1e-9, 1e-5, 1e-3, 1e-1, 0.2, 1e2):
+                beta = make_noise(bq, INF)
+                seconds = []
+                for _ in range(3):  # the best of three, against a shared machine's noise
+                    start = time.perf_counter()
+                    h = numeric_output_entropy(rho, beta)
+                    seconds.append(time.perf_counter() - start)
+                assert min(seconds) < 0.1
+                assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-11)
+
+    def test_non_gaussian_state_under_wide_noise(self):
+        # 0.6 |cat><cat| + 0.4 |3><3| at dim 41.  Truncating rho_beta at the
+        # state's dimension, as a noise-matrix route must, gave 3.8868242467;
+        # the reference is that route with the state padded to dim 101 and
+        # 121, which agree to 6e-14.
+        cat = (displaced_squeezed_vector(1.2, 0.0, 0.0, 41)
+               + displaced_squeezed_vector(-1.2, 0.0, 0.0, 41))
+        cat /= np.linalg.norm(cat)
+        rho = 0.6 * np.outer(cat, cat.conj())
+        rho[3, 3] += 0.4
+        h = numeric_output_entropy(rho, make_noise(3.0, 0.2))
+        assert h == pytest.approx(3.88682312368970, abs=1e-11)
 
     def test_narrow_window_raises(self):
         rho = gaussian_state_fock(make_covariance(0.5, 0.5), n_max=30)
@@ -259,12 +319,23 @@ class TestMutualInformation:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_regime_r_discretized_capacity(self):
+        # Criterion 07's R case: a 15-node discretization of the optimal
+        # ensemble under beta = (5, 0.2).  A rho_beta truncated at dim 61 gave
+        # a 3.3e-6 gap.
+        alpha, beta = make_covariance(2.0, 1.0), make_noise(5.0, 0.2)
+        d = optimal_squeezing(alpha, beta)
+        spec = GaussianEnsembleSpec(d, max(alpha.alpha_q - d, 0.0),
+                                    max(alpha.alpha_p - 0.25 / d, 0.0))
+        ens = discretize_gaussian_ensemble(spec, nodes=15, n_max=60)
+        assert abs(mutual_information(ens, beta) - capacity_alpha(alpha, beta)) <= 1e-7
+
     def test_traced_peak_of_the_rank_59_entropy(self):
-        # Criterion 06's mixed noise: in the Fock basis each outcome row built
-        # a (61 levels x 59 noise columns x inner nodes) product, 38 MB traced.
+        # Criterion 06's mixed noise, beta_q beta_p = 4: with a noise matrix
+        # of rank 59, each outcome row once built a (61 levels x 59 noise
+        # columns x inner nodes) product, 38 MB traced.
         rho = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)
         beta = make_noise(2.0, 2.0)
-        assert OutputSampler(beta, 61).factor.shape[1] == 59
         tracemalloc.start()
         try:
             numeric_output_entropy(rho, beta)
