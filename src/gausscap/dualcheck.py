@@ -6,7 +6,8 @@ the displaced Gaussian with covariance alpha' at the contracted outcome
 coordinates; the check reports the worst trace-norm gap over sampled
 outcomes on truncated Fock matrices.  Both displaced states come from the
 square-root columns of the truncated Gaussian states: D rho_beta D+ = A A+
-and D' rho' D'+ = B B+, with A and B from fock.displaced_amplitudes.
+and D' rho' D'+ = B B+, with A and B from fock.displaced_amplitudes, one
+(dim, rank) matrix per outcome.
 """
 
 import numpy as np

@@ -5,12 +5,13 @@ displacement matrix is built.  Displaced squeezed vectors
 D(x,y) S(r)(cos t|0> + sin t|1>) are the exact projections onto |0>..|N>,
 from the recurrence of the annihilator of D S |0> (Yuen, PRA 13, 2226
 (1976)): the stress-search members and the vectors of every type-1 outcome
-density (grids.OutputSampler).  The operator duality check and the
-characteristic function take <n|D(x,y)|c_r> for fixed columns c_r from one
-Gauss-Legendre grid of inner positions with the oscillator eigenfunctions
-tabulated on it (displaced_amplitudes).  Squeezed thermal states come from
-one cached eigendecomposition of the squeeze generator per dimension, so
-the module needs numpy only.
+density (grids.OutputSampler).  One Gauss-Legendre grid of inner positions
+with the oscillator eigenfunctions tabulated on it carries the rest: the
+operator duality check takes <n|D(x,y)|c_r> for fixed columns c_r there
+(displaced_amplitudes), and the characteristic function integrates the
+state's wavefunction products (quantum_charfn).  Squeezed thermal states
+come from one cached eigendecomposition of the squeeze generator per
+dimension, so the module needs numpy only.
 """
 
 import functools
@@ -218,48 +219,47 @@ def displaced_amplitudes(columns, xs, ys):
     """<n|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
 
     <q|D(x,y)|c> = e^{-ixy/2} e^{iyq} c(q-x), so <n|D(x,y)|c_r> =
-    int psi_n(q) c_r(q-x) e^{i(yq - xy/2)} dq: the products of the weighted
-    Hermite functions and the shifted columns, a (dim rank, Q) matrix, times
-    a (Q, len(ys)) Fourier kernel on the inner grid sized for max |y|.  The
-    kernel is kept as interleaved cos and sin columns, so the real and the
-    imaginary part of the columns take one real matmul each.  One array
-    (dim, rank, len(ys)) is yielded per x of xs.
+    int psi_n(q) c_r(q-x) e^{i(yq - xy/2)} dq on the inner grid sized for
+    max |y|.  Per x the shifted columns c_r(q-x) are contracted first, a
+    (Q, rank) matrix; per y they take that y's Fourier factor and one real
+    matmul with the weighted Hermite functions, their real and imaginary
+    parts interleaved.  One array (dim, rank, len(ys)) is yielded per x of xs.
     """
     dim = columns.shape[0]
     ys = np.asarray(ys, dtype=float)
     q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
     psi *= w
-    waves = np.exp(1j * np.outer(q, ys))
-    kernel = np.empty_like(waves)  # reused: a new kernel per row raised peak RSS by 23 MB
-    parts = [np.ascontiguousarray(columns.real)]  # and the imaginary part, times 1j
-    if np.iscomplexobj(columns) and columns.imag.any():
-        parts.append(np.ascontiguousarray(columns.imag))
+    waves = np.exp(1j * np.outer(ys, q))
     for x in xs:
-        np.multiply(waves, np.exp(-0.5j * x * ys), out=kernel)
-        h = _hermite_functions(q - x, dim)
-        amps = [((psi[:, None, :] * (part.T @ h)[None, :, :]).reshape(-1, q.shape[0])
-                 @ kernel.view(float)).view(complex) for part in parts]
-        total = amps[0] if len(amps) == 1 else amps[0] + 1j * amps[1]
-        yield total.reshape(dim, -1, ys.shape[0])
+        shifted = _hermite_functions(q - x, dim).T @ columns
+        amps = np.stack([psi @ (shifted * (wave * np.exp(-0.5j * x * y))[:, None]).view(float)
+                         for y, wave in zip(ys, waves)])
+        yield np.moveaxis(amps.view(complex), 0, -1)
 
 
 def quantum_charfn(rho):
     """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable.
 
-    rho is Hermitian.  With rho = sum_k lam_k v_k v_k+,
-    Tr[rho D] = sum_k lam_k <v_k|D|v_k>, from displaced_amplitudes on the
-    tensor of the distinct x and y values, one x row at a time.
+    rho is Hermitian.  With rho = sum_k lam_k v_k v_k+, Tr[rho D] =
+    int sum_k lam_k conj(v_k(q)) v_k(q-x) e^{i(yq - xy/2)} dq: one (Q,)
+    row of wavefunction products per distinct x, times a (Q, len(ys))
+    Fourier kernel over the distinct y values, on the inner grid sized for
+    max |y|.
     """
     vals, vecs = np.linalg.eigh(state_array(rho))
     keep = np.abs(vals) > EIG_TOL * np.abs(vals).max()
-    vals, vecs = vals[keep], vecs[:, keep]
+    vals, coeffs = vals[keep], vecs[:, keep].T  # row k: the Fock coefficients of v_k
+    dim = coeffs.shape[1]
 
     def phi(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
-        rows = displaced_amplitudes(vecs, xs, ys)
-        table = np.array([np.einsum("k,nk,nkj->j", vals, vecs.conj(), a) for a in rows])
+        q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
+        bras = (coeffs @ psi).conj() * (vals[:, None] * w)
+        rows = np.array([(bras * (coeffs @ _hermite_functions(q - x0, dim))).sum(axis=0)
+                         for x0 in xs])
+        table = (rows @ np.exp(1j * np.outer(q, ys))) * np.exp(-0.5j * np.outer(xs, ys))
         return table[ix, iy].reshape(x.shape)[()]
 
     return phi

@@ -249,6 +249,8 @@ def _reduce(probs, vecs, vectors, smear):
     else:
         amps = vectors @ vecs.conj().astype(vectors.dtype, copy=False)
     dens = probs @ (np.abs(amps) ** 2).T
+    if smear.shape == (1, 1):  # one node per outcome: pure type-1 noise, the sharp measurement
+        return dens * smear[0, 0]
     n = dens.shape[0]
     return (dens.reshape(n, -1, smear.shape[1]) @ smear.T).reshape(n, -1)
 

@@ -135,8 +135,8 @@ class TestDisplacement:
 
     def test_batch_consistency(self):
         # The rows of a tensor of (x, y) values, sized for its largest |y|,
-        # against one point at a time: a few points at dim 20, and the
-        # 41 x 41 grid at dim 8 that quantum_charfn evaluates for the CLT check.
+        # against one point at a time: a few points at dim 20, and a 41 x 41
+        # grid at dim 8, where one shifted-column matrix serves 41 y values.
         for axis, dim in [(np.array([-1.0, 0.0, 0.3]), 20), (np.linspace(-4.0, 4.0, 41), 8)]:
             for x, row in zip(axis, displaced_amplitudes(np.eye(dim), axis, axis)):
                 for j, y in enumerate(axis):
@@ -150,6 +150,16 @@ class TestDisplacement:
         for z, d in zip(zs, ref):
             x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
             assert np.abs(grid_displacement(x, y, dim) - d).max() <= 1e-13
+
+    def test_complex_columns(self):
+        # The real and imaginary parts of complex columns share one real matmul.
+        dim = 20
+        rng = np.random.default_rng(7)
+        columns = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        axis = np.array([-1.3, 0.0, 0.4, 2.1])
+        for x, row in zip(axis, displaced_amplitudes(columns, axis, axis)):
+            ref = double_loop_displacement((x + 1j * axis) / math.sqrt(2.0), dim) @ columns
+            assert np.abs(np.moveaxis(row, -1, 0) - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [25, 61])
     def test_every_element_matches_mpmath(self, dim):
@@ -295,6 +305,19 @@ class TestQuantumCharfn:
             z = (x + 1j * y) / math.sqrt(2.0)
             expect = cmath.exp(-abs(z) ** 2 / 2 + z * b.conjugate() - z.conjugate() * b)
             assert phi(x, y) == pytest.approx(expect, abs=1e-12)
+
+    def test_mixed_complex_state_at_scattered_points(self):
+        # Tr[rho D] of a rank-2 mixture of random complex vectors, against
+        # the dense truncated displacement matrices.
+        dim = 12
+        rng = np.random.default_rng(11)
+        vs = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        rho = 0.7 * np.outer(vs[0], vs[0].conj()) + 0.3 * np.outer(vs[1], vs[1].conj())
+        x, y = rng.uniform(-2.5, 2.5, size=(2, 15))
+        dense = double_loop_displacement((x + 1j * y) / math.sqrt(2.0), dim)
+        expect = np.einsum("mn,knm->k", rho, dense)
+        assert np.abs(quantum_charfn(rho)(x, y) - expect).max() <= 1e-12
 
     def test_origin_is_trace(self):
         rho = gaussian_state_fock(make_covariance(1.2, 0.8), n_max=50)
