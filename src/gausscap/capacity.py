@@ -8,14 +8,14 @@ hypothesis and results are flagged as hypothetical.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
+    NonPositive,
     NumericsError,
-    OneModeCovariance,
     OutOfInterval,
     _energy_value,
+    _record,
     make_covariance,
     output_entropy_term,
 )
@@ -28,17 +28,14 @@ class Regime(str, Enum):
     R = "R"
 
 
-@dataclass(frozen=True)
-class GaussianEnsembleSpec:
+class GaussianEnsembleSpec(_record("GaussianEnsembleSpec", "delta gamma_q gamma_p")):
     """Gaussian ensemble of squeezed coherent states.
 
     Members have quadrature variances (delta, 1/(4 delta)); displacements are
     centered Gaussian with covariance diag(gamma_q, gamma_p).
     """
 
-    delta: float
-    gamma_q: float
-    gamma_p: float
+    __slots__ = ()
 
     @property
     def average_covariance(self):
@@ -46,17 +43,13 @@ class GaussianEnsembleSpec:
                                self.gamma_p + 0.25 / self.delta)
 
 
-@dataclass(frozen=True)
-class CapacityResult:
-    capacity_nats: float
-    optimal_alpha: OneModeCovariance
-    regime: Regime
-    ensemble: GaussianEnsembleSpec
-    hypothetical: bool
-    # The cross-check by direct maximization over the energy shell and its
-    # distance from capacity_nats (None if skipped).
-    optimizer_check_nats: float | None = None
-    cross_check_gap: float | None = None
+class CapacityResult(_record("CapacityResult", "capacity_nats optimal_alpha regime ensemble "
+                             "hypothetical optimizer_check_nats cross_check_gap",
+                             defaults=(None, None))):
+    """optimizer_check_nats is the cross-check by direct maximization over the
+    energy shell, cross_check_gap its distance from capacity_nats (None if skipped)."""
+
+    __slots__ = ()
 
 
 # Largest cross-check gap accepted where the closed form is proven (regime C).
@@ -129,6 +122,8 @@ def threshold_energy(beta_1, beta_2):
 
 def upper_bound(beta_q, E):
     """General capacity upper bound ln(2(E+beta_q)/(1+2 beta_q)); tight at beta_q=0."""
+    if not (math.isfinite(beta_q) and beta_q >= 0):
+        raise NonPositive(f"beta_q must be finite and >= 0, got {beta_q}")
     e = _energy_value(E)
     return math.log(2.0 * (e + beta_q) / (1.0 + 2.0 * beta_q))
 

@@ -4,10 +4,13 @@ Conventions: hbar = 1, vacuum quadrature variance 1/2, natural logarithms
 (nats) everywhere.  Momentum noise beta_p may be +inf (homodyne-like
 measurements); the infinite case is dispatched structurally through the
 noise type tag, never by evaluating a finite-noise formula at a sentinel.
+
+Records are immutable named tuples; a record that validates does so in
+``__new__``, and ``_replace`` goes through it too.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Relative slack accepted on the uncertainty boundary alpha_q*alpha_p = 1/4.
 BOUNDARY_RTOL = 1e-12
@@ -61,15 +64,20 @@ class NormalizationFailure(NumericsError):
     pass
 
 
-@dataclass(frozen=True)
-class OneModeCovariance:
+def _record(name, fields, defaults=()):
+    """Named-tuple base whose _make, and so _replace, builds through cls(...)."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class OneModeCovariance(_record("OneModeCovariance", "alpha_q alpha_p")):
     """Diagonal covariance diag(alpha_q, alpha_p) of a centered Gaussian state."""
 
-    alpha_q: float
-    alpha_p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        aq, ap = self.alpha_q, self.alpha_p
+    def __new__(cls, alpha_q, alpha_p):
+        aq, ap = alpha_q, alpha_p
         if not (math.isfinite(aq) and math.isfinite(ap)):
             raise NonPositive("covariance entries must be finite")
         if aq <= 0 or ap <= 0:
@@ -78,6 +86,7 @@ class OneModeCovariance:
             raise HeisenbergViolation(
                 f"alpha_q*alpha_p = {aq * ap} < 1/4 is not an admissible state"
             )
+        return super().__new__(cls, aq, ap)
 
 
 def make_covariance(alpha_q, alpha_p):
@@ -85,19 +94,17 @@ def make_covariance(alpha_q, alpha_p):
     return OneModeCovariance(float(alpha_q), float(alpha_p))
 
 
-@dataclass(frozen=True)
-class MeasurementNoise:
+class MeasurementNoise(_record("MeasurementNoise", "beta_q beta_p")):
     """POVM noise diag(beta_q, beta_p); beta_p = +inf for homodyne-like types.
 
     Type tags: 1 both finite, 2 noisy position (beta_p = +inf), 3 sharp
     position (beta_q = 0, beta_p = +inf).
     """
 
-    beta_q: float
-    beta_p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        bq, bp = self.beta_q, self.beta_p
+    def __new__(cls, beta_q, beta_p):
+        bq, bp = beta_q, beta_p
         if not math.isfinite(bq) or bq < 0:
             raise NonPositive(f"beta_q must be finite and >= 0, got {bq}")
         if bp <= 0 or math.isnan(bp):
@@ -108,6 +115,7 @@ class MeasurementNoise:
             raise HeisenbergViolation(
                 f"beta_q*beta_p = {bq * bp} < 1/4 is not an admissible noise"
             )
+        return super().__new__(cls, bq, bp)
 
     @property
     def noise_type(self):
@@ -121,15 +129,15 @@ def make_noise(beta_q, beta_p):
     return MeasurementNoise(float(beta_q), float(beta_p))
 
 
-@dataclass(frozen=True)
-class EnergyConstraint:
+class EnergyConstraint(_record("EnergyConstraint", "E")):
     """Mean oscillator energy bound E for H = (q^2 + p^2)/2."""
 
-    E: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.E) or self.E < 0.5 * (1.0 - BOUNDARY_RTOL):
-            raise EnergyBelowVacuum(f"E must be >= 1/2 (vacuum energy), got {self.E}")
+    def __new__(cls, E):
+        if not math.isfinite(E) or E < 0.5 * (1.0 - BOUNDARY_RTOL):
+            raise EnergyBelowVacuum(f"E must be >= 1/2 (vacuum energy), got {E}")
+        return super().__new__(cls, E)
 
 
 def _energy_value(E):
@@ -139,12 +147,10 @@ def _energy_value(E):
     return EnergyConstraint(float(E)).E
 
 
-@dataclass(frozen=True)
-class OutputGaussian:
+class OutputGaussian(_record("OutputGaussian", "var_q var_p")):
     """Variances of the measurement outcome distribution for a Gaussian input."""
 
-    var_q: float
-    var_p: float
+    __slots__ = ()
 
 
 def output_density(alpha, beta):

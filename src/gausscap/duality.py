@@ -8,28 +8,21 @@ capacity formula.
 """
 
 import math
-from dataclasses import dataclass
 
-from .core import InvalidForSharp, OneModeCovariance
+from .core import InvalidForSharp, _record
 
 
-@dataclass(frozen=True)
-class KappaMatrix:
+class KappaMatrix(_record("KappaMatrix", "kappa_q kappa_p")):
     """Diagonal of sqrt(1 - 1/(4 a_q a_p)) * alpha; zero iff alpha is pure."""
 
-    kappa_q: float
-    kappa_p: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualEnsemble:
+class DualEnsemble(_record("DualEnsemble", "alpha_prime_q alpha_prime_p gamma_prime_q "
+                           "gamma_prime_p parent_alpha")):
     """Dual Gaussian ensemble parameters (alpha', gamma') of a measurement."""
 
-    alpha_prime_q: float
-    alpha_prime_p: float
-    gamma_prime_q: float
-    gamma_prime_p: float
-    parent_alpha: OneModeCovariance
+    __slots__ = ()
 
 
 def kappa_matrix(alpha):

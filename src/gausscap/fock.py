@@ -16,7 +16,6 @@ dimension, so the module needs numpy only.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +28,18 @@ DEFAULT_TRUNCATION_TOL = 1e-8
 EIG_TOL = 1e-13
 
 
-@dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the truncated Fock basis."""
+    """Dense operator on the truncated Fock basis; ``matrix`` is read-only."""
 
-    matrix: np.ndarray
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+
+    def __repr__(self):
+        return f"FockOperator(matrix={self._matrix!r})"
+
+    matrix = property(lambda self: self._matrix)
 
     @property
     def dim(self):

@@ -13,7 +13,6 @@ block of outcome rows at a time into one reducer (_information), so no
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .core import (
     NormalizationFailure,
     NumericsError,
     TruncationInsufficient,
+    _record,
 )
 from .fock import (
     DEFAULT_N,
@@ -44,39 +44,46 @@ BLOCK_NODES = 256  # vectors per block: one 200-node row, 0.7 MB of overlaps wit
 HERMITE_NODES_MAX = 10
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(_record("QuadratureGrid", "half_width nodes_per_axis")):
     """Tensor Gauss-Legendre window, half_width in output standard deviations."""
 
-    half_width: float = 8.0
-    nodes_per_axis: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.half_width < math.inf) or self.nodes_per_axis < 1:
+    def __new__(cls, half_width=8.0, nodes_per_axis=200):
+        if not (0 < half_width < math.inf) or nodes_per_axis < 1:
             raise NonPositive(
                 f"need finite half_width > 0 and nodes_per_axis >= 1, got "
-                f"{self.half_width} and {self.nodes_per_axis}"
+                f"{half_width} and {nodes_per_axis}"
             )
+        return super().__new__(cls, half_width, nodes_per_axis)
 
 
-@dataclass(frozen=True)
 class DiscreteEnsemble:
-    """Finite ensemble of Fock-basis states with positive weights summing to 1."""
+    """Finite ensemble of Fock-basis states with positive weights summing to 1.
 
-    weights: np.ndarray
-    states: tuple
+    ``weights`` and ``states`` are read-only; ``len`` counts the members.
+    """
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    __slots__ = ("_weights", "_states")
+
+    def __init__(self, weights, states):
+        w = np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("ensemble weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {w.sum()}, expected 1")
-        if len(self.states) != w.shape[0]:
+        if len(states) != w.shape[0]:
             raise ValueError("weights and states length mismatch")
+        self._weights, self._states = weights, states
+
+    def __repr__(self):
+        return f"DiscreteEnsemble(weights={self._weights!r}, states={self._states!r})"
+
+    weights = property(lambda self: self._weights)
+    states = property(lambda self: self._states)
 
     def __len__(self):
-        return len(self.states)
+        return len(self._states)
 
 
 def _state_components(states, dim):

@@ -18,12 +18,11 @@ same order, so the search visits the same points without loading scipy.
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
-from .core import NonPositive
+from .core import NonPositive, _record
 from .fock import displaced_squeezed_vector
 from .grids import (
     OutputSampler,
@@ -40,21 +39,16 @@ EXCESS_TOL = 1e-3
 KEPT_MASS_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    members: int = 4
-    allow_fock: bool = True
-    starts: int = 16
-    max_iter: int = 200
-    seed: int = 0
-    n_max: int = 24
-    grid: QuadratureGrid = field(default_factory=lambda: QuadratureGrid(6.0, 48))
+class SearchConfig(_record("SearchConfig", "members allow_fock starts max_iter seed n_max grid")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.members < 1 or self.n_max < 1:
-            raise NonPositive(
-                f"members and n_max must be >= 1, got {self.members} and {self.n_max}"
-            )
+    def __new__(cls, members=4, allow_fock=True, starts=16, max_iter=200, seed=0,
+                n_max=24, grid=QuadratureGrid(6.0, 48)):
+        if members < 1 or n_max < 1:
+            raise NonPositive(f"members and n_max must be >= 1, got {members} and {n_max}")
+        if starts < 1 or max_iter < 0:
+            raise NonPositive(f"need starts >= 1 and max_iter >= 0, got {starts} and {max_iter}")
+        return super().__new__(cls, members, allow_fock, starts, max_iter, seed, n_max, grid)
 
     @property
     def per_member(self):
@@ -62,27 +56,18 @@ class SearchConfig:
         return 5 if self.allow_fock else 4
 
 
-@dataclass
-class SearchReport:
-    best_value_nats: float
-    ceiling_nats: float
-    gap: float
-    regime: str
-    hypothetical: bool
-    seed: int
-    ensemble: list
-    feasible: bool
-    flagged_excess: bool
-    budget_exhausted: bool
-    violation: float  # squared moment error of the truncated best ensemble
-    min_kept_mass: float  # smallest member norm^2 in the best ensemble (truncation)
-    starts: int
-    evaluations: int
+class SearchReport(_record("SearchReport", "best_value_nats ceiling_nats gap regime "
+                           "hypothetical seed ensemble feasible flagged_excess budget_exhausted "
+                           "violation min_kept_mass starts evaluations")):
+    """violation is the squared moment error of the truncated best ensemble,
+    min_kept_mass its smallest member norm^2 (truncation)."""
+
+    __slots__ = ()
 
     def to_json(self, **kwargs):
         """RFC 8259 JSON: the infinities of an infeasible search are written as null."""
         return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                           for k, v in self.__dict__.items()}, **kwargs)
+                           for k, v in self._asdict().items()}, **kwargs)
 
 
 class _Objective:

@@ -23,6 +23,7 @@ from gausscap.capacity import (
 )
 from gausscap.core import (
     EnergyBelowVacuum,
+    NonPositive,
     NumericsError,
     OutOfInterval,
     make_covariance,
@@ -186,6 +187,12 @@ class TestUpperBound:
             e = rng.uniform(0.5 + bq, 8.0)
             res = capacity_energy(beta, e, cross_check=False)
             assert res.capacity_nats <= upper_bound(bq, e) + 1e-12
+
+
+    @pytest.mark.parametrize("beta_q", [-0.4, -1.0, math.nan, INF, -INF])
+    def test_rejects_beta_q_outside_zero_to_inf(self, beta_q):
+        with pytest.raises(NonPositive):
+            upper_bound(beta_q, 1.0)
 
 
 class TestCapacityEnergy:

@@ -135,6 +135,14 @@ class TestBoundCommand:
         assert payload["upper_bound_nats"] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+    @pytest.mark.parametrize("beta_q", ["-1", "nan", "inf"])
+    def test_invalid_beta_q_exit_2(self, runner, beta_q):
+        res = runner.invoke(main, ["bound", "--beta-q", beta_q, "-e", "1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: NonPositive" in res.output
+
+
 class TestHgmSearchCommand:
     def test_smoke_json_report(self, runner):
         res = run_ok(runner, ["hgm-search", "--alpha-q", "1", "--alpha-p", "1",
@@ -177,6 +185,17 @@ class TestHgmSearchCommand:
         assert isinstance(res.exception, SystemExit)  # not an uncaught error
         assert "error: NonPositive" in res.output
 
+    @pytest.mark.parametrize("flag, value", [("--starts", "0"), ("--starts", "-2"),
+                                             ("--iters", "-1")])
+    def test_empty_budget_exit_2(self, runner, flag, value):
+        args = {"--starts": "1", "--iters": "0", flag: value}
+        res = runner.invoke(main, ["hgm-search", "--alpha-q", "1", "--alpha-p", "1",
+                                   "--beta-q", "0.5", "--beta-p", "0.5", "-n", "8",
+                                   *(x for kv in args.items() for x in kv)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: NonPositive" in res.output
+
 
 class TestCltDemoCommand:
     def test_convergence_table(self, runner):
@@ -193,3 +212,11 @@ class TestCltDemoCommand:
     def test_non_power_of_two_exit_2(self, runner):
         res = runner.invoke(main, ["clt-demo", "--n-list", "3"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--half-width", "nan"), ("--half-width", "0"),
+                                             ("--half-width", "inf"), ("--nodes", "0")])
+    def test_bad_grid_exit_2(self, runner, flag, value):
+        res = runner.invoke(main, ["clt-demo", flag, value])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: NonPositive" in res.output

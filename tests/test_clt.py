@@ -9,7 +9,7 @@ from gausscap.clt import (
     clt_marginal_charfn,
     gaussian_charfn,
 )
-from gausscap.core import make_covariance
+from gausscap.core import NonPositive, make_covariance
 from gausscap.fock import quantum_charfn
 
 
@@ -98,3 +98,10 @@ class TestConvergenceReport:
         alpha = make_covariance(0.9, 0.7)
         report = clt_convergence_report(gaussian_charfn(alpha), alpha, [2, 32])
         assert all(dev < 1e-12 for _, dev in report)
+
+    @pytest.mark.parametrize("half_width, nodes", [(math.nan, 41), (0.0, 41), (-1.0, 41),
+                                                   (math.inf, 41), (4.0, 0)])
+    def test_rejects_empty_or_unbounded_grid(self, half_width, nodes):
+        alpha = make_covariance(0.9, 0.7)
+        with pytest.raises(NonPositive):
+            clt_convergence_report(gaussian_charfn(alpha), alpha, [2], half_width, nodes)

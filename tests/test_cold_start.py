@@ -1,5 +1,6 @@
 """The closed-form layer loads without the numpy/scipy engine or a process pool,
-and the Fock engine, the stress search included, loads without scipy."""
+and the Fock engine, the stress search included, loads without scipy.  No
+layer loads dataclasses (and with it inspect, ast, dis and tokenize)."""
 
 import json
 import os
@@ -25,10 +26,10 @@ CLOSED_FORM_COMMANDS = {
 }
 
 
-def heavy_modules_after(code):
-    """Run code in a fresh interpreter; the heavy modules it left loaded."""
+def heavy_modules_after(code, heavy=HEAVY):
+    """Run code in a fresh interpreter; the modules of heavy it left loaded."""
     script = (f"import json, sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
-              f"print(json.dumps(sorted(m for m in {HEAVY!r} if m in sys.modules)))")
+              f"print(json.dumps(sorted(m for m in {heavy!r} if m in sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -37,6 +38,16 @@ def heavy_modules_after(code):
 
 def test_import_loads_no_engine():
     assert heavy_modules_after("import gausscap") == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    assert heavy_modules_after("import gausscap", ("dataclasses", "inspect")) == []
+
+
+def test_fock_engine_loads_no_dataclasses():
+    code = ("import numpy\n"
+            "import gausscap.fock, gausscap.grids, gausscap.hgm, gausscap.clt, gausscap.dualcheck")
+    assert heavy_modules_after(code, ("dataclasses",)) == []
 
 
 @pytest.mark.parametrize("command", sorted(CLOSED_FORM_COMMANDS))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gausscap.core import make_covariance, make_noise
+from gausscap.core import NonPositive, make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
 from gausscap.grids import QuadratureGrid, _average_moments
 from gausscap.hgm import (
@@ -76,6 +76,11 @@ class TestHgmSearch:
         report = hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
         assert report.feasible
         assert report.best_value_nats <= report.ceiling_nats + 1e-3
+
+    @pytest.mark.parametrize("field, value", [("starts", 0), ("starts", -1), ("max_iter", -1)])
+    def test_config_rejects_an_empty_budget(self, field, value):
+        with pytest.raises(NonPositive):
+            SearchConfig(**{field: value})
 
     def test_report_gives_the_squeezing_the_states_use(self):
         # unpack clips r to [-3, 3]; the report must describe the same states.
