@@ -7,9 +7,12 @@ e^{2r} = 2 beta_q, followed by classical Gaussian noise of variance
 delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo, Quantum
 Systems, Channels, Information, 2nd ed. 2019, ch. 12), and the position
 density of types 2 and 3 is exact on a Gauss-Hermite rule.  Entropies and
-mutual information stream the densities on the tensor quadrature grid a
-block of outcome rows at a time into one reducer (_information), so no
-(states x outcome points) array is held.
+mutual information stream the densities on the tensor quadrature grid into
+one reducer (_information) with a bounded working set: vectors are built a
+block of outcome rows at a time (BLOCK_NODES), each block is dropped before
+the next is built, and overlaps, squared moduli and entropy terms run on
+sub-blocks of about SUB_BLOCK_OVERLAPS overlaps, so no (states x outcome
+points) array and no whole-grid weight tensor is held.
 """
 
 import math
@@ -38,7 +41,9 @@ TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
 # A 32-node Gauss-Legendre panel of half-width a integrates exp(ikv) to 1e-14 for |k| a <= 32.
 PANEL_NODES = 32
 SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
-BLOCK_NODES = 256  # vectors per block: one 200-node row, 0.7 MB of overlaps with 225 members
+BLOCK_NODES = 256  # vectors built per block: one 200-node row, 0.2 MB at dim 61
+# Overlaps <u_j|v_k> per sub-block (256 KB complex): 72 vector rows with 225 members.
+SUB_BLOCK_OVERLAPS = 16384
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
 # is smeared so; on a 200-node row, 10 cost what the panels cost (delta = 1e-3).
 HERMITE_NODES_MAX = 10
@@ -61,20 +66,24 @@ class QuadratureGrid(_record("QuadratureGrid", "half_width nodes_per_axis")):
 class DiscreteEnsemble:
     """Finite ensemble of Fock-basis states with positive weights summing to 1.
 
-    ``weights`` and ``states`` are read-only; ``len`` counts the members.
+    ``weights`` (a read-only 1-D float copy) and ``states`` are read-only;
+    ``len`` counts the members.
     """
 
     __slots__ = ("_weights", "_states")
 
     def __init__(self, weights, states):
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"ensemble weights must be 1-D, got shape {w.shape}")
         if np.any(w <= 0):
             raise ValueError("ensemble weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {w.sum()}, expected 1")
         if len(states) != w.shape[0]:
             raise ValueError("weights and states length mismatch")
-        self._weights, self._states = weights, states
+        w.flags.writeable = False
+        self._weights, self._states = w, states
 
     def __repr__(self):
         return f"DiscreteEnsemble(weights={self._weights!r}, states={self._states!r})"
@@ -87,33 +96,40 @@ class DiscreteEnsemble:
 
 
 def _state_components(states, dim):
-    """(P, V): column k of V is an eigenvector of state i with weight P[i, k].
+    """(P, B): column k of B is the conjugate of an eigenvector of state i with weight P[i, k].
 
-    A state vector is one normalized column with weight 1.  Columns are
-    zero-padded to dim rows, which is exact in the Fock basis.  A state whose
-    norm (trace) is not positive and finite raises TruncationInsufficient.
+    A state vector is one normalized column with weight 1; when every state
+    is one, P is the identity and is returned as None.  Columns are
+    zero-padded to dim rows, which is exact in the Fock basis.  A state
+    wider than dim, or whose norm (trace) is not positive and finite, raises
+    TruncationInsufficient.
     """
     comps = []
     for s in states:
         mat = state_array(s)
+        if mat.shape[0] > dim:
+            raise TruncationInsufficient(
+                f"a state of dimension {mat.shape[0]} exceeds the sampler's dimension {dim}")
         norm = np.linalg.norm(mat) if mat.ndim == 1 else np.trace(mat).real
         if not 0.0 < norm < math.inf:
             raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
         if mat.ndim == 1:
-            comps.append((np.ones(1), (mat / norm)[:, None]))
+            comps.append((None, mat[:, None], norm))
             continue
         vals, vecs = np.linalg.eigh(mat)
         keep = vals > EIG_TOL * max(vals.max(), 1.0)
-        comps.append((vals[keep], vecs[:, keep]))
-    cols = sum(p.shape[0] for p, _ in comps)
-    vecs = np.zeros((dim, cols), dtype=np.result_type(*(v for _, v in comps)))
-    probs = np.zeros((len(comps), cols))
+        comps.append((vals[keep], vecs[:, keep], 1.0))
+    cols = sum(v.shape[1] for _, v, _ in comps)
+    bras = np.zeros((dim, cols), dtype=np.result_type(*(v for _, v, _ in comps)))
+    pure = all(p is None for p, _, _ in comps)
+    probs = None if pure else np.zeros((len(comps), cols))
     col = 0
-    for i, (p, v) in enumerate(comps):
-        vecs[:v.shape[0], col:col + p.shape[0]] = v
-        probs[i, col:col + p.shape[0]] = p
-        col += p.shape[0]
-    return probs, vecs
+    for i, (p, v, norm) in enumerate(comps):
+        bras[:v.shape[0], col:col + v.shape[1]] = v / norm
+        if not pure:
+            probs[i, col:col + v.shape[1]] = 1.0 if p is None else p
+        col += v.shape[1]
+    return probs, np.conjugate(bras, out=bras)
 
 
 class OutputSampler:
@@ -173,12 +189,19 @@ class OutputSampler:
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
 
-        Yields (n_states, m) blocks of the outcomes of consecutive x, x outer.
+        Yields (n_states, m) blocks of the outcomes of consecutive x, x outer:
+        whole smearing groups of about SUB_BLOCK_OVERLAPS overlaps each, or
+        under panel smearing one x.  Each block of vectors is dropped before
+        the next is built.
         """
-        probs, vecs = _state_components(states, self.dim)
+        probs, bras = _state_components(states, self.dim)
         nodes, smear = self._smearing_kernel(axes[1] if self.outcome_dim == 2 else None)
+        group = smear.shape[1]
+        step = max(group, _sub_block_rows(bras) // group * group)
         for vectors in self._vector_blocks(axes[0], nodes.ravel()):
-            yield _reduce(probs, vecs, vectors, smear)
+            for k in range(0, len(vectors), step):
+                yield _reduce(probs, bras, vectors[k:k + step], smear)
+            del vectors
 
     def _smearing_kernel(self, ys):
         """(nodes, smear): the inner nodes of each x; smear maps each block of them to outcomes.
@@ -207,7 +230,8 @@ class OutputSampler:
         half = 0.5 * (hi - lo) / panels
         v = ((lo + half * (2.0 * np.arange(panels) + 1.0))[:, None] + half * t).ravel()
         smear = np.subtract.outer(ys, v)  # one (outcomes, nodes) array, updated in place
-        smear *= smear / (-2.0 * self.delta)
+        np.square(smear, out=smear)
+        smear /= -2.0 * self.delta
         np.exp(smear, out=smear)
         smear *= np.tile(half * w, panels) / ((2.0 * math.pi) ** 1.5 * sd)
         return v, smear
@@ -246,18 +270,42 @@ def _hermite_rule(omega):
     return None
 
 
-def _reduce(probs, vecs, vectors, smear):
+def _sub_block_rows(bras):
+    """Vector rows per sub-block: about SUB_BLOCK_OVERLAPS overlaps with the bras' columns."""
+    return max(1, SUB_BLOCK_OVERLAPS // bras.shape[1])
+
+
+def _reduce(probs, bras, vectors, smear):
     """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2, smeared per block of nodes j.
 
-    Matmul operands share a dtype, which keeps it in BLAS: real u_j take one
-    real matmul with the interleaved parts of v_k, as |u.v| = |<u|v>|."""
-    if np.iscomplexobj(vecs) and not np.iscomplexobj(vectors):
-        amps = (vectors @ vecs.view(float)).view(complex)
-    else:
-        amps = vectors @ vecs.conj().astype(vectors.dtype, copy=False)
-    dens = probs @ (np.abs(amps) ** 2).T
+    bras holds the conjugated v_k; probs None means one column per state,
+    weight 1, whose moduli go straight into the node densities.  Otherwise
+    the real and imaginary parts are squared in place and summed by one
+    matmul with probs repeated per part.  Overlaps run on sub-blocks of u_j,
+    and the node densities are smeared as a whole.  Matmul operands share a
+    dtype, which keeps it in BLAS: real u_j take one real matmul with the
+    interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
+    """
+    split = np.iscomplexobj(bras) and not np.iscomplexobj(vectors)
+    cols = bras.view(float) if split else bras.astype(vectors.dtype, copy=False)
+    if probs is not None and (split or np.iscomplexobj(cols)):
+        probs = np.repeat(probs, 2, axis=1)
+    dens = np.empty((bras.shape[1] if probs is None else probs.shape[0], len(vectors)))
+    rows = _sub_block_rows(bras)
+    for k in range(0, len(vectors), rows):
+        amps = vectors[k:k + rows] @ cols
+        out = dens[:, k:k + rows]
+        if probs is None:
+            np.abs(amps.view(complex) if split else amps, out=out.T)
+            out *= out
+        else:
+            amps = amps.view(float)  # real and imaginary parts interleaved
+            amps *= amps
+            np.matmul(probs, amps.T, out=out)
+        del amps  # before the next sub-block's overlaps
     if smear.shape == (1, 1):  # one node per outcome: pure type-1 noise, the sharp measurement
-        return dens * smear[0, 0]
+        dens *= smear[0, 0]
+        return dens
     n = dens.shape[0]
     return (dens.reshape(n, -1, smear.shape[1]) @ smear.T).reshape(n, -1)
 
@@ -286,13 +334,18 @@ def _grid_nodes(means, sigmas, grid):
 
 
 def _grid_blocks(sampler, states, axes):
-    """(densities, quadrature weights) of the states per block of the axes' tensor."""
+    """(densities, quadrature weights) of the states per block of the axes' tensor.
+
+    Each block's weights wx[i] wy[j] come from the x rows i it spans only.
+    """
     nodes, weights = zip(*axes)
-    flat = weights[0] if len(axes) == 1 else np.outer(*weights).ravel()
+    wx, wy = weights[0], weights[1] if len(axes) == 2 else np.ones(1)
     start = 0
     for p in sampler.stream(states, nodes):
-        yield p, flat[start:start + p.shape[1]]
-        start += p.shape[1]
+        i, j = divmod(start, len(wy))
+        stop = start + p.shape[1]
+        yield p, np.outer(wx[i:(stop - 1) // len(wy) + 1], wy).ravel()[j:j + p.shape[1]]
+        start = stop
 
 
 def _output_window(moments, beta):
@@ -312,17 +365,23 @@ def _information(weights, blocks):
 
     blocks yields (p, qweights) pairs: densities p (members, points) on part
     of the outcome grid and the quadrature weights of those points.  An
-    entropy -sum qweights p log p takes the densities > 0 only.
+    entropy -sum qweights p log p takes the densities > 0 only.  The sums
+    over blocks are rounded once (math.fsum), so their rounding does not
+    grow with the number of blocks.
     """
-    h_avg = h_members = mass = 0.0
+    h_avg, h_members, mass = [], [], []
     for p, qweights in blocks:
         rows = np.vstack([weights @ p, p])
         positive = rows > 0
-        ent = -(np.where(positive, rows * np.log(np.where(positive, rows, 1.0)), 0.0) @ qweights)
-        h_avg += ent[0]
-        h_members += weights @ ent[1:]
-        mass += rows[0] @ qweights
-    return float(h_avg), float(h_avg - h_members), float(mass)
+        terms = np.zeros_like(rows)
+        np.log(rows, out=terms, where=positive)
+        np.multiply(rows, terms, out=terms, where=positive)
+        ent = -(terms @ qweights)
+        h_avg.append(ent[0])
+        h_members.append(weights @ ent[1:])
+        mass.append(rows[0] @ qweights)
+    h = math.fsum(h_avg)
+    return h, h - math.fsum(h_members), math.fsum(mass)
 
 
 def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
@@ -359,8 +418,7 @@ def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """
     axes = _grid_axes(*_output_window(_average_moments(ens.weights, ens.states), beta), grid)
     sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in ens.states))
-    weights = np.asarray(ens.weights, dtype=float)
-    _, mi, mass = _information(weights, _grid_blocks(sampler, ens.states, axes))
+    _, mi, mass = _information(ens.weights, _grid_blocks(sampler, ens.states, axes))
     if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
         raise NormalizationFailure(
             f"average density mass {mass} deviates from 1 beyond {mass_tol}"

@@ -23,6 +23,7 @@ from gausscap.fock import (
 )
 from gausscap.grids import (
     DiscreteEnsemble,
+    SUB_BLOCK_OVERLAPS,
     OutputSampler,
     QuadratureGrid,
     _average_moments,
@@ -262,6 +263,25 @@ class TestDiscreteEnsemble:
         with pytest.raises(ValueError):
             DiscreteEnsemble(np.array([1.0]), (v, v))
 
+    def test_weights_are_a_read_only_copy(self):
+        v = np.zeros(5)
+        given = np.array([0.5, 0.5])
+        ens = DiscreteEnsemble(given, (v, v))
+        given[0] = 0.9
+        assert ens.weights.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError):
+            ens.weights[0] = 0.9
+        listed = DiscreteEnsemble([0.25, 0.75], (v, v)).weights
+        assert isinstance(listed, np.ndarray) and listed.dtype == np.float64
+        assert listed.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("weights", [np.array([[0.5, 0.5]]), np.array(1.0),
+                                         [[0.25, 0.25], [0.25, 0.25]]])
+    def test_rejects_weights_that_are_not_1d(self, weights):
+        v = np.zeros(5)
+        with pytest.raises(ValueError, match="1-D"):
+            DiscreteEnsemble(weights, (v, v))
+
     def test_discretize_moments(self):
         spec = GaussianEnsembleSpec(0.325, 0.675, 0.0)
         ens = discretize_gaussian_ensemble(spec, nodes=11, n_max=40)
@@ -308,7 +328,7 @@ class TestMutualInformation:
 
     def test_traced_peak_of_the_oracle_ensemble(self):
         # 225 members on the default 200 x 200 grid: the full density matrix
-        # alone would take 72 MB.
+        # alone would take 72 MB, and one 200-point row of overlaps 0.7 MB.
         spec = GaussianEnsembleSpec(0.5, 0.5, 0.5)
         ens = discretize_gaussian_ensemble(spec, nodes=15, n_max=60)
         tracemalloc.start()
@@ -317,7 +337,7 @@ class TestMutualInformation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 2.0e6
 
     def test_regime_r_discretized_capacity(self):
         # Criterion 07's R case: a 15-node discretization of the optimal
@@ -333,7 +353,8 @@ class TestMutualInformation:
     def test_traced_peak_of_the_rank_59_entropy(self):
         # Criterion 06's mixed noise, beta_q beta_p = 4: with a noise matrix
         # of rank 59, each outcome row once built a (61 levels x 59 noise
-        # columns x inner nodes) product, 38 MB traced.
+        # columns x inner nodes) product, 38 MB traced.  Most of what is left
+        # is the panel smearing matrix (1.2 MB) and one x's vectors (0.8 MB).
         rho = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)
         beta = make_noise(2.0, 2.0)
         tracemalloc.start()
@@ -342,7 +363,7 @@ class TestMutualInformation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 2.5e6
 
 
 def dense_information(weights, dens, qweights):
@@ -380,7 +401,9 @@ class TestStreamedReducer:
     @pytest.mark.parametrize("beta, grid", [
         (make_noise(0.5, 0.5), QuadratureGrid(8.0, 60)),
         (make_noise(1.0, 4.0), QuadratureGrid(8.0, 60)),
+        (make_noise(1.0, 0.25 + 1e-4), QuadratureGrid(8.0, 60)),  # a Gauss-Hermite rule
         (make_noise(0.3, INF), QuadratureGrid()),
+        (make_noise(0.0, INF), QuadratureGrid(8.0, 60)),  # the sharp measurement
         (make_noise(0.2, INF), QuadratureGrid(40.0, 200)),
     ])
     def test_matches_dense_reduction(self, beta, grid):
@@ -392,6 +415,14 @@ class TestStreamedReducer:
         for state in ens.states:
             _, (h, _, _) = self.dense([1.0], [state], beta, grid)
             assert numeric_output_entropy(state, beta, grid) == pytest.approx(h, abs=1e-12)
+
+    def test_all_pure_ensemble_across_sub_blocks(self):
+        # 324 pure members: one 60-point outcome row spans several sub-blocks.
+        ens = discretize_gaussian_ensemble(GaussianEnsembleSpec(0.5, 0.5, 0.5), nodes=18, n_max=40)
+        beta, grid = make_noise(0.5, 0.5), QuadratureGrid(8.0, 60)
+        assert SUB_BLOCK_OVERLAPS // len(ens) < grid.nodes_per_axis
+        _, (_, mi, _) = self.dense(ens.weights, ens.states, beta, grid)
+        assert mutual_information(ens, beta, grid) == pytest.approx(mi, abs=1e-12)
 
 
 class TestZeroNormStates:
@@ -409,3 +440,20 @@ class TestZeroNormStates:
         points = np.zeros((1, 2)) if beta.noise_type == 1 else np.zeros(1)
         with pytest.raises(TruncationInsufficient):
             OutputSampler(beta, 25).densities([lost], points)
+
+
+class TestOversizedStates:
+    # A state wider than the sampler's dim cannot be zero-padded to it.
+    @pytest.mark.parametrize("beta", [make_noise(1.0, 1.0), make_noise(0.5, 0.5),
+                                      make_noise(0.2, INF)])
+    def test_raises_truncation_insufficient(self, beta):
+        wide = np.ones(81) / 9.0
+        sampler = OutputSampler(beta, 61)
+        points = np.zeros((1, sampler.outcome_dim))
+        with pytest.raises(TruncationInsufficient, match="81.*61"):
+            sampler.densities([wide], points)
+        with pytest.raises(TruncationInsufficient, match="81.*61"):
+            sampler.bind(points)([np.outer(wide, wide)])
+        axes = (np.zeros(1),) * sampler.outcome_dim
+        with pytest.raises(TruncationInsufficient, match="81.*61"):
+            next(sampler.stream([wide], axes))

@@ -88,13 +88,22 @@ def field_values(record, fields):
     return tuple(getattr(record, f) for f in fields)
 
 
+def stored_as_given(cls, name, stored, given):
+    """Fields are stored as given, except DiscreteEnsemble's weights: a read-only copy."""
+    if (cls, name) == (DiscreteEnsemble, "weights"):
+        return (stored is not given and not stored.flags.writeable
+                and np.array_equal(stored, given))
+    return stored is given
+
+
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda t: t.__name__)
 def test_keyword_and_positional_construction_agree(cls):
     fields, values = RECORDS[cls]
     positional = cls(*values)
     keyword = cls(**dict(zip(fields, values)))
     for record in (positional, keyword):
-        assert all(a is b for a, b in zip(field_values(record, fields), values))
+        assert all(stored_as_given(cls, f, a, b)
+                   for f, a, b in zip(fields, field_values(record, fields), values))
     if cls not in ARRAY_RECORDS:
         assert cls._fields == fields
         assert tuple(positional) == values
@@ -107,7 +116,7 @@ def test_assignment_raises(cls):
     for name in (fields[0], "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, values[0])
-    assert field_values(record, fields)[0] is values[0]
+    assert stored_as_given(cls, fields[0], field_values(record, fields)[0], values[0])
 
 
 @pytest.mark.parametrize("cls", HASHABLE, ids=lambda t: t.__name__)
