@@ -24,7 +24,8 @@ def _psd_sqrt(mat):
 
 
 def _trace_norm(mat):
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
+    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
 
 
 def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
@@ -34,9 +35,9 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
     dual = dual_ensemble(alpha, beta)
     sqrt_bar = _psd_sqrt(gaussian_state_fock(alpha, n_max).matrix)
-    # Square-root columns of rho_beta and rho', both real: their covariances are diagonal.
+    # Square-root columns of rho_beta and rho'.
     noise, prime = (
-        square_root_columns(gaussian_state_fock(make_covariance(cq, cp), n_max).matrix.real)
+        square_root_columns(gaussian_state_fock(make_covariance(cq, cp), n_max).matrix)
         for cq, cp in ((beta.beta_q, beta.beta_p), (dual.alpha_prime_q, dual.alpha_prime_p)))
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.

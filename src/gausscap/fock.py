@@ -1,17 +1,15 @@
 """Truncated Fock-basis states and the action of displacements on them.
 
-States live on the span of |0>..|N> (dimension N+1), and no dense
-displacement matrix is built.  Displaced squeezed vectors
-D(x,y) S(r)(cos t|0> + sin t|1>) are the exact projections onto |0>..|N>,
-from the recurrence of the annihilator of D S |0> (Yuen, PRA 13, 2226
-(1976)): the stress-search members and the vectors of every type-1 outcome
-density (grids.OutputSampler).  One Gauss-Legendre grid of inner positions
-with the oscillator eigenfunctions tabulated on it carries the rest: the
-operator duality check takes <n|D(x,y)|c_r> for fixed columns c_r there
-(displaced_amplitudes), and the characteristic function integrates the
-state's wavefunction products (quantum_charfn).  Squeezed thermal states
-come from one cached eigendecomposition of the squeeze generator per
-dimension, so the module needs numpy only.
+States live on the span of |0>..|N> (dimension N+1); no dense displacement
+matrix is built.  Displaced squeezed vectors D(x,y) S(r)(cos t|0> + sin t|1>)
+are exact projections onto |0>..|N> from the recurrence of the annihilator
+of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
+vectors of every type-1 outcome density (grids.OutputSampler).  One
+Gauss-Legendre grid of inner positions with the oscillator eigenfunctions
+on it carries the rest: <n|D(x,y)|c_r> for fixed columns c_r (the duality
+check's displaced_amplitudes) and the characteristic function
+(quantum_charfn).  Squeezed thermal states come from one cached
+eigendecomposition of the squeeze generator per dimension; numpy only.
 """
 
 import functools
@@ -135,33 +133,38 @@ def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
     part D S |1> = (cosh r a+ - sinh r a - conj(c)) g reads g one level
     past the truncation.
     """
-    x, y, r, theta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                           for v in (x, y, r, theta)))
-    shape = x.shape
-    zeta = ((x + 1j * y) / math.sqrt(2.0)).ravel()
-    r, theta = r.ravel(), theta.ravel()
+    x, y, r, theta = (np.asarray(v, float) for v in (x, y, r, theta))
+    shape = (dim + 1,) + np.broadcast_shapes(x.shape, y.shape, r.shape, theta.shape)
+    return _displaced_squeezed(np.empty(shape, complex), x, y, r, theta)
+
+
+def _displaced_squeezed(g, x, y, r, theta=0.0):
+    """displaced_squeezed_vector(x, y, r, len(g) - 1, theta) built in g."""
+    dim = len(g) - 1
+    zeta = (x + 1j * y) / math.sqrt(2.0)
     ch, sh = np.cosh(r), np.sinh(r)
     c = ch * zeta - sh * np.conj(zeta)
-    root = np.sqrt(np.arange(dim + 1.0))[:, None]
-    g = np.empty((dim + 1, zeta.shape[0]), dtype=complex)
+    root = np.sqrt(np.arange(dim + 1.0)).reshape(-1, *[1] * (g.ndim - 1))
+    up, down = sh * root, ch * root
     g[0] = np.exp(-0.5 * np.abs(zeta) ** 2 + 0.5 * np.tanh(r) * np.conj(zeta) ** 2) / np.sqrt(ch)
     g[1] = c * g[0] / ch
     for n in range(1, dim):
-        g[n + 1] = (c * g[n] + sh * root[n] * g[n - 1]) / (ch * root[n + 1])
+        step = np.multiply(c, g[n], out=g[n + 1, ...])
+        step += up[n] * g[n - 1]
+        step /= down[n + 1]
     vec = g[:dim]
-    if theta.any():
-        photon = -np.conj(c) * vec - sh * root[1:] * g[1:]
-        photon[1:] += ch * root[1:dim] * g[:dim - 1]
+    if np.any(theta):
+        photon = -np.conj(c) * vec - up[1:] * g[1:]
+        photon[1:] += down[1:dim] * g[:dim - 1]
         vec = np.cos(theta) * vec + np.sin(theta) * photon
-    return vec.T.reshape(shape + (dim,))
+    return np.moveaxis(vec, 0, -1)
 
 
 def state_moments(rho):
     """Means and variances of (q, p) for a density matrix or state vector.
 
     Read off the ladder sums <a>, <a^2> and <a+a> of the normalized state,
-    which need only the first three bands below the diagonal of rho.  A
-    norm that is not positive and finite raises TruncationInsufficient.
+    which need only the first three bands below the diagonal of rho.
     """
     mat = state_array(rho)
     dim = mat.shape[0]

@@ -1,18 +1,14 @@
 """Quadrature grids, POVM outcome densities, entropies and mutual information.
 
-Outcome densities are taken relative to Lebesgue measure, whose constant
-drops from every difference of entropies.  OutputSampler needs no noise
-matrix: a type-1 measurement is the pure one with noise state S(r)|0>,
-e^{2r} = 2 beta_q, followed by classical Gaussian noise of variance
-delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo, Quantum
-Systems, Channels, Information, 2nd ed. 2019, ch. 12), and the position
-density of types 2 and 3 is exact on a Gauss-Hermite rule.  Entropies and
-mutual information stream the densities on the tensor quadrature grid into
-one reducer (_information) with a bounded working set: vectors are built a
-block of outcome rows at a time (BLOCK_NODES), each block is dropped before
-the next is built, and overlaps, squared moduli and entropy terms run on
-sub-blocks of about SUB_BLOCK_OVERLAPS overlaps, so no (states x outcome
-points) array and no whole-grid weight tensor is held.
+Densities are relative to Lebesgue measure, whose constant drops from every
+difference of entropies.  A type-1 measurement is the pure one with noise
+state S(r)|0>, e^{2r} = 2 beta_q, followed by classical Gaussian noise of
+variance delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo,
+Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
+banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  bind fills
+the one array of vectors it keeps; entropies and mutual information stream
+the densities into one reducer (_information), a block of vectors
+(BLOCK_NODES) and a sub-block of overlaps (SUB_BLOCK_OVERLAPS) at a time.
 """
 
 import math
@@ -31,6 +27,7 @@ from .fock import (
     DEFAULT_N,
     EIG_TOL,
     _hermite_functions,
+    _displaced_squeezed,
     _gauss_rule,
     displaced_squeezed_vector,
     state_array,
@@ -76,8 +73,8 @@ class DiscreteEnsemble:
         w = np.array(weights, dtype=float)
         if w.ndim != 1:
             raise ValueError(f"ensemble weights must be 1-D, got shape {w.shape}")
-        if np.any(w <= 0):
-            raise ValueError("ensemble weights must be positive")
+        if not np.all(w > 0):  # NaN fails
+            raise ValueError("ensemble weights must be positive numbers")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {w.sum()}, expected 1")
         if len(states) != w.shape[0]:
@@ -100,9 +97,7 @@ def _state_components(states, dim):
 
     A state vector is one normalized column with weight 1; when every state
     is one, P is the identity and is returned as None.  Columns are
-    zero-padded to dim rows, which is exact in the Fock basis.  A state
-    wider than dim, or whose norm (trace) is not positive and finite, raises
-    TruncationInsufficient.
+    zero-padded to dim rows, which is exact in the Fock basis.
     """
     comps = []
     for s in states:
@@ -138,8 +133,8 @@ class OutputSampler:
     Type 1 (finite beta) has outcomes (x, y), density
     Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = int p1(x,v) N(y - v; delta) dv;
     types 2 and 3 (beta_p = +inf) have outcomes x.  Each x has vectors u_j,
-    one per inner node, and a smearing matrix S shared by all x: the
-    densities at x are S @ sum_k p_k |<u_j|v_k>|^2 over the states' v_k.
+    one per inner node, and a banded kernel S shared by all x: the densities
+    at x are S @ sum_k p_k |<u_j|v_k>|^2 over the states' v_k.
     """
 
     def __init__(self, beta, dim=DEFAULT_N + 1):
@@ -160,66 +155,68 @@ class OutputSampler:
         self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))
 
     def densities(self, states, points):
-        """Density rows for each state at the given outcome points.
-
-        points: array (G, 2) for type 1 or (G,) for type 2.  Returns
-        (n_states, G) real array.
-        """
+        """(n_states, G) densities of each state at the points, (G, 2) for type 1 or (G,)."""
         return self.bind(points)(states)
 
     def bind(self, points):
         """densities(states, points) for fixed points, as a function of states.
 
-        The vectors are built here, a block at a time: each point's own
-        nodes, or under panel smearing one v grid per distinct x for all y.
+        The vectors are built here into one kept array: each point's own
+        nodes, or under panel smearing one v grid per distinct x.
         """
         points = np.asarray(points, dtype=float).reshape(-1, self.outcome_dim)
         xs, index = points[:, 0], slice(None)
         if self.outcome_dim == 1 or self.rule is not None:
-            nodes, smear = self._smearing_kernel(points[:, -1])
+            nodes, bands = self._smearing_kernel(points[:, -1])
         else:
             xs, ix = np.unique(xs, return_inverse=True)
             ys, iy = np.unique(points[:, 1], return_inverse=True)
-            nodes, smear = self._smearing_kernel(ys)
+            nodes, bands = self._smearing_kernel(ys)
             index = ix * len(ys) + iy
-        vectors = np.concatenate(list(self._vector_blocks(xs, nodes)))
+        width = nodes.shape[-1]
+        vectors = np.empty((len(xs) * width, self.dim), complex if self.outcome_dim == 2 else float)
+        start = 0
+        for block in self._vector_blocks(xs, nodes):
+            vectors[start:start + len(block)] = block
+            start += len(block)
         return lambda states: _reduce(
-            *_state_components(states, self.dim), vectors, smear)[:, index]
+            *_state_components(states, self.dim), vectors, width, bands)[:, index]
 
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
 
-        Yields (n_states, m) blocks of the outcomes of consecutive x, x outer:
-        whole smearing groups of about SUB_BLOCK_OVERLAPS overlaps each, or
-        under panel smearing one x.  Each block of vectors is dropped before
-        the next is built.
+        Yields (n_states, m) blocks of consecutive outcomes, x outer: whole
+        smearing groups of about SUB_BLOCK_OVERLAPS overlaps, or under panel
+        smearing one x.
         """
         probs, bras = _state_components(states, self.dim)
-        nodes, smear = self._smearing_kernel(axes[1] if self.outcome_dim == 2 else None)
-        group = smear.shape[1]
-        step = max(group, _sub_block_rows(bras) // group * group)
+        nodes, bands = self._smearing_kernel(axes[1] if self.outcome_dim == 2 else None)
+        width = nodes.shape[-1]
+        step = max(width, _sub_block_rows(bras) // width * width)
         for vectors in self._vector_blocks(axes[0], nodes.ravel()):
             for k in range(0, len(vectors), step):
-                yield _reduce(probs, bras, vectors[k:k + step], smear)
+                yield _reduce(probs, bras, vectors[k:k + step], width, bands)
             del vectors
 
     def _smearing_kernel(self, ys):
-        """(nodes, smear): the inner nodes of each x; smear maps each block of them to outcomes.
+        """(nodes, bands): the inner nodes of each x; band (j, S) maps the
+        nodes j, j+1, ... to the next len(S) outcomes.
 
         Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
         (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
         W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise
         Gauss-Legendre panels over the ys widened by TAIL deviations,
-        resolving the noise kernel plus the bandwidth, and
-        smear[y, v] = w_v N(y - v; delta) / 2 pi.
+        resolving the noise kernel plus the bandwidth; each run of ys in one
+        span of TAIL/2 deviations takes S[y, v] = w_v N(y - v; delta) / 2 pi
+        at the nodes v within TAIL deviations of it.
         """
         t, w = self.rule or (None, None)
         if self.outcome_dim == 1:
-            return t, np.ones((1, len(t)))
+            return t, [(0, np.ones((1, len(t))))]
         ys = np.asarray(ys, dtype=float)
         if t is not None:
-            return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), w[None, :] / (
-                2.0 * math.pi ** 1.5)
+            return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), [
+                (0, w[None, :] / (2.0 * math.pi ** 1.5))]
         sd = math.sqrt(self.delta)
         lo, hi = ys.min() - TAIL * sd, ys.max() + TAIL * sd
         panels = math.ceil((hi - lo) * (self.bandwidth + TAIL / sd) / (2.0 * PANEL_NODES))
@@ -229,28 +226,32 @@ class OutputSampler:
         t, w = _gauss_rule(PANEL_NODES)
         half = 0.5 * (hi - lo) / panels
         v = ((lo + half * (2.0 * np.arange(panels) + 1.0))[:, None] + half * t).ravel()
-        smear = np.subtract.outer(ys, v)  # one (outcomes, nodes) array, updated in place
-        np.square(smear, out=smear)
-        smear /= -2.0 * self.delta
-        np.exp(smear, out=smear)
-        smear *= np.tile(half * w, panels) / ((2.0 * math.pi) ** 1.5 * sd)
-        return v, smear
+        w = np.tile(half * w, panels) / ((2.0 * math.pi) ** 1.5 * sd)
+        bands = []
+        for part in np.split(ys, np.flatnonzero(np.diff((ys - lo) // (0.5 * TAIL * sd))) + 1):
+            j, k = np.searchsorted(v, (part.min() - TAIL * sd, part.max() + TAIL * sd))
+            bands.append((j, np.exp(np.subtract.outer(part, v[j:k]) ** 2 / (-2.0 * self.delta))
+                          * w[j:k]))
+        return v, bands
 
     def _vector_blocks(self, xs, nodes):
         """Fock coefficient rows u_j of consecutive xs, about BLOCK_NODES per block, x outer.
 
         nodes: (n,) shared by every x, or (len(xs), n).  Type 1: D(x,v) S(r)|0>
-        per node v.  Types 2 and 3: with b = 1 + 2 beta_q, the density at x
-        is exp(-x^2/b)/sqrt(pi b) sum_j W_j rho(q_j) e^{q_j^2} at
-        q_j = x/b + t_j sqrt(2 beta_q/b), exact as rho(q) e^{q^2} is a
-        polynomial; u_j holds the Hermite functions at q_j times sqrt(W_j).
+        per node v, each block over the last.  Types 2 and 3: with
+        b = 1 + 2 beta_q, the density at x is exp(-x^2/b)/sqrt(pi b)
+        sum_j W_j rho(q_j) e^{q_j^2} at q_j = x/b + t_j sqrt(2 beta_q/b),
+        exact as rho(q) e^{q^2} is a polynomial; u_j holds the Hermite
+        functions at q_j times sqrt(W_j).
         """
         xs = np.asarray(xs, dtype=float)[:, None]
         step = max(1, BLOCK_NODES // nodes.shape[-1])
+        if self.outcome_dim == 2:
+            g = np.empty((self.dim + 1, min(step, len(xs)), nodes.shape[-1]), complex)
         for k in range(0, len(xs), step):
             x, v = xs[k:k + step], nodes if nodes.ndim == 1 else nodes[k:k + step]
             if self.outcome_dim == 2:
-                yield displaced_squeezed_vector(x, v, self.r, self.dim).reshape(-1, self.dim)
+                yield _displaced_squeezed(g[:, :len(x)], x, v, self.r).reshape(-1, self.dim)
                 continue
             b = 1.0 + 2.0 * self.beta.beta_q
             log_start = 0.5 * np.log(self.rule[1]) - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
@@ -275,16 +276,15 @@ def _sub_block_rows(bras):
     return max(1, SUB_BLOCK_OVERLAPS // bras.shape[1])
 
 
-def _reduce(probs, bras, vectors, smear):
-    """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2, smeared per block of nodes j.
+def _reduce(probs, bras, vectors, width, bands):
+    """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2 per node j, smeared.
 
-    bras holds the conjugated v_k; probs None means one column per state,
-    weight 1, whose moduli go straight into the node densities.  Otherwise
-    the real and imaginary parts are squared in place and summed by one
-    matmul with probs repeated per part.  Overlaps run on sub-blocks of u_j,
-    and the node densities are smeared as a whole.  Matmul operands share a
-    dtype, which keeps it in BLAS: real u_j take one real matmul with the
-    interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
+    bras holds the conjugated v_k; probs None means one weight-1 column per
+    state.  Otherwise real and imaginary parts are squared in place and
+    summed by one matmul with probs repeated per part.  Overlaps run on
+    sub-blocks of u_j; each band smears every block of width nodes in one
+    matmul.  Matmul operands share a dtype, keeping it in BLAS: real u_j take
+    the interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
     """
     split = np.iscomplexobj(bras) and not np.iscomplexobj(vectors)
     cols = bras.view(float) if split else bras.astype(vectors.dtype, copy=False)
@@ -303,11 +303,12 @@ def _reduce(probs, bras, vectors, smear):
             amps *= amps
             np.matmul(probs, amps.T, out=out)
         del amps  # before the next sub-block's overlaps
-    if smear.shape == (1, 1):  # one node per outcome: pure type-1 noise, the sharp measurement
-        dens *= smear[0, 0]
+    if width == 1:  # pure type-1 noise or the sharp measurement
+        dens *= bands[0][1][0, 0]
         return dens
-    n = dens.shape[0]
-    return (dens.reshape(n, -1, smear.shape[1]) @ smear.T).reshape(n, -1)
+    blocks = dens.reshape(-1, width)
+    return np.concatenate([blocks[:, j:j + band.shape[1]] @ band.T for j, band in bands],
+                          axis=1).reshape(dens.shape[0], -1)
 
 
 def povm_density(rho, beta, x, y=0.0):
@@ -351,13 +352,8 @@ def _grid_blocks(sampler, states, axes):
 def _output_window(moments, beta):
     """Means and standard deviations of the output Gaussian for state moments."""
     mq, mp, vq, vp = moments
-    if beta.noise_type == 1:
-        means = (mq, mp)
-        sigmas = (math.sqrt(vq + beta.beta_q), math.sqrt(vp + beta.beta_p))
-    else:
-        means = (mq,)
-        sigmas = (math.sqrt(vq + beta.beta_q),)
-    return means, sigmas
+    k = 2 if beta.noise_type == 1 else 1
+    return (mq, mp)[:k], (math.sqrt(vq + beta.beta_q), math.sqrt(vp + beta.beta_p))[:k]
 
 
 def _information(weights, blocks):
@@ -365,9 +361,8 @@ def _information(weights, blocks):
 
     blocks yields (p, qweights) pairs: densities p (members, points) on part
     of the outcome grid and the quadrature weights of those points.  An
-    entropy -sum qweights p log p takes the densities > 0 only.  The sums
-    over blocks are rounded once (math.fsum), so their rounding does not
-    grow with the number of blocks.
+    entropy -sum qweights p log p takes the densities > 0 only.  Sums over
+    blocks are rounded once (math.fsum), not once per block.
     """
     h_avg, h_members, mass = [], [], []
     for p, qweights in blocks:
@@ -393,9 +388,7 @@ def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     sampler = OutputSampler(beta, state_array(rho).shape[0])
     h, _, mass = _information(np.ones(1), _grid_blocks(sampler, [rho], axes))
     if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
-        raise NormalizationFailure(
-            f"density mass {mass} deviates from 1 beyond {mass_tol}"
-        )
+        raise NormalizationFailure(f"density mass {mass} deviates from 1 beyond {mass_tol}")
     return h
 
 
@@ -420,9 +413,8 @@ def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in ens.states))
     _, mi, mass = _information(ens.weights, _grid_blocks(sampler, ens.states, axes))
     if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
-        raise NormalizationFailure(
-            f"average density mass {mass} deviates from 1 beyond {mass_tol}"
-        )
+        raise NormalizationFailure(f"average density mass {mass} deviates from 1 beyond "
+                                   f"{mass_tol}")
     return mi
 
 

@@ -225,6 +225,15 @@ class TestDisplacedSqueezedVector:
             ref = expm(z * a.T - np.conj(z) * a) @ (expm(r * gen) @ base)
             assert np.abs(v - ref[:dim]).max() <= 1e-14
 
+    def test_unbroadcast_r_and_theta_give_the_same_bits(self):
+        # A scalar r and theta are applied to every point without being
+        # spread over them first; the arithmetic per point is unchanged.
+        x, y = np.linspace(-2.0, 2.0, 7)[:, None], np.linspace(-1.0, 3.0, 5)
+        one = displaced_squeezed_vector(x, y, 0.4, 30, 0.7)
+        spread = displaced_squeezed_vector(x, y, np.full((7, 5), 0.4), 30, np.full((7, 5), 0.7))
+        assert one.shape == (7, 5, 30)
+        assert np.array_equal(one, spread)
+
     @pytest.mark.parametrize("r", [3.0, -3.0])
     def test_matches_mpmath_at_clip_squeezing(self, r):
         # No dense product up to dim 600 converges at |r| = 3; integrate

@@ -1,11 +1,11 @@
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from dense_displacement import displacement_matrix
+from dense_displacement import displacement_matrix, double_loop_displacement
+from traced import traced_peak
 from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha, optimal_squeezing
 from gausscap.core import (
     NormalizationFailure,
@@ -27,6 +27,7 @@ from gausscap.grids import (
     OutputSampler,
     QuadratureGrid,
     _average_moments,
+    _grid_axes,
     _grid_nodes,
     _output_window,
     _state_components,
@@ -110,11 +111,9 @@ def reference_density(rho, beta, points, dim):
     """
     rho = np.pad(rho, (0, dim - rho.shape[0]))
     rho_b = gaussian_state_fock(make_covariance(beta.beta_q, beta.beta_p), dim - 1).matrix
-    out = []
-    for x, y in points:
-        d = displacement_matrix(x, y, dim)
-        out.append(np.trace(rho @ d @ rho_b @ d.conj().T).real / (2.0 * math.pi))
-    return np.array(out)
+    zetas = [(x + 1j * y) / math.sqrt(2.0) for x, y in points]
+    return np.array([np.trace(rho @ d @ rho_b @ d.conj().T).real / (2.0 * math.pi)
+                     for d in double_loop_displacement(zetas, dim)])
 
 
 class TestOutputSampler:
@@ -192,6 +191,28 @@ class TestOutputSampler:
         got = OutputSampler(beta, 21).densities([rho], pts[:4])[0]
         assert np.max(np.abs(got - reference_density(rho, beta, pts[:4], 81))) <= 1e-12
 
+    def test_panel_bands_reach_the_outermost_outcomes(self):
+        # delta = 3.75 takes the panels, and each group of consecutive ys
+        # keeps only the nodes within TAIL deviations of it.  On a +-2 sd
+        # window no outcome is negligible, the first and last ys included.
+        # The ys need not be sorted.
+        beta = make_noise(0.2, 5.0)
+        rho = random_mixed_state(41, seed=31)
+        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(rho), beta),
+                                      QuadratureGrid(2.0, 40))
+        sampler = OutputSampler(beta, 41)
+        x = xs[len(xs) // 2]
+        streamed = np.concatenate(list(sampler.stream([rho], ([x], ys))), axis=1)[0]
+        expect = reference_density(rho, beta, [(x, y) for y in ys], 141)
+        assert np.max(np.abs(streamed - expect)) <= 1e-12
+        backward = np.concatenate(list(sampler.stream([rho], ([x], ys[::-1]))), axis=1)[0]
+        assert np.max(np.abs(backward[::-1] - streamed)) <= 1e-15
+        rng = np.random.default_rng(37)
+        pts = rng.uniform((xs[0], ys[0]), (xs[-1], ys[-1]), size=(12, 2))
+        pts[:2, 1] = ys[0], ys[-1]
+        got = sampler.bind(pts)([rho])[0]
+        assert np.max(np.abs(got - reference_density(rho, beta, pts, 141))) <= 1e-12
+
     def test_classical_noise_past_the_cap_raises(self):
         # delta = 0.01 takes the panels, and a 600-wide window of y would
         # need about 30,000 nodes per outcome row.
@@ -263,6 +284,13 @@ class TestDiscreteEnsemble:
         with pytest.raises(ValueError):
             DiscreteEnsemble(np.array([1.0]), (v, v))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_weights_that_are_not_finite(self, bad):
+        # "w <= 0" and the sum check are both False for a NaN weight.
+        v = np.zeros(5)
+        with pytest.raises(ValueError):
+            DiscreteEnsemble([bad, 0.5], (v, v))
+
     def test_weights_are_a_read_only_copy(self):
         v = np.zeros(5)
         given = np.array([0.5, 0.5])
@@ -331,13 +359,7 @@ class TestMutualInformation:
         # alone would take 72 MB, and one 200-point row of overlaps 0.7 MB.
         spec = GaussianEnsembleSpec(0.5, 0.5, 0.5)
         ens = discretize_gaussian_ensemble(spec, nodes=15, n_max=60)
-        tracemalloc.start()
-        try:
-            mutual_information(ens, make_noise(0.5, 0.5))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.0e6
+        assert traced_peak(lambda: mutual_information(ens, make_noise(0.5, 0.5))) < 2.0e6
 
     def test_regime_r_discretized_capacity(self):
         # Criterion 07's R case: a 15-node discretization of the optimal
@@ -354,16 +376,10 @@ class TestMutualInformation:
         # Criterion 06's mixed noise, beta_q beta_p = 4: with a noise matrix
         # of rank 59, each outcome row once built a (61 levels x 59 noise
         # columns x inner nodes) product, 38 MB traced.  Most of what is left
-        # is the panel smearing matrix (1.2 MB) and one x's vectors (0.8 MB).
+        # is one x's vectors (0.75 MB) and the panel smearing bands (0.67 MB;
+        # the dense 200 x 768 matrix they replace took 1.2 MB).
         rho = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)
-        beta = make_noise(2.0, 2.0)
-        tracemalloc.start()
-        try:
-            numeric_output_entropy(rho, beta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5e6
+        assert traced_peak(lambda: numeric_output_entropy(rho, make_noise(2.0, 2.0))) < 2.0e6
 
 
 def dense_information(weights, dens, qweights):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from traced import traced_peak
 from gausscap.core import NonPositive, make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
 from gausscap.grids import QuadratureGrid, _average_moments
@@ -156,6 +157,14 @@ class TestConstraintSurface:
         # The q axis has room 1 - e^3/2 < 0; the p axis can be placed.
         assert obj(wide.ravel()) == pytest.approx(0.5 * math.exp(3.0) - 1.0)
         assert obj.best_params is None
+
+    def test_traced_peak_of_the_c_objective(self):
+        # The bound densities keep one (2304 points x 25 levels) complex
+        # array, 0.92 MB.  Built as a list of blocks and then concatenated,
+        # it was held twice (1.96e6 B traced).
+        alpha, beta = make_covariance(1, 1), make_noise(0.5, 0.5)
+        _Objective(alpha, beta, SearchConfig())  # fills the Gauss-rule caches
+        assert traced_peak(lambda: _Objective(alpha, beta, SearchConfig())) < 1.4e6
 
     def test_members_that_leave_the_truncation_score_their_lost_mass(self):
         # Logits (0, -25): placing sends the light member to x = y = 1.9e5,
