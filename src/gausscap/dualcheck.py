@@ -4,23 +4,33 @@ The dual member state at outcome (x, y) is rho^{1/2} m(x,y) rho^{1/2}
 normalized, with m the POVM density.  For Gaussian inputs this must equal
 the displaced Gaussian with covariance alpha' at the contracted outcome
 coordinates; the check reports the worst trace-norm gap over sampled
-outcomes on truncated Fock matrices.  Both displaced states come from the
-square-root columns of the truncated Gaussian states: D rho_beta D+ = A A+
-and D' rho' D'+ = B B+, with A and B from fock.displaced_amplitudes, one
-(dim, rank) matrix per outcome.
+outcomes on truncated Fock matrices.  The factors are exact columns of
+fock.squeezed_thermal, rho = S tau S+: rho^{1/2} = S tau^{1/2} S+, and
+D rho_beta D+ = A A+, D' rho' D'+ = B B+ with A and B the
+displaced_amplitudes of the columns S tau^{1/2}.
 """
 
 import numpy as np
 
-from .core import InvalidForSharp, make_covariance
+from .core import InvalidForSharp, TruncationInsufficient, make_covariance
 from .duality import dual_ensemble
-from .fock import DEFAULT_N, displaced_amplitudes, gaussian_state_fock, square_root_columns
+from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, EIG_TOL, displaced_amplitudes
+from .fock import squeezed_thermal
 
 
-def _psd_sqrt(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def _state(alpha, dim):
+    """squeezed_thermal; raises on a thermal deficit over 1e-8."""
+    s, diag = squeezed_thermal(alpha, dim)
+    if not 1.0 - diag.sum() <= DEFAULT_TRUNCATION_TOL:
+        raise TruncationInsufficient(f"thermal deficit {1.0 - diag.sum():.3e} at N={dim - 1}")
+    return s, diag
+
+
+def _columns(cq, cp, dim):
+    """Columns S tau^{1/2} of covariance (cq, cp), weights below EIG_TOL dropped."""
+    s, diag = _state(make_covariance(cq, cp), dim)
+    keep = diag > EIG_TOL * diag[0]
+    return s[:, keep] * np.sqrt(diag[keep])
 
 
 def _trace_norm(mat):
@@ -34,11 +44,10 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
     dual = dual_ensemble(alpha, beta)
-    sqrt_bar = _psd_sqrt(gaussian_state_fock(alpha, n_max).matrix)
-    # Square-root columns of rho_beta and rho'.
-    noise, prime = (
-        square_root_columns(gaussian_state_fock(make_covariance(cq, cp), n_max).matrix)
-        for cq, cp in ((beta.beta_q, beta.beta_p), (dual.alpha_prime_q, dual.alpha_prime_p)))
+    squeeze, diag = _state(alpha, n_max + 1)
+    sqrt_bar = (squeeze * np.sqrt(diag)) @ squeeze.T
+    noise = _columns(beta.beta_q, beta.beta_p, n_max + 1)
+    prime = _columns(dual.alpha_prime_q, dual.alpha_prime_p, n_max + 1)
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.
     kq_scale = np.sqrt(max(1.0 - 0.25 / (alpha.alpha_q * alpha.alpha_p), 0.0))

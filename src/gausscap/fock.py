@@ -8,8 +8,8 @@ vectors of every type-1 outcome density (grids.OutputSampler).  One
 Gauss-Legendre grid of inner positions with the oscillator eigenfunctions
 on it carries the rest: <n|D(x,y)|c_r> for fixed columns c_r (the duality
 check's displaced_amplitudes) and the characteristic function
-(quantum_charfn).  Squeezed thermal states come from one cached
-eigendecomposition of the squeeze generator per dimension; numpy only.
+(quantum_charfn).  Squeezed thermal states take the exact block
+<m|S(r)|n> from a Gauss-Hermite rule; numpy only.
 """
 
 import functools
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import TruncationInsufficient
+from .core import NumericsError, TruncationInsufficient
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
@@ -55,31 +55,6 @@ def state_array(state):
     return np.asarray(state)
 
 
-def destroy(dim):
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-
-@functools.lru_cache(maxsize=16)
-def _squeeze_eigenbasis(dim):
-    """Eigenpairs (lam, V) of the Hermitian i*G, G = (a+^2 - a^2)/2; read-only."""
-    a = destroy(dim)
-    gen = 0.5 * (a.T @ a.T - a @ a)
-    lam, vecs = np.linalg.eigh(1j * gen)
-    lam.flags.writeable = False
-    vecs.flags.writeable = False
-    return lam, vecs
-
-
-def squeeze_matrix(r, dim):
-    """exp(r(a+^2 - a^2)/2); scales the position quadrature by e^r.
-
-    G is real, so exp(rG) = Re(V diag(e^{-i r lam}) V+) with (lam, V) the
-    eigenpairs of i*G, which do not depend on r.
-    """
-    lam, vecs = _squeeze_eigenbasis(dim)
-    return ((vecs * np.exp(-1j * r * lam)) @ vecs.conj().T).real
-
-
 def thermal_diagonal(n_bar, dim):
     """Geometric photon-number weights of a thermal state."""
     if n_bar <= 0:
@@ -90,35 +65,37 @@ def thermal_diagonal(n_bar, dim):
     return ratio ** np.arange(dim) / (n_bar + 1.0)
 
 
-def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
-    """Squeezed thermal state with covariance diag(alpha_q, alpha_p).
+def squeezed_thermal(alpha, dim):
+    """(S, d): the state of covariance alpha is S(r) diag(d) S(r)+; m, n < dim.
 
-    Thermal occupation n_bar = sqrt(a_q a_p) - 1/2 conjugated by the squeeze
-    with r = (1/4) ln(a_q/a_p).  Raises TruncationInsufficient when the
-    retained thermal weight falls short of 1 by more than tol.
+    S[m, n] = <m|S(r)|n>, r = ln(a_q/a_p)/4, S(r) scaling q by e^r; d
+    thermal, n_bar = sqrt(a_q a_p) - 1/2.  <m|S|n> = e^{-r/2} int
+    psi_m(q) psi_n(q e^{-r}) dq = e^{-r/2}/s int poly(t) e^{-t^2} dt at
+    q = t/s, s^2 = (1 + e^{-2r})/2, poly of degree < 2 dim: exact on the
+    dim-node Gauss-Hermite rule.
     """
-    dim = n_max + 1
     n_bar = math.sqrt(alpha.alpha_q * alpha.alpha_p) - 0.5
-    diag = thermal_diagonal(n_bar, dim)
-    deficit = abs(1.0 - diag.sum())
-    if deficit > tol:
-        raise TruncationInsufficient(
-            f"thermal trace deficit {deficit:.3e} > {tol} at N={n_max} (n_bar={n_bar:.3f})"
-        )
     r = 0.25 * math.log(alpha.alpha_q / alpha.alpha_p)
-    if r == 0.0:
-        return FockOperator(np.diag(diag).astype(complex))
-    s = squeeze_matrix(r, dim)
-    rho = (s * diag) @ s.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    s = math.sqrt(0.5 + 0.5 * math.exp(-2.0 * r))
+    t, w = _gauss_rule(dim, hermite=True)
+    a, b = (_hermite_functions(x, dim, 0.5 * (np.log(w) + t * t - x * x))
+            for x in (t / s, t * math.exp(-r) / s))
+    return (a @ b.T) * (math.exp(-0.5 * r) / s), thermal_diagonal(n_bar, dim)
+
+
+def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
+    """Projection onto |0>..|N> of the state with covariance alpha, float64.
+
+    Raises TruncationInsufficient when its trace misses 1 by more than tol
+    or is not finite.
+    """
+    s, diag = squeezed_thermal(alpha, n_max + 1)
+    c = s * np.sqrt(diag)
+    rho = c @ c.T
+    deficit = 1.0 - np.trace(rho)
+    if not deficit <= tol:
+        raise TruncationInsufficient(f"trace deficit {deficit:.3e} > {tol} at N={n_max}")
     return FockOperator(rho)
-
-
-def square_root_columns(mat):
-    """Columns c_r with mat = sum_r c_r c_r+: eigenvectors scaled by sqrt(eigenvalue)."""
-    vals, vecs = np.linalg.eigh(mat)
-    keep = vals > EIG_TOL * vals.max()
-    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
@@ -201,7 +178,10 @@ def _hermite_functions(q, dim, log_start=None):
 @functools.lru_cache(maxsize=32)
 def _gauss_rule(n, hermite=False):
     """Gauss-Legendre nodes and weights on [-1, 1], or Gauss-Hermite for exp(-t^2); read-only."""
-    x, w = (np.polynomial.hermite.hermgauss if hermite else np.polynomial.legendre.leggauss)(n)
+    with np.errstate(all="ignore"):
+        x, w = (np.polynomial.hermite.hermgauss if hermite else np.polynomial.legendre.leggauss)(n)
+    if not np.all((w > 0.0) & (w < math.inf)):
+        raise NumericsError(f"{n}-node Gauss rule has weights not finite and positive")
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

@@ -85,7 +85,7 @@ def test_squeezed_state_entropy_loads_no_scipy():
     code = ("from gausscap import make_covariance, make_noise\n"
             "from gausscap.fock import gaussian_state_fock\n"
             "from gausscap.grids import QuadratureGrid, numeric_output_entropy\n"
-            "rho = gaussian_state_fock(make_covariance(2.0, 0.5), n_max=30)\n"
+            "rho = gaussian_state_fock(make_covariance(2.0, 0.5), n_max=40)\n"
             "numeric_output_entropy(rho, make_noise(0.5, 0.5), QuadratureGrid(8.0, 40))")
     assert "scipy" not in heavy_modules_after(code)
 

@@ -6,54 +6,59 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dense_displacement import double_loop_displacement
-from gausscap.core import TruncationInsufficient, make_covariance
+from dense_displacement import destroy, double_loop_displacement, padded_squeeze
+from gausscap import fock
+from gausscap.core import NumericsError, TruncationInsufficient, make_covariance, make_noise
 from gausscap.fock import (
     FockOperator,
-    destroy,
     displaced_amplitudes,
     displaced_squeezed_vector,
     gaussian_state_fock,
     quantum_charfn,
-    squeeze_matrix,
+    squeezed_thermal,
     state_moments,
     thermal_diagonal,
 )
+from gausscap.grids import OutputSampler, numeric_output_entropy
 
 
-class TestLadderOperators:
-    def test_commutator_on_interior(self):
-        dim = 20
-        a = destroy(dim)
-        comm = a @ a.conj().T - a.conj().T @ a
-        assert np.allclose(comm[:-1, :-1], np.eye(dim - 1), atol=1e-12)
+def squeeze_block(r, dim):
+    """<m|S(r)|n>, m, n < dim, from the builder of the pure state with squeeze r."""
+    return squeezed_thermal(make_covariance(0.5 * math.exp(2 * r), 0.5 * math.exp(-2 * r)), dim)[0]
 
 
 class TestSqueeze:
     def test_position_variance_scaling(self):
-        dim = 80
         r = 0.3
-        vac = np.zeros(dim, dtype=complex)
-        vac[0] = 1.0
-        v = squeeze_matrix(r, dim) @ vac
-        _, _, vq, vp = state_moments(v)
+        _, _, vq, vp = state_moments(squeeze_block(r, 80)[:, 0])
         assert vq == pytest.approx(0.5 * math.exp(2 * r), abs=1e-10)
         assert vp == pytest.approx(0.5 * math.exp(-2 * r), abs=1e-10)
 
     @pytest.mark.parametrize("dim", [8, 25, 61])
     def test_matches_matrix_exponential(self, dim):
-        a = destroy(dim)
-        gen = 0.5 * (a.T @ a.T - a @ a)
-        for r in np.linspace(-3.0, 3.0, 25):
-            err = np.abs(squeeze_matrix(r, dim) - expm(r * gen)).max()
-            assert err <= 1e-11, (r, err)
+        # The exact projection, against the leading block of a padded
+        # exponential whose padding has converged.
+        for r in (-0.8, -0.3, 0.35, 0.8):
+            err = np.abs(squeeze_block(r, dim) - padded_squeeze(r)[:dim, :dim]).max()
+            assert err <= 1e-13, (r, err)
 
     def test_unitary(self):
-        dim = 30
-        s = squeeze_matrix(0.4, dim)
-        # unitary on the low-excitation block only (truncation edge effects)
-        block = (s.conj().T @ s)[:12, :12]
-        assert np.allclose(block, np.eye(12), atol=1e-8)
+        # The projection of a unitary: unitary on the low block where the
+        # columns keep their mass inside the truncation.
+        s = squeeze_block(0.4, 60)
+        assert np.allclose((s.T @ s)[:12, :12], np.eye(12), atol=1e-10)
+
+    @pytest.mark.parametrize("r", [-3.0, -1.5, -0.5, 0.5, 1.5, 3.0])
+    def test_ladder_identity(self, r):
+        # S a+ S+ = cosh r a+ - sinh r a and its adjoint give, inside any block,
+        # sqrt(n) S[m, n] = sech r sqrt(m) S[m-1, n-1] - tanh r sqrt(n-1) S[m, n-2].
+        dim = 301
+        s = squeeze_block(r, dim)
+        n = np.arange(dim, dtype=float)
+        rhs = (np.sqrt(n[1:, None]) * s[:-1, 1:-1] / math.cosh(r)
+               - math.tanh(r) * np.sqrt(n[1:-1]) * s[1:, :-2])
+        assert np.abs(s[1:, 2:] - rhs / np.sqrt(n[2:])).max() <= 1e-13
+        assert np.abs(s[:, 0] - displaced_squeezed_vector(0.0, 0.0, r, dim)).max() <= 1e-13
 
 
 class TestThermalDiagonal:
@@ -95,6 +100,42 @@ class TestGaussianStateFock:
     def test_truncation_guard(self):
         with pytest.raises(TruncationInsufficient):
             gaussian_state_fock(make_covariance(50.0, 50.0), n_max=10)
+
+    @pytest.mark.parametrize("alpha", [(30.0, 0.3), (10.0, 0.1)])
+    def test_strong_squeezing_raises(self, alpha):
+        # The thermal weights fit in N = 60 but the squeezed state does not.
+        with pytest.raises(TruncationInsufficient):
+            gaussian_state_fock(make_covariance(*alpha), n_max=60)
+
+    def test_strong_squeezing_converges(self):
+        alpha = make_covariance(10.0, 0.1)
+        rho = gaussian_state_fock(alpha, n_max=200)
+        _, _, vq, vp = state_moments(rho)
+        assert vq == pytest.approx(10.0, abs=1e-6) and vp == pytest.approx(0.1, abs=1e-6)
+        h = numeric_output_entropy(rho, make_noise(0.2, math.inf))
+        assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 10.2), abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0), (1.1, 1 / 1.1), (1.5, 0.6)])
+    def test_float64_at_any_squeeze(self, alpha):
+        assert gaussian_state_fock(make_covariance(*alpha), n_max=40).matrix.dtype == np.float64
+
+    def test_non_finite_trace_raises(self, monkeypatch):
+        # numpy's 401-node Hermite rule has NaN weights; a NaN trace is no pass.
+        monkeypatch.setattr(fock, "_gauss_rule", lambda n, hermite: np.polynomial.hermite.hermgauss(n))
+        with np.errstate(all="ignore"), pytest.raises(TruncationInsufficient):
+            gaussian_state_fock(make_covariance(1.0, 1.0), n_max=400)
+
+
+class TestGaussRule:
+    def test_non_finite_hermite_weights_raise(self):
+        with pytest.raises(NumericsError):
+            fock._gauss_rule(401, hermite=True)
+        with pytest.raises(NumericsError):
+            OutputSampler(make_noise(0.3, math.inf), 401)
+
+    def test_rule_is_usable_below_the_limit(self):
+        x, w = fock._gauss_rule(362, hermite=True)
+        assert np.all(w > 0.0) and w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def grid_displacement(x, y, dim):
