@@ -18,17 +18,14 @@ from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, EIG_TOL, displaced_amplitud
 from .fock import squeezed_thermal
 
 
-def _state(alpha, dim):
-    """squeezed_thermal; raises on a thermal deficit over 1e-8."""
-    s, diag = squeezed_thermal(alpha, dim)
+def _columns(cq, cp, dim):
+    """Columns S tau^{1/2} of covariance (cq, cp), weights below EIG_TOL dropped.
+
+    Raises on a thermal deficit over DEFAULT_TRUNCATION_TOL.
+    """
+    s, diag = squeezed_thermal(make_covariance(cq, cp), dim)
     if not 1.0 - diag.sum() <= DEFAULT_TRUNCATION_TOL:
         raise TruncationInsufficient(f"thermal deficit {1.0 - diag.sum():.3e} at N={dim - 1}")
-    return s, diag
-
-
-def _columns(cq, cp, dim):
-    """Columns S tau^{1/2} of covariance (cq, cp), weights below EIG_TOL dropped."""
-    s, diag = _state(make_covariance(cq, cp), dim)
     keep = diag > EIG_TOL * diag[0]
     return s[:, keep] * np.sqrt(diag[keep])
 
@@ -40,12 +37,22 @@ def _trace_norm(mat):
 
 def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
                         samples_per_axis=5):
-    """Max trace-norm deviation between operator-built and closed-form dual states."""
+    """Max trace-norm deviation between operator-built and closed-form dual states.
+
+    Raises TruncationInsufficient when rho's trace misses 1 by more than
+    DEFAULT_TRUNCATION_TOL, as the normalized built states would hide that
+    loss; the truncations of rho_beta and rho' show in the gap, and only their
+    thermal weights are held to that bound.
+    """
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
     dual = dual_ensemble(alpha, beta)
-    squeeze, diag = _state(alpha, n_max + 1)
-    sqrt_bar = (squeeze * np.sqrt(diag)) @ squeeze.T
+    squeeze, diag = squeezed_thermal(alpha, n_max + 1)
+    root = squeeze * np.sqrt(diag)
+    deficit = 1.0 - np.vdot(root, root)
+    if not deficit <= DEFAULT_TRUNCATION_TOL:
+        raise TruncationInsufficient(f"trace deficit {deficit:.3e} of rho at N={n_max}")
+    sqrt_bar = root @ squeeze.T
     noise = _columns(beta.beta_q, beta.beta_p, n_max + 1)
     prime = _columns(dual.alpha_prime_q, dual.alpha_prime_p, n_max + 1)
 

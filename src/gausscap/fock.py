@@ -56,11 +56,8 @@ def state_array(state):
 
 
 def thermal_diagonal(n_bar, dim):
-    """Geometric photon-number weights of a thermal state."""
-    if n_bar <= 0:
-        diag = np.zeros(dim)
-        diag[0] = 1.0
-        return diag
+    """Geometric photon-number weights of a thermal state; n_bar <= 0 is the vacuum."""
+    n_bar = max(n_bar, 0.0)
     ratio = n_bar / (n_bar + 1.0)
     return ratio ** np.arange(dim) / (n_bar + 1.0)
 

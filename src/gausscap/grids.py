@@ -5,10 +5,12 @@ difference of entropies.  A type-1 measurement is the pure one with noise
 state S(r)|0>, e^{2r} = 2 beta_q, followed by classical Gaussian noise of
 variance delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo,
 Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
-banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  bind fills
-the one array of vectors it keeps; entropies and mutual information stream
-the densities into one reducer (_information), a block of vectors
-(BLOCK_NODES) and a sub-block of overlaps (SUB_BLOCK_OVERLAPS) at a time.
+banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  Densities
+come on tensor grids of outcomes only, (xs, ys) or (xs,): stream yields them
+a block of vectors (BLOCK_NODES) and a sub-block of overlaps
+(SUB_BLOCK_OVERLAPS) at a time, and bind keeps the same vectors in one array.
+Entropies and mutual information stream the densities into one reducer
+(_information).
 """
 
 import math
@@ -154,33 +156,22 @@ class OutputSampler:
         self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(bq))
         self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))
 
-    def densities(self, states, points):
-        """(n_states, G) densities of each state at the points, (G, 2) for type 1 or (G,)."""
-        return self.bind(points)(states)
+    def bind(self, axes):
+        """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
 
-    def bind(self, points):
-        """densities(states, points) for fixed points, as a function of states.
-
-        The vectors are built here into one kept array: each point's own
-        nodes, or under panel smearing one v grid per distinct x.
+        Returns states -> (n_states, len(xs) * len(ys)) densities, x outer;
+        the vectors that stream builds are kept here in one array.
         """
-        points = np.asarray(points, dtype=float).reshape(-1, self.outcome_dim)
-        xs, index = points[:, 0], slice(None)
-        if self.outcome_dim == 1 or self.rule is not None:
-            nodes, bands = self._smearing_kernel(points[:, -1])
-        else:
-            xs, ix = np.unique(xs, return_inverse=True)
-            ys, iy = np.unique(points[:, 1], return_inverse=True)
-            nodes, bands = self._smearing_kernel(ys)
-            index = ix * len(ys) + iy
-        width = nodes.shape[-1]
-        vectors = np.empty((len(xs) * width, self.dim), complex if self.outcome_dim == 2 else float)
+        nodes, bands = self._smearing_kernel(axes)
+        vectors = np.empty((len(axes[0]) * nodes.size, self.dim),
+                           complex if self.outcome_dim == 2 else float)
         start = 0
-        for block in self._vector_blocks(xs, nodes):
+        for block in self._vector_blocks(axes[0], nodes.ravel()):
             vectors[start:start + len(block)] = block
             start += len(block)
+        width = nodes.shape[-1]
         return lambda states: _reduce(
-            *_state_components(states, self.dim), vectors, width, bands)[:, index]
+            *_state_components(states, self.dim), vectors, width, bands)
 
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
@@ -190,7 +181,7 @@ class OutputSampler:
         smearing one x.
         """
         probs, bras = _state_components(states, self.dim)
-        nodes, bands = self._smearing_kernel(axes[1] if self.outcome_dim == 2 else None)
+        nodes, bands = self._smearing_kernel(axes)
         width = nodes.shape[-1]
         step = max(width, _sub_block_rows(bras) // width * width)
         for vectors in self._vector_blocks(axes[0], nodes.ravel()):
@@ -198,9 +189,10 @@ class OutputSampler:
                 yield _reduce(probs, bras, vectors[k:k + step], width, bands)
             del vectors
 
-    def _smearing_kernel(self, ys):
-        """(nodes, bands): the inner nodes of each x; band (j, S) maps the
-        nodes j, j+1, ... to the next len(S) outcomes.
+    def _smearing_kernel(self, axes):
+        """(nodes, bands): the inner nodes of every x of the axes, in order when
+        raveled, in rows of one smearing width; band (j, S) maps the nodes j,
+        j+1, ... of each row to the next len(S) outcomes.
 
         Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
         (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
@@ -213,7 +205,7 @@ class OutputSampler:
         t, w = self.rule or (None, None)
         if self.outcome_dim == 1:
             return t, [(0, np.ones((1, len(t))))]
-        ys = np.asarray(ys, dtype=float)
+        ys = np.asarray(axes[1], dtype=float)
         if t is not None:
             return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), [
                 (0, w[None, :] / (2.0 * math.pi ** 1.5))]
@@ -237,7 +229,7 @@ class OutputSampler:
     def _vector_blocks(self, xs, nodes):
         """Fock coefficient rows u_j of consecutive xs, about BLOCK_NODES per block, x outer.
 
-        nodes: (n,) shared by every x, or (len(xs), n).  Type 1: D(x,v) S(r)|0>
+        The nodes are shared by every x.  Type 1: D(x,v) S(r)|0>
         per node v, each block over the last.  Types 2 and 3: with
         b = 1 + 2 beta_q, the density at x is exp(-x^2/b)/sqrt(pi b)
         sum_j W_j rho(q_j) e^{q_j^2} at q_j = x/b + t_j sqrt(2 beta_q/b),
@@ -245,17 +237,17 @@ class OutputSampler:
         functions at q_j times sqrt(W_j).
         """
         xs = np.asarray(xs, dtype=float)[:, None]
-        step = max(1, BLOCK_NODES // nodes.shape[-1])
+        step = max(1, BLOCK_NODES // len(nodes))
         if self.outcome_dim == 2:
-            g = np.empty((self.dim + 1, min(step, len(xs)), nodes.shape[-1]), complex)
+            g = np.empty((self.dim + 1, min(step, len(xs)), len(nodes)), complex)
         for k in range(0, len(xs), step):
-            x, v = xs[k:k + step], nodes if nodes.ndim == 1 else nodes[k:k + step]
+            x = xs[k:k + step]
             if self.outcome_dim == 2:
-                yield _displaced_squeezed(g[:, :len(x)], x, v, self.r).reshape(-1, self.dim)
+                yield _displaced_squeezed(g[:, :len(x)], x, nodes, self.r).reshape(-1, self.dim)
                 continue
             b = 1.0 + 2.0 * self.beta.beta_q
             log_start = 0.5 * np.log(self.rule[1]) - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
-            q = x / b + v * math.sqrt(2.0 * self.beta.beta_q / b)
+            q = x / b + nodes * math.sqrt(2.0 * self.beta.beta_q / b)
             yield _hermite_functions(q.ravel(), self.dim, log_start.ravel()).T
 
 
@@ -314,7 +306,7 @@ def _reduce(probs, bras, vectors, width, bands):
 def povm_density(rho, beta, x, y=0.0):
     """Outcome density of a single state at one point (convenience wrapper)."""
     sampler = OutputSampler(beta, state_array(rho).shape[0])
-    return float(sampler.densities([rho], [x, y][:sampler.outcome_dim])[0, 0])
+    return float(sampler.bind(([x], [y])[:sampler.outcome_dim])([rho])[0, 0])
 
 
 def _grid_axes(means, sigmas, grid):
@@ -322,16 +314,6 @@ def _grid_axes(means, sigmas, grid):
     x, w = _gauss_rule(grid.nodes_per_axis)
     return [(m + grid.half_width * s * x, grid.half_width * s * w)
             for m, s in zip(means, sigmas)]
-
-
-def _grid_nodes(means, sigmas, grid):
-    """Nodes/weights of the tensor of _grid_axes, flattened row-major (x outer)."""
-    axes = _grid_axes(means, sigmas, grid)
-    if len(axes) == 1:
-        return axes[0]
-    (xs, wx), (ys, wy) = axes
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([xg.ravel(), yg.ravel()], axis=1), np.outer(wx, wy).ravel()
 
 
 def _grid_blocks(sampler, states, axes):
@@ -379,19 +361,6 @@ def _information(weights, blocks):
     return h, h - math.fsum(h_members), math.fsum(mass)
 
 
-def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
-    """Lebesgue differential entropy of the outcome density, in nats.
-
-    The grid window is centered on the state's output Gaussian.
-    """
-    axes = _grid_axes(*_output_window(state_moments(rho), beta), grid)
-    sampler = OutputSampler(beta, state_array(rho).shape[0])
-    h, _, mass = _information(np.ones(1), _grid_blocks(sampler, [rho], axes))
-    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
-        raise NormalizationFailure(f"density mass {mass} deviates from 1 beyond {mass_tol}")
-    return h
-
-
 def _average_moments(weights, states):
     """Means and variances of (q, p) for the weighted mixture of the states."""
     stats = [state_moments(s) for s in states]
@@ -403,19 +372,36 @@ def _average_moments(weights, states):
     return mq, mp, eq2 - mq ** 2, ep2 - mp ** 2
 
 
+def _grid_information(weights, states, beta, grid, mass_tol):
+    """_information's (h(avg), MI) on the grid around the states' average output.
+
+    Raises NormalizationFailure when the average density's mass misses 1 by
+    more than mass_tol.
+    """
+    axes = _grid_axes(*_output_window(_average_moments(weights, states), beta), grid)
+    sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in states))
+    h, mi, mass = _information(weights, _grid_blocks(sampler, states, axes))
+    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
+        raise NormalizationFailure(f"average density mass {mass} deviates from 1 beyond "
+                                   f"{mass_tol}")
+    return h, mi
+
+
+def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
+    """Lebesgue differential entropy of the outcome density, in nats.
+
+    The grid window is centered on the state's output Gaussian.
+    """
+    return _grid_information(np.ones(1), [rho], beta, grid, mass_tol)[0]
+
+
 def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
     """I = h(average output) - sum_i w_i h(member output), on a shared grid.
 
     The Lebesgue-reference constants cancel exactly between the two terms.
     Members of different dimensions are zero-padded to the largest.
     """
-    axes = _grid_axes(*_output_window(_average_moments(ens.weights, ens.states), beta), grid)
-    sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in ens.states))
-    _, mi, mass = _information(ens.weights, _grid_blocks(sampler, ens.states, axes))
-    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
-        raise NormalizationFailure(f"average density mass {mass} deviates from 1 beyond "
-                                   f"{mass_tol}")
-    return mi
+    return _grid_information(ens.weights, ens.states, beta, grid, mass_tol)[1]
 
 
 def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):

@@ -16,6 +16,7 @@ scipy's unbounded ``minimize(method="Nelder-Mead", adaptive=True)`` in the
 same order, so the search visits the same points without loading scipy.
 """
 
+import functools
 import json
 import math
 
@@ -28,7 +29,7 @@ from .grids import (
     OutputSampler,
     QuadratureGrid,
     _average_moments,
-    _grid_nodes,
+    _grid_axes,
     _information,
     _output_window,
 )
@@ -79,8 +80,9 @@ class _Objective:
         self.cfg = config
         self.dim = config.n_max + 1
         means, sigmas = _output_window((0.0, 0.0, alpha.alpha_q, alpha.alpha_p), beta)
-        self.points, self.qweights = _grid_nodes(means, sigmas, config.grid)
-        self.densities = OutputSampler(beta, self.dim).bind(self.points)
+        nodes, weights = zip(*_grid_axes(means, sigmas, config.grid))
+        self.qweights = functools.reduce(np.multiply.outer, weights).ravel()
+        self.densities = OutputSampler(beta, self.dim).bind(nodes)
         self.evaluations = 0
         self.best_value = -math.inf
         self.best_params = None

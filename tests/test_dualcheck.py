@@ -82,6 +82,14 @@ class TestDualOperatorCheck:
         with pytest.raises(TruncationInsufficient):
             dual_operator_check(make_covariance(5.0, 5.0), make_noise(0.5, 0.5), n_max=20)
 
+    @pytest.mark.parametrize("aq, ap", [(10.0, 0.1), (30.0, 0.3)])
+    def test_squeeze_truncation_raises(self, aq, ap):
+        # The thermal weights fit N = 60, but the squeeze carries 4.8e-4 and
+        # 4.4e-2 of rho's trace past it; the gaps were 9.1e-6 and 1.6e-5.
+        with pytest.raises(TruncationInsufficient, match="rho"):
+            dual_operator_check(make_covariance(aq, ap), make_noise(0.5, 0.5), n_max=60,
+                                samples_per_axis=3)
+
     def test_rejects_position_measurements(self):
         alpha = make_covariance(1.0, 1.0)
         with pytest.raises(InvalidForSharp):

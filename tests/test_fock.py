@@ -63,8 +63,10 @@ class TestSqueeze:
 
 class TestThermalDiagonal:
     def test_vacuum(self):
-        d = thermal_diagonal(0.0, 5)
-        assert d[0] == 1.0 and d[1:].sum() == 0.0
+        # -2.5e-13 is within the boundary slack that make_covariance accepts.
+        for n_bar in (0.0, -2.5e-13):
+            d = thermal_diagonal(n_bar, 5)
+            assert d[0] == 1.0 and d[1:].sum() == 0.0
 
     def test_mean_photon_number(self):
         n_bar = 1.7

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -28,7 +29,6 @@ from gausscap.grids import (
     QuadratureGrid,
     _average_moments,
     _grid_axes,
-    _grid_nodes,
     _output_window,
     _state_components,
     discretize_gaussian_ensemble,
@@ -116,14 +116,25 @@ def reference_density(rho, beta, points, dim):
                      for d in double_loop_displacement(zetas, dim)])
 
 
+def tensor_points(xs, ys):
+    """The (x, y) outcomes of the tensor grid of xs and ys, x outer."""
+    return [(x, y) for x in xs for y in ys]
+
+
+def random_axes(seed, lo=-6.0, hi=6.0):
+    """Four random xs and three random ys in [lo, hi), unsorted: 12 outcomes."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo, hi, size=4), rng.uniform(lo, hi, size=3)
+
+
 class TestOutputSampler:
     def test_type1_matches_displacement_reference(self):
         rho = random_mixed_state(41, seed=3)
         beta = make_noise(2.0, 2.0)
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-6.0, 6.0, size=(12, 2))
-        got = OutputSampler(beta, 41).densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts, 81))) <= 1e-12
+        axes = random_axes(5)
+        got = OutputSampler(beta, 41).bind(axes)([rho])[0]
+        expect = reference_density(rho, beta, tensor_points(*axes), 81)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_type1_extreme_momentum_nodes(self):
         # The densities at the largest |y| of this window are tiny; a
@@ -131,13 +142,14 @@ class TestOutputSampler:
         # far more than 1e-12.
         beta = make_noise(0.2, 5.0)
         gauss = gaussian_state_fock(make_covariance(0.707, 2.83), n_max=60)
-        means, sigmas = _output_window(state_moments(gauss), beta)
-        pts, _ = _grid_nodes(means, sigmas, QuadratureGrid())
-        edge = pts[np.abs(pts[:, 1]) >= np.abs(pts[:, 1]).max() - 1e-12]
-        pts = edge[:: len(edge) // 8]
+        # Four xs across the window, each at both extreme ys.
+        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(gauss), beta),
+                                      QuadratureGrid())
+        axes = (xs[::50], ys[[0, -1]])
         rho = random_mixed_state(61, seed=7)
-        got = OutputSampler(beta, 61).densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts, 141))) <= 1e-12
+        got = OutputSampler(beta, 61).bind(axes)([rho])[0]
+        expect = reference_density(rho, beta, tensor_points(*axes), 141)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_type1_component_basis_matches_reference(self):
         # A low-rank state with complex eigen-components.
@@ -145,33 +157,29 @@ class TestOutputSampler:
         _, vecs = _state_components([rho], 41)
         assert vecs.shape[1] == 5 and np.abs(vecs.imag).max() > 0.1
         beta = make_noise(2.0, 2.0)
-        rng = np.random.default_rng(17)
-        pts = rng.uniform(-6.0, 6.0, size=(12, 2))
-        got = OutputSampler(beta, 41).densities([rho], pts)[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts, 81))) <= 1e-12
+        axes = random_axes(17)
+        got = OutputSampler(beta, 41).bind(axes)([rho])[0]
+        expect = reference_density(rho, beta, tensor_points(*axes), 81)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
-    @pytest.mark.parametrize("beta", [make_noise(2.0, 2.0), make_noise(0.3, INF),
-                                      make_noise(0.5, 0.5)])
-    def test_bind_matches_densities(self, beta):
-        # bind against the streamed rows of the tensor of the points' distinct
-        # x and y, on a tensor grid and on 400 scattered points.
+    @pytest.mark.parametrize("beta", [
+        make_noise(2.0, 2.0),  # panel smearing
+        make_noise(0.3, INF),
+        make_noise(0.5, 0.5),  # pure type-1 noise, delta = 0
+        make_noise(1.0, 0.25 + 1e-4),  # a Gauss-Hermite rule
+    ])
+    def test_bind_matches_stream(self, beta):
+        # bind against the streamed blocks of the same tensor grid.
         sampler = OutputSampler(beta, 41)
         window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
-        grid, _ = _grid_nodes(*window, QuadratureGrid(6.0, 24))
-        rng = np.random.default_rng(19)
-        scattered = rng.uniform(-4.0, 4.0, size=(400, 2))[:, :sampler.outcome_dim].squeeze()
+        axes = [nodes for nodes, _ in _grid_axes(*window, QuadratureGrid(6.0, 24))]
         gauss = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)
-        for pts in (grid, scattered):
-            axes, index = zip(*(np.unique(c, return_inverse=True)
-                                for c in pts.reshape(len(pts), -1).T))
-            flat = index[0] if len(axes) == 1 else index[0] * len(axes[1]) + index[1]
-            for first in (random_mixed_state(41, seed=11),
-                          random_mixed_state(41, seed=11, rank=3)):
-                states = [first, gauss]
-                bound = sampler.bind(pts)(states)
-                direct = np.concatenate(list(sampler.stream(states, axes)), axis=1)[:, flat]
-                assert bound.shape == direct.shape == (2, pts.shape[0])
-                assert np.max(np.abs(bound - direct)) <= 1e-15
+        for first in (random_mixed_state(41, seed=11), random_mixed_state(41, seed=11, rank=3)):
+            states = [first, gauss]
+            bound = sampler.bind(axes)(states)
+            direct = np.concatenate(list(sampler.stream(states, axes)), axis=1)
+            assert bound.shape == direct.shape == (2, 24 ** len(axes))
+            assert np.max(np.abs(bound - direct)) <= 1e-15
 
     @pytest.mark.parametrize("delta", [-1e-13, 0.0, 1e-6, 1e-4, 1e-3, 1e-2])
     def test_small_classical_noise(self, delta):
@@ -181,15 +189,17 @@ class TestOutputSampler:
         alpha, bq = make_covariance(1.2, 0.7), 1.0
         bp = 0.25 / bq + delta if delta >= 0.0 else 0.25 / bq * (1.0 + delta)
         beta = make_noise(bq, bp)
-        pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(12, 2))
+        xs, ys = random_axes(23, -4.0, 4.0)
         vq, vp = alpha.alpha_q + bq, alpha.alpha_p + bp
-        expect = (np.exp(-pts[:, 0] ** 2 / (2.0 * vq) - pts[:, 1] ** 2 / (2.0 * vp))
+        expect = (np.exp(-np.add.outer(xs ** 2 / (2.0 * vq), ys ** 2 / (2.0 * vp))).ravel()
                   / (2.0 * math.pi * math.sqrt(vq * vp)))
-        got = OutputSampler(beta, 61).densities([gaussian_state_fock(alpha, n_max=60)], pts)[0]
+        gauss = gaussian_state_fock(alpha, n_max=60)
+        got = OutputSampler(beta, 61).bind((xs, ys))([gauss])[0]
         assert np.max(np.abs(got - expect)) <= 1e-11
         rho = random_mixed_state(21, seed=29)
-        got = OutputSampler(beta, 21).densities([rho], pts[:4])[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts[:4], 81))) <= 1e-12
+        got = OutputSampler(beta, 21).bind((xs[:2], ys[:2]))([rho])[0]
+        expect = reference_density(rho, beta, tensor_points(xs[:2], ys[:2]), 81)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_panel_bands_reach_the_outermost_outcomes(self):
         # delta = 3.75 takes the panels, and each group of consecutive ys
@@ -208,18 +218,22 @@ class TestOutputSampler:
         backward = np.concatenate(list(sampler.stream([rho], ([x], ys[::-1]))), axis=1)[0]
         assert np.max(np.abs(backward[::-1] - streamed)) <= 1e-15
         rng = np.random.default_rng(37)
-        pts = rng.uniform((xs[0], ys[0]), (xs[-1], ys[-1]), size=(12, 2))
-        pts[:2, 1] = ys[0], ys[-1]
-        got = sampler.bind(pts)([rho])[0]
-        assert np.max(np.abs(got - reference_density(rho, beta, pts, 141))) <= 1e-12
+        axes = (rng.uniform(xs[0], xs[-1], size=3),
+                np.concatenate([[ys[-1]], rng.uniform(ys[0], ys[-1], size=2), [ys[0]]]))
+        got = sampler.bind(axes)([rho])[0]
+        expect = reference_density(rho, beta, tensor_points(*axes), 141)
+        assert np.max(np.abs(got - expect)) <= 1e-12
 
     def test_classical_noise_past_the_cap_raises(self):
         # delta = 0.01 takes the panels, and a 600-wide window of y would
         # need about 30,000 nodes per outcome row.
         beta = make_noise(1.0, 0.26)
         rho = gaussian_state_fock(make_covariance(1.2, 0.7), n_max=60)
+        sampler = OutputSampler(beta, 61)
         with pytest.raises(NumericsError):
-            OutputSampler(beta, 61).densities([rho], [[0.0, -300.0], [0.0, 300.0]])
+            sampler.bind(([0.0], [-300.0, 300.0]))
+        with pytest.raises(NumericsError):
+            next(sampler.stream([rho], ([0.0], [-300.0, 300.0])))
 
 
 class TestQuadratureGrid:
@@ -410,8 +424,9 @@ class TestStreamedReducer:
     @staticmethod
     def dense(weights, states, beta, grid):
         window = _output_window(_average_moments(weights, states), beta)
-        pts, qweights = _grid_nodes(*window, grid)
-        dens = OutputSampler(beta, 41).densities(states, pts)
+        nodes, weights_per_axis = zip(*_grid_axes(*window, grid))
+        qweights = functools.reduce(np.multiply.outer, weights_per_axis).ravel()
+        dens = OutputSampler(beta, 41).bind(nodes)(states)
         return dens, dense_information(np.asarray(weights, dtype=float), dens, qweights)
 
     @pytest.mark.parametrize("beta, grid", [
@@ -453,9 +468,9 @@ class TestZeroNormStates:
             mutual_information(ens, beta, QuadratureGrid(6.0, 24))
         with pytest.raises(TruncationInsufficient):
             numeric_output_entropy(lost, beta, QuadratureGrid(6.0, 24))
-        points = np.zeros((1, 2)) if beta.noise_type == 1 else np.zeros(1)
+        sampler = OutputSampler(beta, 25)
         with pytest.raises(TruncationInsufficient):
-            OutputSampler(beta, 25).densities([lost], points)
+            sampler.bind((np.zeros(1),) * sampler.outcome_dim)([lost])
 
 
 class TestOversizedStates:
@@ -465,11 +480,10 @@ class TestOversizedStates:
     def test_raises_truncation_insufficient(self, beta):
         wide = np.ones(81) / 9.0
         sampler = OutputSampler(beta, 61)
-        points = np.zeros((1, sampler.outcome_dim))
-        with pytest.raises(TruncationInsufficient, match="81.*61"):
-            sampler.densities([wide], points)
-        with pytest.raises(TruncationInsufficient, match="81.*61"):
-            sampler.bind(points)([np.outer(wide, wide)])
         axes = (np.zeros(1),) * sampler.outcome_dim
+        with pytest.raises(TruncationInsufficient, match="81.*61"):
+            sampler.bind(axes)([wide])
+        with pytest.raises(TruncationInsufficient, match="81.*61"):
+            sampler.bind(axes)([np.outer(wide, wide)])
         with pytest.raises(TruncationInsufficient, match="81.*61"):
             next(sampler.stream([wide], axes))
