@@ -15,11 +15,10 @@ from .core import (
     NumericsError,
     OutOfInterval,
     _energy_value,
+    _entropy_term,
     _record,
     make_covariance,
-    output_entropy_term,
 )
-from .optimize import golden_section_max
 
 
 class Regime(str, Enum):
@@ -85,9 +84,7 @@ def ensemble_objective(delta, alpha, beta):
     slack = 1e-12 * max(1.0, hi)
     if not (lo - slack <= delta <= hi + slack):
         raise OutOfInterval(f"delta = {delta} outside [{lo}, {hi}]")
-    if beta.noise_type == 1:
-        return 0.5 * math.log((delta + beta.beta_q) * (0.25 / delta + beta.beta_p))
-    return 0.5 * math.log(delta + beta.beta_q)
+    return _entropy_term(delta, 0.25 / delta, beta)
 
 
 def optimal_squeezing(alpha, beta):
@@ -103,14 +100,12 @@ def e_closure(alpha, beta):
     regimes L and R (see classify_regime).
     """
     d = optimal_squeezing(alpha, beta)
-    if beta.noise_type == 1:
-        return 0.5 * math.log((d + beta.beta_q) * (0.25 / d + beta.beta_p))
-    return 0.5 * math.log(d + beta.beta_q)
+    return _entropy_term(d, 0.25 / d, beta)
 
 
 def capacity_alpha(alpha, beta):
     """Capacity at fixed average-state covariance (entropy minus closure)."""
-    return output_entropy_term(alpha, beta) - e_closure(alpha, beta)
+    return _entropy_term(alpha.alpha_q, alpha.alpha_p, beta) - e_closure(alpha, beta)
 
 
 def threshold_energy(beta_1, beta_2):
@@ -130,8 +125,13 @@ def upper_bound(beta_q, E):
 
 def _noisy_position_ratio(E, beta_q):
     """(sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized: no cancellation, 2E at bq=0."""
-    return (4.0 * E + 2.0 * beta_q) / (
-        math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2) + 1.0)
+    try:  # beta_q * beta_q would round differently on about 1 input in 1e5
+        root = math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2)
+    except OverflowError:
+        root = math.inf
+    if root == math.inf:  # both 1s are below roundoff: sqrt((2E + bq) / bq)
+        return math.sqrt(1.0 + 2.0 * E / beta_q)
+    return (4.0 * E + 2.0 * beta_q) / (root + 1.0)
 
 
 def _ensemble_for(alpha, beta):
@@ -139,6 +139,27 @@ def _ensemble_for(alpha, beta):
     gq = max(alpha.alpha_q - d, 0.0)
     gp = max(alpha.alpha_p - 0.25 / d, 0.0)
     return GaussianEnsembleSpec(d, gq, gp)
+
+
+def _golden_section_max(f, a, b, xtol):
+    """Maximize a unimodal f on [a, b] (a <= b); returns (x, f(x))."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(300):
+        if b - a <= xtol:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def _shell_maximum(beta, E, xtol=1e-11):
@@ -167,7 +188,7 @@ def _shell_maximum(beta, E, xtol=1e-11):
             best_i, best_v = i, v
     a = max(lo, lo + (best_i - 1) * step)
     b = min(hi, lo + (best_i + 1) * step)
-    return golden_section_max(value, a, b, xtol=xtol)
+    return _golden_section_max(value, a, b, xtol)
 
 
 def capacity_energy(beta, E, cross_check=True):
@@ -180,36 +201,21 @@ def capacity_energy(beta, E, cross_check=True):
     Gaussian-maximizer hypothesis, the gap is only recorded.
     """
     e = _energy_value(E)
-    bq = beta.beta_q
+    bq, bp = beta.beta_q, beta.beta_p
 
-    if beta.noise_type != 1:
-        # Position measurement: only the L branch exists (ratio -> 2E at bq=0).
-        ratio = _noisy_position_ratio(e, bq)
-        cap = math.log(ratio)
-        ap = 0.5 * ratio
-        aq = 2.0 * e - ap
-        regime = Regime.L
+    if beta.noise_type == 1 and e >= max(threshold_energy(bp, bq), threshold_energy(bq, bp)):
+        regime = Regime.C
+        aq = e + 0.5 * (bp - bq)
+        ap = e + 0.5 * (bq - bp)
+        cap = math.log((e + 0.5 * (bq + bp)) / (math.sqrt(bq * bp) + 0.5))
     else:
-        bp = beta.beta_p
-        thr_l = threshold_energy(bp, bq)
-        thr_r = threshold_energy(bq, bp)
-        if e >= max(thr_l, thr_r):
-            regime = Regime.C
-            aq = e + 0.5 * (bp - bq)
-            ap = e + 0.5 * (bq - bp)
-            cap = math.log((e + 0.5 * (bq + bp)) / (math.sqrt(bq * bp) + 0.5))
-        elif bq <= bp:
-            regime = Regime.L
-            ratio = _noisy_position_ratio(e, bq)
-            cap = math.log(ratio)
-            ap = 0.5 * ratio
-            aq = 2.0 * e - ap
-        else:
-            regime = Regime.R
-            ratio = _noisy_position_ratio(e, bp)
-            cap = math.log(ratio)
-            aq = 0.5 * ratio
-            ap = 2.0 * e - aq
+        # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
+        mirror = bq > bp
+        regime = Regime.R if mirror else Regime.L
+        ratio = _noisy_position_ratio(e, bp if mirror else bq)
+        cap = math.log(ratio)
+        low, high = 0.5 * ratio, 2.0 * e - 0.5 * ratio
+        aq, ap = (low, high) if mirror else (high, low)
 
     alpha = make_covariance(aq, ap)
     check = gap = None

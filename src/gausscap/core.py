@@ -166,7 +166,12 @@ def output_entropy_term(alpha, beta):
     constant set by the reference measure cancels in every information
     quantity and is never materialized.
     """
-    vq = alpha.alpha_q + beta.beta_q
+    return _entropy_term(alpha.alpha_q, alpha.alpha_p, beta)
+
+
+def _entropy_term(aq, ap, beta):
+    """The output entropy term at variances (aq, ap), unvalidated."""
+    vq = aq + beta.beta_q
     if beta.noise_type == 1:
-        return 0.5 * math.log(vq * (alpha.alpha_p + beta.beta_p))
+        return 0.5 * math.log(vq * (ap + beta.beta_p))
     return 0.5 * math.log(vq)

@@ -13,7 +13,7 @@ displaced_amplitudes of the columns S tau^{1/2}.
 import numpy as np
 
 from .core import InvalidForSharp, TruncationInsufficient, make_covariance
-from .duality import dual_ensemble
+from .duality import dual_ensemble, kappa_matrix
 from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, EIG_TOL, displaced_amplitudes
 from .fock import squeezed_thermal
 
@@ -57,9 +57,9 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     prime = _columns(dual.alpha_prime_q, dual.alpha_prime_p, n_max + 1)
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.
-    kq_scale = np.sqrt(max(1.0 - 0.25 / (alpha.alpha_q * alpha.alpha_p), 0.0))
-    cx = kq_scale * alpha.alpha_q / (alpha.alpha_q + beta.beta_q)
-    cy = kq_scale * alpha.alpha_p / (alpha.alpha_p + beta.beta_p)
+    kappa_q, kappa_p = kappa_matrix(alpha)
+    cx = kappa_q / (alpha.alpha_q + beta.beta_q)
+    cy = kappa_p / (alpha.alpha_p + beta.beta_p)
 
     axis = np.linspace(-sample_radius, sample_radius, samples_per_axis)
     rows = zip(displaced_amplitudes(noise, axis, axis),

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -265,15 +265,49 @@ class TestCapacityEnergy:
                     assert gap <= 1e-12 * max(1.0, res.capacity_nats)
 
     def test_noisy_position_ratio_matches_mpmath(self):
-        # Small E*beta_q is where sqrt(1 + 8E bq + ...) - 1 cancels.
-        for e in np.geomspace(0.5, 1e6, 25):
+        # Small E*beta_q is where sqrt(1 + 8E bq + ...) - 1 cancels.  From
+        # 8E bq or 4bq^2 ~ 1.8e308 on, the radicand overflows.
+        energies = np.concatenate([np.geomspace(0.5, 1e6, 25), np.geomspace(1e12, 1e300, 25)])
+        noises = np.concatenate([np.geomspace(1e-12, 1e2, 57), np.geomspace(1e8, 1e300, 25),
+                                 [6.7e153, 1.3e154, 1.35e154]])
+        for e in energies.tolist():
             assert _noisy_position_ratio(e, 0.0) == 2.0 * e
-            for bq in np.geomspace(1e-12, 1e2, 57):
+            for bq in noises.tolist():
                 with mpmath.workdps(50):
                     b = mpmath.mpf(bq)
                     exact = (mpmath.sqrt(1 + 8 * e * b + 4 * b * b) - 1) / (2 * b)
                 assert _noisy_position_ratio(e, bq) == pytest.approx(
                     float(exact), rel=1e-14)
+
+    @pytest.mark.parametrize("bq, e", [(3e7, 1e300), (1.3e154, 1.0), (1e200, 1.0)])
+    def test_overflowing_radicand_returns(self, bq, e):
+        # The ratio's radicand overflows here; these raised OverflowError or
+        # ValueError, not a GausscapError.
+        res = capacity_energy(make_noise(bq, INF), e, cross_check=False)
+        with mpmath.workdps(50):
+            b = mpmath.mpf(bq)
+            exact = mpmath.log((mpmath.sqrt(1 + 8 * e * b + 4 * b * b) - 1) / (2 * b))
+        assert res.capacity_nats == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+        assert res.regime is Regime.L
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_e=st.floats(math.log10(0.5), 6.0),
+        log_bq=st.floats(-9.0, 2.0),
+        log_u=st.floats(0.0, 3.0),
+    )
+    def test_swapped_noise_mirrors_regime(self, log_e, log_bq, log_u):
+        # One noisy-position branch serves L and, with bq and bp swapped, R.
+        e = max(10 ** log_e, 0.5)
+        bq = 10 ** log_bq
+        bp = 10 ** log_u * 0.25 / bq
+        assume(bq != bp)
+        res = capacity_energy(make_noise(bq, bp), e, cross_check=False)
+        mirror = capacity_energy(make_noise(bp, bq), e, cross_check=False)
+        assert mirror.capacity_nats == res.capacity_nats
+        assert mirror.regime is {Regime.L: Regime.R, Regime.C: Regime.C,
+                                 Regime.R: Regime.L}[res.regime]
+        assert mirror.optimal_alpha == (res.optimal_alpha.alpha_p, res.optimal_alpha.alpha_q)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -58,6 +58,13 @@ class TestCapacityCommand:
             payload["capacity_nats"], abs=1e-9
         )
 
+    def test_overflowing_noise_exit_0(self, runner):
+        # Used to exit 1 with a traceback: the noisy-position radicand overflowed.
+        res = run_ok(runner, ["capacity", "--beta-q", "1e200", "--beta-p", "inf", "-e", "1"])
+        payload = json.loads(res.output)
+        assert payload["capacity_nats"] == pytest.approx(0.0, abs=1e-15)
+        assert payload["regime"] == "L"
+
     def test_invalid_energy_exit_2(self, runner):
         res = runner.invoke(main, ["capacity", "--beta-q", "0.5",
                                    "--beta-p", "0.5", "-e", "0.4"])
