@@ -124,14 +124,15 @@ def upper_bound(beta_q, E):
 
 
 def _noisy_position_ratio(E, beta_q):
-    """(sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized: no cancellation, 2E at bq=0."""
+    """(r, r - 1) for r = (sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized; r = 2E at bq=0."""
     try:  # beta_q * beta_q would round differently on about 1 input in 1e5
         root = math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2)
     except OverflowError:
         root = math.inf
-    if root == math.inf:  # both 1s are below roundoff: sqrt((2E + bq) / bq)
-        return math.sqrt(1.0 + 2.0 * E / beta_q)
-    return (4.0 * E + 2.0 * beta_q) / (root + 1.0)
+    if root == math.inf:  # the 1s are below roundoff beside 2bq: r = sqrt((2E + bq) / bq)
+        ratio = math.sqrt(1.0 + 2.0 * E / beta_q)
+        return ratio, (2.0 * E - 1.0) / beta_q / (ratio + 1.0)
+    return (4.0 * E + 2.0 * beta_q) / (root + 1.0), (4.0 * E - 2.0) / (root + 2.0 * beta_q + 1.0)
 
 
 def _ensemble_for(alpha, beta):
@@ -168,7 +169,8 @@ def _shell_maximum(beta, E, xtol=1e-11):
     # the partner quadrature from that product, not from E - sqrt(E^2 - 1/4)
     # or 2E - ap, avoids a cancellation that lands below the uncertainty
     # boundary for large E.
-    hi = E + math.sqrt(max(E * E - 0.25, 0.0))
+    # From E = 2^26 the end is 2E to the bit; E*E overflows from E = 1.3e154.
+    hi = 2.0 * E if E >= 2.0 ** 26 else E + math.sqrt(max(E * E - 0.25, 0.0))
     lo = 0.25 / hi
     if hi - lo < 1e-14:
         a = make_covariance(E, E)
@@ -212,8 +214,8 @@ def capacity_energy(beta, E, cross_check=True):
         # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
         mirror = bq > bp
         regime = Regime.R if mirror else Regime.L
-        ratio = _noisy_position_ratio(e, bp if mirror else bq)
-        cap = math.log(ratio)
+        ratio, excess = _noisy_position_ratio(e, bp if mirror else bq)
+        cap = math.log1p(excess)
         low, high = 0.5 * ratio, 2.0 * e - 0.5 * ratio
         aq, ap = (low, high) if mirror else (high, low)
 

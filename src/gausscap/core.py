@@ -64,6 +64,11 @@ class NormalizationFailure(NumericsError):
     pass
 
 
+def _is_count(value, least):
+    """Whether value is an integer >= least; bools and floats are not counts."""
+    return not isinstance(value, bool) and hasattr(value, "__index__") and value >= least
+
+
 def _record(name, fields, defaults=()):
     """Named-tuple base whose _make, and so _replace, builds through cls(...)."""
     base = namedtuple(name, fields, defaults=defaults)
@@ -173,5 +178,6 @@ def _entropy_term(aq, ap, beta):
     """The output entropy term at variances (aq, ap), unvalidated."""
     vq = aq + beta.beta_q
     if beta.noise_type == 1:
-        return 0.5 * math.log(vq * (ap + beta.beta_p))
+        vp = ap + beta.beta_p  # vq * vp overflows from about E = 1e154
+        return 0.5 * (math.log(vq * vp) if vq * vp < math.inf else math.log(vq) + math.log(vp))
     return 0.5 * math.log(vq)

@@ -4,35 +4,44 @@ The dual member state at outcome (x, y) is rho^{1/2} m(x,y) rho^{1/2}
 normalized, with m the POVM density.  For Gaussian inputs this must equal
 the displaced Gaussian with covariance alpha' at the contracted outcome
 coordinates; the check reports the worst trace-norm gap over sampled
-outcomes on truncated Fock matrices.  The factors are exact columns of
-fock.squeezed_thermal, rho = S tau S+: rho^{1/2} = S tau^{1/2} S+, and
-D rho_beta D+ = A A+, D' rho' D'+ = B B+ with A and B the
-displaced_amplitudes of the columns S tau^{1/2}.
+outcomes on truncated Fock matrices, with rho^{1/2} = S tau^{1/2} S+ from
+fock.squeezed_thermal and D rho_beta D+, D' rho' D'+ exact (_kicked_vectors).
 """
+
+import math
 
 import numpy as np
 
-from .core import InvalidForSharp, TruncationInsufficient, make_covariance
+from .core import InvalidForSharp, NonPositive, TruncationInsufficient, _is_count
 from .duality import dual_ensemble, kappa_matrix
-from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, EIG_TOL, displaced_amplitudes
+from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, _displaced_squeezed, _gauss_rule
 from .fock import squeezed_thermal
 
 
-def _columns(cq, cp, dim):
-    """Columns S tau^{1/2} of covariance (cq, cp), weights below EIG_TOL dropped.
+def _kicked_vectors(cq, cp, x, ys, buf):
+    """Vectors c_j with sum_j |c_j><c_j| = P D(x,y) rho D(x,y)+ P, per y of ys.
 
-    Raises on a thermal deficit over DEFAULT_TRUNCATION_TOL.
+    rho of covariance (cq, cp) is S(r)|0>, e^{2r} = 2 cq, kicked in momentum
+    with variance kick = cp - 1/(4 cq): c_j = sqrt(w_j) D(x, y + v_j) S(r)|0>.
+    <m|c><c|n> is exp(-(1 + tanh r)(y + v)^2/2) times a polynomial of degree
+    < 2 dim in v, so the dim-node Gauss-Hermite rule for its product with the
+    kick density is exact; kick <= 0 is one node, v = 0.  The rows, shape
+    (len(ys), nodes, dim), are a view of buf, shape (dim + 1, len(ys), dim).
     """
-    s, diag = squeezed_thermal(make_covariance(cq, cp), dim)
-    if not 1.0 - diag.sum() <= DEFAULT_TRUNCATION_TOL:
-        raise TruncationInsufficient(f"thermal deficit {1.0 - diag.sum():.3e} at N={dim - 1}")
-    keep = diag > EIG_TOL * diag[0]
-    return s[:, keep] * np.sqrt(diag[keep])
-
-
-def _trace_norm(mat):
-    """Trace norm of a Hermitian matrix: the sum of its absolute eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
+    r = 0.5 * math.log(2.0 * cq)
+    kick = cp - 0.25 / cq
+    if kick > 0.0:
+        t, w = _gauss_rule(buf.shape[2], hermite=True)
+        b = 1.0 + math.tanh(r)
+        a = 0.5 / kick + 0.5 * b
+        v = t / math.sqrt(a) - (0.5 * b / a) * ys[:, None]
+        root_w = (np.exp(0.5 * (np.log(w) + t * t - v * v / (2.0 * kick)))
+                  / (2.0 * math.pi * kick * a) ** 0.25)
+    else:
+        v, root_w = np.zeros((len(ys), 1)), np.ones((len(ys), 1))
+    rows = _displaced_squeezed(buf[:, :, :v.shape[1]], x, ys[:, None] + v, r)
+    rows *= root_w[..., None]
+    return rows
 
 
 def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
@@ -41,11 +50,14 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
 
     Raises TruncationInsufficient when rho's trace misses 1 by more than
     DEFAULT_TRUNCATION_TOL, as the normalized built states would hide that
-    loss; the truncations of rho_beta and rho' show in the gap, and only their
-    thermal weights are held to that bound.
+    loss; rho_beta and rho' enter exactly, projected after displacement.
     """
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
+    if not (_is_count(n_max, 0) and _is_count(samples_per_axis, 1)
+            and math.isfinite(sample_radius)):
+        raise NonPositive(f"need integers n_max >= 0, samples_per_axis >= 1 and a finite "
+                          f"sample_radius, got {n_max!r}, {samples_per_axis!r}, {sample_radius!r}")
     dual = dual_ensemble(alpha, beta)
     squeeze, diag = squeezed_thermal(alpha, n_max + 1)
     root = squeeze * np.sqrt(diag)
@@ -53,8 +65,6 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     if not deficit <= DEFAULT_TRUNCATION_TOL:
         raise TruncationInsufficient(f"trace deficit {deficit:.3e} of rho at N={n_max}")
     sqrt_bar = root @ squeeze.T
-    noise = _columns(beta.beta_q, beta.beta_p, n_max + 1)
-    prime = _columns(dual.alpha_prime_q, dual.alpha_prime_p, n_max + 1)
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.
     kappa_q, kappa_p = kappa_matrix(alpha)
@@ -62,13 +72,15 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     cy = kappa_p / (alpha.alpha_p + beta.beta_p)
 
     axis = np.linspace(-sample_radius, sample_radius, samples_per_axis)
-    rows = zip(displaced_amplitudes(noise, axis, axis),
-               displaced_amplitudes(prime, cx * axis, cy * axis))
+    buf = np.empty((n_max + 2, samples_per_axis, n_max + 1), complex)
+    gaps = np.empty((samples_per_axis, n_max + 1, n_max + 1), complex)
     worst = 0.0
-    for a_row, b_row in rows:
-        for j in range(axis.shape[0]):
-            s = sqrt_bar @ a_row[:, :, j]
-            built = s @ s.conj().T / np.vdot(s, s).real
-            b = b_row[:, :, j]
-            worst = max(worst, _trace_norm(built - b @ b.conj().T))
+    for x in axis:
+        for rows, gap in zip(_kicked_vectors(beta.beta_q, beta.beta_p, x, axis, buf), gaps):
+            s = sqrt_bar @ rows.T
+            np.divide(s @ s.conj().T, np.vdot(s, s).real, out=gap)
+        prime = _kicked_vectors(dual.alpha_prime_q, dual.alpha_prime_p, cx * x, cy * axis, buf)
+        for rows, gap in zip(prime, gaps):
+            gap -= rows.T @ rows.conj()
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(gap)).sum()))
     return worst

@@ -4,12 +4,11 @@ States live on the span of |0>..|N> (dimension N+1); no dense displacement
 matrix is built.  Displaced squeezed vectors D(x,y) S(r)(cos t|0> + sin t|1>)
 are exact projections onto |0>..|N> from the recurrence of the annihilator
 of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
-vectors of every type-1 outcome density (grids.OutputSampler).  One
-Gauss-Legendre grid of inner positions with the oscillator eigenfunctions
-on it carries the rest: <n|D(x,y)|c_r> for fixed columns c_r (the duality
-check's displaced_amplitudes) and the characteristic function
-(quantum_charfn).  Squeezed thermal states take the exact block
-<m|S(r)|n> from a Gauss-Hermite rule; numpy only.
+vectors of every type-1 outcome density (grids.OutputSampler), and the
+displaced Gaussian states of the duality check (dualcheck).  The
+characteristic function (quantum_charfn) integrates wavefunction products
+on one Gauss-Legendre grid of inner positions.  Squeezed thermal states
+take the exact block <m|S(r)|n> from a Gauss-Hermite rule; numpy only.
 """
 
 import functools
@@ -190,37 +189,16 @@ def _inner_grid(dim, reach):
     product of two truncated Fock-space functions, each with wavenumbers up
     to sqrt(2 dim), times a factor with wavenumbers up to reach.
     Gauss-Legendre resolves them once the node count exceeds q_max times the
-    total wavenumber over 2; 64 nodes more take the error to rounding (every
-    <m|D|n> at dim 25 and 61 and |zeta| <= 3 within 1.1e-14 of mpmath, where
-    32 more left 2.0e-8 at the Fock edge).  The count is capped at 6000 nodes.
+    total wavenumber over 2; 64 nodes more take the error to rounding
+    (Tr[|n><n| D] for every n < dim at dim 25 and 61 and |zeta| <= 3 within
+    5.3e-15 of mpmath, where 32 more left 2.0e-8 at the Fock edge).  The
+    count is capped at 6000 nodes.
     """
     q_max = math.sqrt(2.0 * dim) + 6.0
     n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 64
     x, w = _gauss_rule(min(n, 6000))
     q = q_max * x
     return q, q_max * w, _hermite_functions(q, dim)
-
-
-def displaced_amplitudes(columns, xs, ys):
-    """<n|D(x,y)|c_r> for the columns c_r of `columns` (dim, rank), one x at a time.
-
-    <q|D(x,y)|c> = e^{-ixy/2} e^{iyq} c(q-x), so <n|D(x,y)|c_r> =
-    int psi_n(q) c_r(q-x) e^{i(yq - xy/2)} dq on the inner grid sized for
-    max |y|.  Per x the shifted columns c_r(q-x) are contracted first, a
-    (Q, rank) matrix; per y they take that y's Fourier factor and one real
-    matmul with the weighted Hermite functions, their real and imaginary
-    parts interleaved.  One array (dim, rank, len(ys)) is yielded per x of xs.
-    """
-    dim = columns.shape[0]
-    ys = np.asarray(ys, dtype=float)
-    q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
-    psi *= w
-    waves = np.exp(1j * np.outer(ys, q))
-    for x in xs:
-        shifted = _hermite_functions(q - x, dim).T @ columns
-        amps = np.stack([psi @ (shifted * (wave * np.exp(-0.5j * x * y))[:, None]).view(float)
-                         for y, wave in zip(ys, waves)])
-        yield np.moveaxis(amps.view(complex), 0, -1)
 
 
 def quantum_charfn(rho):

@@ -23,6 +23,7 @@ from .core import (
     NormalizationFailure,
     NumericsError,
     TruncationInsufficient,
+    _is_count,
     _record,
 )
 from .fock import (
@@ -54,9 +55,9 @@ class QuadratureGrid(_record("QuadratureGrid", "half_width nodes_per_axis")):
     __slots__ = ()
 
     def __new__(cls, half_width=8.0, nodes_per_axis=200):
-        if not (0 < half_width < math.inf) or nodes_per_axis < 1:
+        if not (0 < half_width < math.inf) or not _is_count(nodes_per_axis, 1):
             raise NonPositive(
-                f"need finite half_width > 0 and nodes_per_axis >= 1, got "
+                f"need finite half_width > 0 and an integer nodes_per_axis >= 1, got "
                 f"{half_width} and {nodes_per_axis}"
             )
         return super().__new__(cls, half_width, nodes_per_axis)

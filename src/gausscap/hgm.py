@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
-from .core import NonPositive, _record
+from .core import NonPositive, _is_count, _record
 from .fock import displaced_squeezed_vector
 from .grids import (
     OutputSampler,
@@ -45,10 +45,10 @@ class SearchConfig(_record("SearchConfig", "members allow_fock starts max_iter s
 
     def __new__(cls, members=4, allow_fock=True, starts=16, max_iter=200, seed=0,
                 n_max=24, grid=QuadratureGrid(6.0, 48)):
-        if members < 1 or n_max < 1:
-            raise NonPositive(f"members and n_max must be >= 1, got {members} and {n_max}")
-        if starts < 1 or max_iter < 0:
-            raise NonPositive(f"need starts >= 1 and max_iter >= 0, got {starts} and {max_iter}")
+        if not (_is_count(members, 1) and _is_count(n_max, 1)):
+            raise NonPositive(f"members and n_max must be integers >= 1: {members}, {n_max}")
+        if not (_is_count(starts, 1) and _is_count(max_iter, 0)):
+            raise NonPositive(f"need integers starts >= 1, max_iter >= 0: {starts}, {max_iter}")
         return super().__new__(cls, members, allow_fock, starts, max_iter, seed, n_max, grid)
 
     @property

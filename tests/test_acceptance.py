@@ -120,7 +120,7 @@ def test_criterion_02_energy_capacity_cross_check():
         _, numeric = _shell_argmax(beta, e)
         worst_val = max(worst_val, abs(res.capacity_nats - numeric))
         if res.regime is Regime.L:
-            ap_closed = 0.5 * _noisy_position_ratio(e, beta.beta_q)
+            ap_closed = 0.5 * _noisy_position_ratio(e, beta.beta_q)[0]
             worst_ap = max(worst_ap, abs(res.optimal_alpha.alpha_p - ap_closed))
     ok = worst_val < 1e-9 and worst_ap < 1e-9
     report(2, ok, f"200 draws, max value gap {worst_val:.2e}, "

@@ -271,13 +271,40 @@ class TestCapacityEnergy:
         noises = np.concatenate([np.geomspace(1e-12, 1e2, 57), np.geomspace(1e8, 1e300, 25),
                                  [6.7e153, 1.3e154, 1.35e154]])
         for e in energies.tolist():
-            assert _noisy_position_ratio(e, 0.0) == 2.0 * e
+            assert _noisy_position_ratio(e, 0.0)[0] == 2.0 * e
             for bq in noises.tolist():
                 with mpmath.workdps(50):
                     b = mpmath.mpf(bq)
                     exact = (mpmath.sqrt(1 + 8 * e * b + 4 * b * b) - 1) / (2 * b)
-                assert _noisy_position_ratio(e, bq) == pytest.approx(
+                assert _noisy_position_ratio(e, bq)[0] == pytest.approx(
                     float(exact), rel=1e-14)
+
+    def test_noisy_position_capacity_matches_mpmath(self):
+        # ln r with r = 1 + O(E/bq) when bq >> E: ln of the rounded ratio was
+        # 8.9e-5 off at bq = 1e12, E = 1.  The reference resolves the 1/bq^2
+        # terms of the radicand; values below 1e-300 are subnormal and skipped.
+        energies = [0.5, 0.5 + 1e-9, 0.75, 1.0, 3.7, 1e3, 1e8, 1e150, 1e300, 1e307]
+        noises = np.concatenate([[0.0], np.geomspace(1e-12, 1e300, 79), [6.7e153, 1.35e154]])
+        for e in energies:
+            for bq in noises.tolist():
+                res = capacity_energy(make_noise(bq, INF), e, cross_check=False)
+                digits = 40 + 2 * max(0, int(math.log10(max(bq, 1.0)))) + int(math.log10(e))
+                with mpmath.workdps(digits):
+                    b, en = mpmath.mpf(bq), mpmath.mpf(e)
+                    exact = mpmath.log((mpmath.sqrt(1 + 8 * en * b + 4 * b * b) - 1) / (2 * b)
+                                       if bq else 2 * en)
+                if abs(exact) > 1e-300:
+                    assert res.capacity_nats == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("e", [1.35e154, 1e200, 1e300, 1e307])
+    @pytest.mark.parametrize("bq, bp", [(0.5, 0.5), (0.2, 5.0), (5.0, 0.2), (2.0, 2.0),
+                                        (0.2, INF), (1e-9, INF), (1e12, INF), (0.0, INF)])
+    def test_huge_energy_returns_with_cross_check(self, bq, bp, e):
+        # From E = 1.34e154 on, E*E and the entropy products overflowed and
+        # the cross-check raised NonPositive on the shell.
+        res = capacity_energy(make_noise(bq, bp), e)
+        assert math.isfinite(res.capacity_nats)
+        assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("bq, e", [(3e7, 1e300), (1.3e154, 1.0), (1e200, 1.0)])
     def test_overflowing_radicand_returns(self, bq, e):

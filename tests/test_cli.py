@@ -65,6 +65,12 @@ class TestCapacityCommand:
         assert payload["capacity_nats"] == pytest.approx(0.0, abs=1e-15)
         assert payload["regime"] == "L"
 
+    @pytest.mark.parametrize("beta_p", ["0.5", "inf"])
+    def test_huge_energy_exit_0(self, runner, beta_p):
+        # E*E overflowed in the cross-check, which exited 2 on valid input.
+        res = run_ok(runner, ["capacity", "--beta-q", "0.5", "--beta-p", beta_p, "-e", "1.35e154"])
+        assert math.isfinite(json.loads(res.output)["capacity_nats"])
+
     def test_invalid_energy_exit_2(self, runner):
         res = runner.invoke(main, ["capacity", "--beta-q", "0.5",
                                    "--beta-p", "0.5", "-e", "0.4"])

@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from dense_displacement import displacement_matrix, padded_squeeze
+from dense_displacement import double_loop_displacement, padded_squeeze
 from traced import traced_peak
-from gausscap.core import InvalidForSharp, TruncationInsufficient, make_covariance, make_noise
-from gausscap.dualcheck import dual_operator_check
+from gausscap.core import (InvalidForSharp, NonPositive, TruncationInsufficient,
+                           make_covariance, make_noise)
+from gausscap.dualcheck import _kicked_vectors, dual_operator_check
 from gausscap.duality import dual_ensemble
 
 
@@ -19,27 +21,56 @@ def dense_state(cq, cp, dim, power):
     return (s * tau ** power) @ s.T
 
 
+# Levels of the dense displacement in the references.  The states keep at
+# most 1.5e-8 of their trace past them (beta = (0.1, 10)), and D with
+# |zeta| <= 2.1 couples those levels to |0>..|60> by at most 7.3e-27, so
+# P D rho D+ P is exact to rounding for dim <= 61.
+DISPLACE_PAD = 160
+
+
+@functools.lru_cache(maxsize=8)
+def padded_displacements(zetas):
+    """D(zeta) on DISPLACE_PAD levels for each zeta of a tuple."""
+    return double_loop_displacement(zetas, DISPLACE_PAD)
+
+
+def displaced_blocks(cq, cp, xs, ys, dim):
+    """P D(x,y) rho D(x,y)+ P on |0>..|dim-1> per point (x, y) of xs, ys:
+    displaced on DISPLACE_PAD levels, then projected."""
+    d = padded_displacements(tuple((np.asarray(xs) + 1j * np.asarray(ys)) / math.sqrt(2.0)))
+    moved = d @ dense_state(cq, cp, DISPLACE_PAD, 1.0) @ d.conj().transpose(0, 2, 1)
+    return moved[:, :dim, :dim]
+
+
 def dense_dual_check(alpha, beta, n_max, sample_radius, samples_per_axis):
-    """The duality check with dense truncated displacement matrices."""
+    """The duality check with dense displacement matrices, displaced before projecting."""
     dual = dual_ensemble(alpha, beta)
     dim = n_max + 1
     sqrt_bar = dense_state(alpha.alpha_q, alpha.alpha_p, dim, 0.5)
-    rho_beta = dense_state(beta.beta_q, beta.beta_p, dim, 1.0)
-    rho_prime = dense_state(dual.alpha_prime_q, dual.alpha_prime_p, dim, 1.0)
     scale = math.sqrt(1.0 - 0.25 / (alpha.alpha_q * alpha.alpha_p))
     cx = scale * alpha.alpha_q / (alpha.alpha_q + beta.beta_q)
     cy = scale * alpha.alpha_p / (alpha.alpha_p + beta.beta_p)
     axis = np.linspace(-sample_radius, sample_radius, samples_per_axis)
-    worst = 0.0
-    for x in axis:
-        for y in axis:
-            d = displacement_matrix(x, y, dim)
-            num = sqrt_bar @ d @ rho_beta @ d.conj().T @ sqrt_bar
-            dp = displacement_matrix(cx * x, cy * y, dim)
-            closed = dp @ rho_prime @ dp.conj().T
-            gap = np.linalg.svd(num / np.trace(num).real - closed, compute_uv=False).sum()
-            worst = max(worst, float(gap))
-    return worst
+    x, y = (v.ravel() for v in np.meshgrid(axis, axis, indexing="ij"))
+    num = sqrt_bar @ displaced_blocks(beta.beta_q, beta.beta_p, x, y, dim) @ sqrt_bar
+    num /= np.trace(num, axis1=1, axis2=2).real[:, None, None]
+    closed = displaced_blocks(dual.alpha_prime_q, dual.alpha_prime_p, cx * x, cy * y, dim)
+    return float(np.linalg.svd(num - closed, compute_uv=False).sum(axis=1).max())
+
+
+class TestKickedVectors:
+    @pytest.mark.parametrize("beta", [(0.5, 0.5), (0.5, 0.5 + 1e-9), (0.2, 5.0), (0.1, 10.0),
+                                      (2.0, 2.0)])
+    @pytest.mark.parametrize("dim", [17, 41, 61])
+    def test_match_padded_dense(self, dim, beta):
+        # Pure, barely kicked, squeezed and thermal noise: the vectors give
+        # P D rho D+ P exactly, with no truncation of rho before displacing.
+        ys = np.array([-2.0, -0.3, 1.1, 2.0])
+        buf = np.empty((dim + 1, len(ys), dim), complex)
+        for x in (-1.7, 0.4):
+            rows = _kicked_vectors(*beta, x, ys, buf)
+            ref = displaced_blocks(*beta, np.full(len(ys), x), ys, dim)
+            assert np.abs(np.swapaxes(rows, 1, 2) @ rows.conj() - ref).max() <= 1e-13
 
 
 class TestDualOperatorCheck:
@@ -60,8 +91,8 @@ class TestDualOperatorCheck:
 
     @pytest.mark.parametrize("n_max", [17, 24, 30])
     def test_matches_dense_displacement(self, n_max):
-        # Same truncated operators as the dense route, so the same gap, also
-        # where truncation makes it large.
+        # The noise and dual states enter displaced, then projected, so the
+        # gap stays at rounding also at small N.
         alpha, beta = make_covariance(1.0, 1.0), make_noise(0.2, 5.0)
         args = (n_max, 1.5, 3)
         dense = dense_dual_check(alpha, beta, *args)
@@ -69,13 +100,22 @@ class TestDualOperatorCheck:
 
     def test_squeezed_input_and_noise(self):
         alpha, beta = make_covariance(1.4, 1 / 1.4), make_noise(0.1, 10.0)
-        assert dual_operator_check(alpha, beta, n_max=60) < 1e-9
+        assert dual_operator_check(alpha, beta, n_max=60) < 1e-12
 
     def test_traced_peak_at_n60(self):
-        # Each outcome row once built the (61 levels x rank x inner nodes)
-        # product of the Hermite functions and the shifted columns, 4.6-5.2 MB traced.
+        # One (62, 5, 61) vector buffer and the five 61 x 61 gaps of an outcome
+        # row; the Fourier step on an inner grid it replaced traced 1.26 MB.
         alpha, beta = make_covariance(1.1, 1 / 1.1), make_noise(0.2, 5.0)
-        assert traced_peak(lambda: dual_operator_check(alpha, beta, n_max=60)) < 2.5e6
+        assert traced_peak(lambda: dual_operator_check(alpha, beta, n_max=60)) < 1.2e6
+
+    @pytest.mark.parametrize("n_max, samples, radius", [
+        (10, 0, 2.0), (10, -1, 2.0), (10, 2.5, 2.0), (10, True, 2.0), (10, 5, math.inf),
+        (10, 5, math.nan), (2.5, 5, 2.0), (-1, 5, 2.0)])
+    def test_rejects_empty_or_unbounded_samples(self, n_max, samples, radius):
+        # Nothing sampled would report a gap of 0; the others died in numpy.
+        with pytest.raises(NonPositive):
+            dual_operator_check(make_covariance(1.0, 1.0), make_noise(0.5, 0.5), n_max=n_max,
+                                sample_radius=radius, samples_per_axis=samples)
 
     def test_thermal_truncation_raises(self):
         # 1.5e-2 of the thermal weight of alpha lies past N = 20.

@@ -11,7 +11,6 @@ from gausscap import fock
 from gausscap.core import NumericsError, TruncationInsufficient, make_covariance, make_noise
 from gausscap.fock import (
     FockOperator,
-    displaced_amplitudes,
     displaced_squeezed_vector,
     gaussian_state_fock,
     quantum_charfn,
@@ -140,77 +139,100 @@ class TestGaussRule:
         assert np.all(w > 0.0) and w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-def grid_displacement(x, y, dim):
-    """<m|D(x,y)|n> for m, n < dim from the position-grid amplitudes."""
-    return next(displaced_amplitudes(np.eye(dim), [x], [y]))[:, :, 0]
+def random_state(dim, seed, rank=3):
+    """A random complex mixed state of the given rank on |0>..|dim-1>."""
+    rng = np.random.default_rng(seed)
+    vs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    return (vs.T * rng.dirichlet(np.ones(rank))) @ vs.conj()
+
+
+def dense_charfn(rho, x, y):
+    """Tr[rho D(x,y)] from the double-loop displacement matrices, one per point."""
+    d = double_loop_displacement((np.ravel(x) + 1j * np.ravel(y)) / math.sqrt(2.0), len(rho))
+    return np.einsum("mn,knm->k", rho, d)
 
 
 class TestDisplacement:
+    """Tr[rho D(x,y)] from quantum_charfn, which integrates on the inner position grid."""
+
     def test_matches_matrix_exponential(self):
+        # A state on |0>..|19> of a 40-level space, against the exponential
+        # of the truncated generator, which is exact away from its edge.
         dim = 40
         x, y = 0.7, -1.1
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[:20, :20] = random_state(20, 3)
         a = destroy(dim)
         zeta = (x + 1j * y) / math.sqrt(2.0)
-        direct = expm(zeta * a.conj().T - np.conj(zeta) * a)
-        d = grid_displacement(x, y, dim)
-        # agreement away from the truncation edge of the exponential
-        assert np.allclose(d[:20, :20], direct[:20, :20], atol=1e-9)
+        direct = np.trace(rho @ expm(zeta * a.conj().T - np.conj(zeta) * a))
+        assert quantum_charfn(rho)(x, y) == pytest.approx(direct, abs=1e-9)
 
     def test_vacuum_overlap_closed_form(self):
-        # <n|D|0> = zeta^n e^{-|zeta|^2/2} / sqrt(n!)
+        # rho = (|n><0| + |0><n|)/2 picks (<0|D|n> + <n|D|0>)/2, with
+        # <n|D|0> = zeta^n e^{-|zeta|^2/2}/sqrt(n!) and <0|D|n> the same with -conj(zeta).
         x, y = 1.2, 0.4
         zeta = (x + 1j * y) / math.sqrt(2.0)
-        d = grid_displacement(x, y, 26)
         for n in range(10):
-            expect = zeta ** n * math.exp(-abs(zeta) ** 2 / 2) / math.sqrt(
-                math.factorial(n)
-            )
-            assert d[n, 0] == pytest.approx(expect, abs=1e-13)
+            rho = np.zeros((26, 26))
+            rho[n, 0] += 0.5
+            rho[0, n] += 0.5
+            expect = (zeta ** n + (-np.conj(zeta)) ** n) * math.exp(-abs(zeta) ** 2 / 2) / (
+                2.0 * math.sqrt(math.factorial(n)))
+            assert quantum_charfn(rho)(x, y) == pytest.approx(expect, abs=1e-13)
 
     def test_zero_displacement_identity(self):
-        d = grid_displacement(0.0, 0.0, 16)
-        assert np.allclose(d, np.eye(16), atol=1e-14)
+        # Tr[rho D(0)] = Tr rho for a Hermitian rho that is not a state.
+        rng = np.random.default_rng(16)
+        h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = h + h.conj().T
+        assert quantum_charfn(rho)(0.0, 0.0) == pytest.approx(np.trace(rho).real, abs=1e-13)
 
-    def test_unitary_low_block(self):
-        d = grid_displacement(1.0, 1.0, 61)
-        block = (d.conj().T @ d)[:30, :30]
-        assert np.allclose(block, np.eye(30), atol=1e-10)
+    def test_adjoint_is_reverse_displacement(self):
+        # D(x,y)+ = D(-x,-y), so phi(-x,-y) = conj(phi(x,y)) for Hermitian rho.
+        phi = quantum_charfn(random_state(61, 61))
+        x, y = np.meshgrid([-2.0, 0.3, 1.4], [-1.1, 0.0, 2.5], indexing="ij")
+        assert np.abs(phi(-x, -y) - np.conj(phi(x, y))).max() <= 1e-13
 
     def test_batch_consistency(self):
-        # The rows of a tensor of (x, y) values, sized for its largest |y|,
-        # against one point at a time: a few points at dim 20, and a 41 x 41
-        # grid at dim 8, where one shifted-column matrix serves 41 y values.
+        # A tensor of (x, y) values, on one inner grid sized for its largest
+        # |y|, against one point at a time: a few points at dim 20, and a
+        # 41 x 41 grid at dim 8.
         for axis, dim in [(np.array([-1.0, 0.0, 0.3]), 20), (np.linspace(-4.0, 4.0, 41), 8)]:
-            for x, row in zip(axis, displaced_amplitudes(np.eye(dim), axis, axis)):
-                for j, y in enumerate(axis):
-                    assert np.allclose(row[:, :, j], grid_displacement(x, y, dim), atol=1e-13)
+            phi = quantum_charfn(random_state(dim, dim))
+            table = phi(axis[:, None], axis[None, :])
+            one = [[phi(x, y) for y in axis] for x in axis]
+            assert np.abs(table - np.array(one)).max() <= 1e-13
 
     @pytest.mark.parametrize("dim", [8, 20, 25, 41, 61, 100])
     def test_matches_double_loop_reference(self, dim):
         rng = np.random.default_rng(dim)
         zs = rng.uniform(0.0, 6.0, 20) * np.exp(2j * np.pi * rng.uniform(size=20))
-        ref = double_loop_displacement(zs, dim)
-        for z, d in zip(zs, ref):
-            x, y = math.sqrt(2) * z.real, math.sqrt(2) * z.imag
-            assert np.abs(grid_displacement(x, y, dim) - d).max() <= 1e-13
+        x, y = math.sqrt(2) * zs.real, math.sqrt(2) * zs.imag
+        rho = random_state(dim, dim + 1)
+        assert np.abs(quantum_charfn(rho)(x, y) - dense_charfn(rho, x, y)).max() <= 1e-12
 
     def test_complex_columns(self):
-        # The real and imaginary parts of complex columns share one real matmul.
+        # A complex Hermitian rho of full rank with eigenvalues of both signs.
         dim = 20
         rng = np.random.default_rng(7)
-        columns = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = (h + h.conj().T) / dim
         axis = np.array([-1.3, 0.0, 0.4, 2.1])
-        for x, row in zip(axis, displaced_amplitudes(columns, axis, axis)):
-            ref = double_loop_displacement((x + 1j * axis) / math.sqrt(2.0), dim) @ columns
-            assert np.abs(np.moveaxis(row, -1, 0) - ref).max() <= 1e-12
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        got = quantum_charfn(rho)(x, y).ravel()
+        assert np.abs(got - dense_charfn(rho, x, y)).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [25, 61])
     def test_every_element_matches_mpmath(self, dim):
-        # <n+d|D|n> = sqrt(n!/(n+d)!) zeta^d e^{-t/2} L_n^{(d)}(t), t = |zeta|^2,
-        # and <n|D|n+d> the same with (-conj zeta)^d; L from its finite sum.
+        # Every number state: Tr[|n><n| D] = e^{-t/2} L_n(t), t = |zeta|^2;
+        # and every element through a random state, sum rho_nm <m|D|n> with
+        # <n+d|D|n> = sqrt(n!/(n+d)!) zeta^d e^{-t/2} L_n^{(d)}(t) and <n|D|n+d>
+        # the same with (-conj zeta)^d; L from its finite sum.
+        rho = random_state(dim, 5)
         for radius in (0.5, 2.0, 3.0):
             zeta = cmath.rect(radius, 0.7)
-            got = grid_displacement(math.sqrt(2) * zeta.real, math.sqrt(2) * zeta.imag, dim)
+            x, y = math.sqrt(2) * zeta.real, math.sqrt(2) * zeta.imag
             ref = np.empty((dim, dim), dtype=complex)
             with mpmath.workdps(50):
                 z = mpmath.mpc(zeta)
@@ -224,7 +246,11 @@ class TestDisplacement:
                              * mpmath.exp(-t / 2) * lag)
                         ref[n + d, n] = complex(c * z ** d)
                         ref[n, n + d] = complex(c * (-mpmath.conj(z)) ** d)
-            assert np.abs(got - ref).max() <= 1e-13, radius
+            for n in range(dim):
+                number = np.zeros((dim, dim))
+                number[n, n] = 1.0
+                assert quantum_charfn(number)(x, y) == pytest.approx(ref[n, n], abs=1e-13)
+            assert quantum_charfn(rho)(x, y) == pytest.approx(np.sum(rho.T * ref), abs=1e-13)
 
 
 class TestDisplacedSqueezedVector:

@@ -9,6 +9,7 @@ from dense_displacement import displacement_matrix, double_loop_displacement
 from traced import traced_peak
 from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha, optimal_squeezing
 from gausscap.core import (
+    NonPositive,
     NormalizationFailure,
     NumericsError,
     TruncationInsufficient,
@@ -241,6 +242,15 @@ class TestQuadratureGrid:
     def test_rejects_empty_window(self, half_width, nodes):
         with pytest.raises(ValidationError):
             QuadratureGrid(half_width, nodes)
+
+    @pytest.mark.parametrize("nodes", [2.5, 48.0, True, np.float64(48.0), "48"])
+    def test_rejects_node_counts_that_are_not_integers(self, nodes):
+        # 2.5 nodes once passed and the entropy died in numpy with a TypeError.
+        with pytest.raises(NonPositive):
+            QuadratureGrid(8.0, nodes)
+
+    def test_accepts_numpy_integers(self):
+        assert QuadratureGrid(8.0, np.int64(24)).nodes_per_axis == 24
 
 
 class TestNumericOutputEntropy:

@@ -83,6 +83,12 @@ class TestHgmSearch:
         with pytest.raises(NonPositive):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["members", "starts", "max_iter", "n_max"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_config_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(NonPositive):
+            SearchConfig(**{field: value})
+
     def test_report_gives_the_squeezing_the_states_use(self):
         # unpack clips r to [-3, 3]; the report must describe the same states.
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
