@@ -8,6 +8,7 @@ hypothesis and results are flagged as hypothetical.
 """
 
 import math
+import sys
 from enum import Enum
 
 from .core import (
@@ -120,7 +121,11 @@ def upper_bound(beta_q, E):
     if not (math.isfinite(beta_q) and beta_q >= 0):
         raise NonPositive(f"beta_q must be finite and >= 0, got {beta_q}")
     e = _energy_value(E)
-    return math.log(2.0 * (e + beta_q) / (1.0 + 2.0 * beta_q))
+    ratio = 2.0 * (e + beta_q) / (1.0 + 2.0 * beta_q)
+    if ratio < math.inf:
+        return math.log(ratio)
+    # 2(E + beta_q) overflowed: an eighth of the ratio stays below 9e307.
+    return math.log((0.0625 * e + 0.0625 * beta_q) / (0.25 + 0.5 * beta_q)) + math.log(8.0)
 
 
 def _noisy_position_ratio(E, beta_q):
@@ -131,8 +136,15 @@ def _noisy_position_ratio(E, beta_q):
         root = math.inf
     if root == math.inf:  # the 1s are below roundoff beside 2bq: r = sqrt((2E + bq) / bq)
         ratio = math.sqrt(1.0 + 2.0 * E / beta_q)
-        return ratio, (2.0 * E - 1.0) / beta_q / (ratio + 1.0)
-    return (4.0 * E + 2.0 * beta_q) / (root + 1.0), (4.0 * E - 2.0) / (root + 2.0 * beta_q + 1.0)
+        if ratio < math.inf:
+            return ratio, (2.0 * E - 1.0) / beta_q / (ratio + 1.0)
+    else:
+        ratio = (4.0 * E + 2.0 * beta_q) / (root + 1.0)
+        if ratio < math.inf:
+            return ratio, (4.0 * E - 2.0) / (root + 2.0 * beta_q + 1.0)
+    # 8E overflowed and bq < 2E/1.8e308, 0 included: the forms above over 4.
+    quarter = math.sqrt(0.0625 + 0.5 * (E * beta_q) + 0.25 * beta_q ** 2)
+    return (E + 0.5 * beta_q) / (quarter + 0.25), (E - 0.5) / (quarter + 0.5 * beta_q + 0.25)
 
 
 def _ensemble_for(alpha, beta):
@@ -160,6 +172,8 @@ def _golden_section_max(f, a, b, xtol):
             d = a + invphi * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
+    if x == math.inf:  # a + b overflowed
+        x = a + 0.5 * (b - a)
     return x, f(x)
 
 
@@ -172,12 +186,17 @@ def _shell_maximum(beta, E, xtol=1e-11):
     # From E = 2^26 the end is 2E to the bit; E*E overflows from E = 1.3e154.
     hi = 2.0 * E if E >= 2.0 ** 26 else E + math.sqrt(max(E * E - 0.25, 0.0))
     lo = 0.25 / hi
+    if hi == math.inf:  # from E = 9e307: the part of the shell where alpha_q is a float
+        lo, hi = E - (sys.float_info.max - E), sys.float_info.max
     if hi - lo < 1e-14:
         a = make_covariance(E, E)
         return a.alpha_p, capacity_alpha(a, beta)
 
     def value(ap):
-        return capacity_alpha(make_covariance(max(2.0 * E - ap, 0.25 / ap), ap), beta)
+        aq = max(2.0 * E - ap, 0.25 / ap)
+        if aq == math.inf:  # 2E overflowed, ap >= 2E - 1.8e308
+            aq = E + (E - ap)
+        return capacity_alpha(make_covariance(aq, ap), beta)
 
     # Coarse scan guards against the piecewise structure across regimes,
     # golden-section refines the winning bracket.
@@ -215,8 +234,11 @@ def capacity_energy(beta, E, cross_check=True):
         mirror = bq > bp
         regime = Regime.R if mirror else Regime.L
         ratio, excess = _noisy_position_ratio(e, bp if mirror else bq)
-        cap = math.log1p(excess)
         low, high = 0.5 * ratio, 2.0 * e - 0.5 * ratio
+        if not high < math.inf:
+            raise NumericsError(f"the optimal covariance 2E - r/2 at E = {e} exceeds the "
+                                f"float range")
+        cap = math.log1p(excess)
         aq, ap = (low, high) if mirror else (high, low)
 
     alpha = make_covariance(aq, ap)

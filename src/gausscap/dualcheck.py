@@ -31,11 +31,11 @@ def _kicked_vectors(cq, cp, x, ys, buf):
     r = 0.5 * math.log(2.0 * cq)
     kick = cp - 0.25 / cq
     if kick > 0.0:
-        t, w = _gauss_rule(buf.shape[2], hermite=True)
+        t, log_w = _gauss_rule(buf.shape[2], hermite=True)
         b = 1.0 + math.tanh(r)
         a = 0.5 / kick + 0.5 * b
         v = t / math.sqrt(a) - (0.5 * b / a) * ys[:, None]
-        root_w = (np.exp(0.5 * (np.log(w) + t * t - v * v / (2.0 * kick)))
+        root_w = (np.exp(0.5 * (log_w + t * t - v * v / (2.0 * kick)))
                   / (2.0 * math.pi * kick * a) ** 0.25)
     else:
         v, root_w = np.zeros((len(ys), 1)), np.ones((len(ys), 1))

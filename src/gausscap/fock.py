@@ -9,10 +9,16 @@ displaced Gaussian states of the duality check (dualcheck).  The
 characteristic function (quantum_charfn) integrates wavefunction products
 on one Gauss-Legendre grid of inner positions.  Squeezed thermal states
 take the exact block <m|S(r)|n> from a Gauss-Hermite rule; numpy only.
+Every Gauss rule (_gauss_rule) is Newton's method on the Legendre or the
+Hermite-function recurrence, O(n) memory and O(n^2) time (3200 Legendre
+nodes in about 0.15 s), with no companion matrix or eigensolver; Hermite
+rules carry log weights, which do not underflow past 355 nodes.
 """
 
+import collections
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +29,8 @@ DEFAULT_TRUNCATION_TOL = 1e-8
 
 # Eigenvalues below this fraction of the largest are dropped from states and noise.
 EIG_TOL = 1e-13
+
+NEWTON_STEPS_MAX = 20  # per Gauss rule; Newton takes 3 to 6 from its starts
 
 
 class FockOperator:
@@ -73,8 +81,8 @@ def squeezed_thermal(alpha, dim):
     n_bar = math.sqrt(alpha.alpha_q * alpha.alpha_p) - 0.5
     r = 0.25 * math.log(alpha.alpha_q / alpha.alpha_p)
     s = math.sqrt(0.5 + 0.5 * math.exp(-2.0 * r))
-    t, w = _gauss_rule(dim, hermite=True)
-    a, b = (_hermite_functions(x, dim, 0.5 * (np.log(w) + t * t - x * x))
+    t, log_w = _gauss_rule(dim, hermite=True)
+    a, b = (_hermite_functions(x, dim, 0.5 * (log_w + t * t - x * x))
             for x in (t / s, t * math.exp(-r) / s))
     return (a @ b.T) * (math.exp(-0.5 * r) / s), thermal_diagonal(n_bar, dim)
 
@@ -154,32 +162,118 @@ def state_moments(rho):
     return mq, mp, number + 0.5 + a2 - mq ** 2, number + 0.5 - a2 - mp ** 2
 
 
-def _hermite_functions(q, dim, log_start=None):
-    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q)).
+def _hermite_rows(q, dim, log_start=None):
+    """Oscillator eigenfunctions psi_0(q), ..., psi_{dim-1}(q) in turn, each a new array.
 
     log_start replaces the Gaussian factor -q^2/2 of psi_0 in the log, which
     scales every row by exp(log_start + q^2/2).
     """
+    prev, row = 0.0, math.pi ** -0.25 * np.exp(-0.5 * q * q if log_start is None else log_start)
+    yield row
+    for n in range(1, dim):
+        prev, row = row, math.sqrt(2.0 / n) * q * row - math.sqrt((n - 1.0) / n) * prev
+        yield row
+
+
+def _hermite_functions(q, dim, log_start=None):
+    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q)); see _hermite_rows."""
     q = np.asarray(q, dtype=float)
     psi = np.empty((dim, q.shape[0]))
-    psi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q if log_start is None else log_start)
-    if dim > 1:
-        psi[1] = math.sqrt(2.0) * q * psi[0]
-    for n in range(2, dim):
-        psi[n] = (math.sqrt(2.0 / n) * q * psi[n - 1]
-                  - math.sqrt((n - 1.0) / n) * psi[n - 2])
+    for n, row in enumerate(_hermite_rows(q, dim, log_start)):
+        psi[n] = row
     return psi
 
 
 @functools.lru_cache(maxsize=32)
 def _gauss_rule(n, hermite=False):
-    """Gauss-Legendre nodes and weights on [-1, 1], or Gauss-Hermite for exp(-t^2); read-only."""
-    with np.errstate(all="ignore"):
-        x, w = (np.polynomial.hermite.hermgauss if hermite else np.polynomial.legendre.leggauss)(n)
-    if not np.all((w > 0.0) & (w < math.inf)):
+    """Gauss-Legendre nodes and weights on [-1, 1], or Gauss-Hermite nodes and
+    log weights for exp(-t^2); increasing, symmetric and read-only.
+
+    Newton's method on the three-term recurrence, O(n) memory and O(n^2)
+    time: _legendre_half and _hermite_half give the nodes >= 0.  Raises
+    NumericsError when a weight is not positive and finite.
+    """
+    x, w = (_hermite_half if hermite else _legendre_half)(n)
+    if not np.all(np.isfinite(w) & (hermite | (w > 0.0))):
         raise NumericsError(f"{n}-node Gauss rule has weights not finite and positive")
+    mirrored = slice(n % 2, None)  # an odd rule's node 0 is not repeated
+    x = np.concatenate((-x[mirrored][::-1], x))
+    w = np.concatenate((w[mirrored][::-1], w))
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _newton(step, x, lo, hi, tol):
+    """Newton iterates x - step(x) until every |step| <= tol; raises unless lo <= x <= hi then."""
+    for _ in range(NEWTON_STEPS_MAX):
+        dx = step(x)
+        x = x - dx
+        if np.all(np.abs(dx) <= tol):  # NaN fails
+            if not np.all((x >= lo) & (x <= hi)):
+                raise NumericsError("a Gauss rule node converged outside its bracket")
+            return x
+    raise NumericsError(f"Gauss rule nodes did not converge in {NEWTON_STEPS_MAX} Newton steps")
+
+
+def _legendre(x, n):
+    """(P_n(x), P_n'(x)) from the Legendre recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2.0 * k + 1.0) * x * p1 - k * p0) / (k + 1.0)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def _legendre_half(n):
+    """Gauss-Legendre nodes x >= 0, increasing, and weights 2/((1 - x^2) P_n'(x)^2).
+
+    Newton from Tricomi's x_k = (1 - (n-1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2))
+    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652) stops at 1e-8 of
+    about the local spacing, sqrt(1 - x^2)/n, below which the last step
+    landed on the root.  Bruns' bounds, cos(pi k/(n + 1/2)) < x_k <
+    cos(pi (k - 1/2)/(n + 1/2)), hold one root each and bracket the result.
+    """
+    k = np.arange((n + 1) // 2, 0, -1)
+    theta = math.pi / (n + 0.5)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(theta * (k - 0.25))
+    x[:n % 2] = 0.0  # P_n(0) = 0 for odd n, exactly
+    x = _newton(lambda x: np.divide(*_legendre(x, n)), x, np.cos(theta * k),
+                np.cos(theta * (k - 0.5)), 1e-8 * np.sqrt((1.0 - x) * (1.0 + x)) / n)
+    dp = _legendre(x, n)[1]
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+def _hermite_half(n):
+    """Gauss-Hermite nodes t >= 0, increasing, and log weights -t^2 - ln n - 2 ln|psi_{n-1}(t)|.
+
+    psi'' = (t^2 - 2n - 1) psi puts the zeros of psi_n within |t| < sqrt(2n + 1),
+    more than h = pi/(2 sqrt(2n + 1)) from 0 and 2h apart (Sturm comparison), so
+    a sign change of psi_n between grid points h (i + 1/2) isolates each.
+    Newton from the middle of each cell, with psi_n' = sqrt(2n) psi_{n-1} -
+    t psi_n, stops at 1e-8 h and must end in that cell.  The rows carry a
+    factor exp(t^2/4), and |psi_k| < 1, so they stay within exp(+-t^2/4)
+    pi^(-1/4): normal floats up to 1414 nodes; more raise.
+    """
+    h = 0.5 * math.pi / math.sqrt(2.0 * n + 1.0)
+    grid = h * (np.arange(math.ceil(2.0 * (2.0 * n + 1.0) / math.pi) + 1) + 0.5)
+    if math.exp(-0.25 * grid[-1] ** 2) < sys.float_info.min:
+        raise NumericsError(f"a {n}-node Gauss-Hermite rule leaves the normal floats")
+
+    def last_pair(t):  # (psi_{n-1}(t), psi_n(t)) exp(t^2/4)
+        return collections.deque(_hermite_rows(t, n + 1, -0.25 * t * t), maxlen=2)
+
+    sign = np.signbit(last_pair(grid)[1])
+    cells = np.flatnonzero(sign[1:] != sign[:-1])
+    if len(cells) != n // 2:
+        raise NumericsError(f"found {len(cells)} of the {n // 2} positive zeros of psi_{n}")
+    lo, hi = grid[cells], grid[cells + 1]
+
+    def step(t):
+        prev, last = last_pair(t)
+        return last / (math.sqrt(2.0 * n) * prev - t * last)
+
+    t = np.concatenate((np.zeros(n % 2), _newton(step, 0.5 * (lo + hi), lo, hi, 1e-8 * h)))
+    prev = last_pair(t)[0]
+    return t, -0.5 * t * t - math.log(n) - 2.0 * np.log(np.abs(prev))
 
 
 def _inner_grid(dim, reach):

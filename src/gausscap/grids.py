@@ -146,7 +146,7 @@ class OutputSampler:
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
         bq, bp = beta.beta_q, beta.beta_p
         if beta.noise_type != 1:
-            self.rule = _gauss_rule(1 if bq == 0.0 else dim, hermite=True)
+            self.rule = _gauss_rule(1 if bq == 0.0 else dim, hermite=True)  # log weights
             return
         self.r = 0.5 * math.log(2.0 * bq)
         # make_noise accepts bq*bp down to (1 - BOUNDARY_RTOL)/4, where delta < 0.
@@ -155,7 +155,7 @@ class OutputSampler:
         # p1(x, v) has wavenumbers in v up to twice the position extent of the
         # narrower of the Fock support and S(r)|0>.
         self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(bq))
-        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))
+        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))  # weights
 
     def bind(self, axes):
         """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
@@ -247,7 +247,7 @@ class OutputSampler:
                 yield _displaced_squeezed(g[:, :len(x)], x, nodes, self.r).reshape(-1, self.dim)
                 continue
             b = 1.0 + 2.0 * self.beta.beta_q
-            log_start = 0.5 * np.log(self.rule[1]) - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
+            log_start = 0.5 * self.rule[1] - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
             q = x / b + nodes * math.sqrt(2.0 * self.beta.beta_q / b)
             yield _hermite_functions(q.ravel(), self.dim, log_start.ravel()).T
 
@@ -258,7 +258,8 @@ def _hermite_rule(omega):
     k = np.linspace(0.0, omega, 33)
     exact = math.sqrt(math.pi) * np.exp(-0.25 * k * k)
     for m in range(1, HERMITE_NODES_MAX + 1):
-        t, w = _gauss_rule(m, hermite=True)
+        t, log_w = _gauss_rule(m, hermite=True)
+        w = np.exp(log_w)
         if np.abs(np.cos(np.outer(k, t)) @ w - exact).max() <= 1e-15:
             return t, w
     return None
@@ -418,8 +419,9 @@ def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
     def axis(var):
         if var <= 0:
             return np.zeros(1), np.ones(1)
-        x, w = np.polynomial.hermite_e.hermegauss(nodes)
-        return x * math.sqrt(var), w / w.sum()
+        t, log_w = _gauss_rule(nodes, hermite=True)
+        w = np.exp(log_w)
+        return t * math.sqrt(2.0 * var), w / w.sum()
 
     xs, wx = axis(spec.gamma_q)
     ys, wy = axis(spec.gamma_p)

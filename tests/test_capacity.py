@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from gausscap.core import (
 )
 
 INF = math.inf
+MAX = sys.float_info.max
 
 
 def random_valid_pair(rng, lo=0.26, hi=4.0):
@@ -189,6 +191,15 @@ class TestUpperBound:
             assert res.capacity_nats <= upper_bound(bq, e) + 1e-12
 
 
+    @pytest.mark.parametrize("e", [1e307, 8.98e307, 9e307, 1.7e308, MAX])
+    @pytest.mark.parametrize("beta_q", [0.0, 1e-300, 0.2, 1e3, 1e300, MAX])
+    def test_huge_energy_matches_mpmath(self, beta_q, e):
+        # 2(E + beta_q) overflowed: upper_bound(0.2, 1.7e308) was inf.
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta_q)
+            exact = mpmath.log(2 * (mpmath.mpf(e) + b) / (1 + 2 * b))
+        assert upper_bound(beta_q, e) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("beta_q", [-0.4, -1.0, math.nan, INF, -INF])
     def test_rejects_beta_q_outside_zero_to_inf(self, beta_q):
         with pytest.raises(NonPositive):
@@ -305,6 +316,58 @@ class TestCapacityEnergy:
         res = capacity_energy(make_noise(bq, bp), e)
         assert math.isfinite(res.capacity_nats)
         assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("e", [2.3e307, 5e307, 8.98e307])
+    @pytest.mark.parametrize("bq", [0.0, 1e-320, 1e-300, 1e-10, 0.1, 0.2, 0.25, 1.0, 1.9])
+    def test_noisy_position_ratio_past_8e_overflow_matches_mpmath(self, bq, e):
+        # 8E overflows from E = 2.2e307; with bq below 2E/1.8e308 the ratio was
+        # inf (and NaN at bq = 0) and capacity_energy raised NonPositive.
+        ratio, excess = _noisy_position_ratio(e, bq)
+        with mpmath.workdps(700):
+            b, en = mpmath.mpf(bq), mpmath.mpf(e)
+            exact = (mpmath.sqrt(1 + 8 * en * b + 4 * b * b) - 1) / (2 * b) if bq else 2 * en
+        assert ratio == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert excess == pytest.approx(float(exact - 1), rel=1e-15, abs=0.0)
+        res = capacity_energy(make_noise(bq, INF), e)
+        assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("e", [9e307, 1.7e308, MAX])
+    def test_center_returns_up_to_the_largest_float(self, e):
+        # 2E overflows: the cross-check scans the part of the shell where
+        # alpha_q is a float, where the scan's 2E - alpha_p was inf.
+        for beta in (make_noise(0.5, 0.5), make_noise(2.0, 0.2), make_noise(1e3, 1e3)):
+            res = capacity_energy(beta, e)
+            assert res.regime is Regime.C
+            with mpmath.workdps(40):
+                bq, bp = mpmath.mpf(beta.beta_q), mpmath.mpf(beta.beta_p)
+                exact = mpmath.log((mpmath.mpf(e) + (bq + bp) / 2) / (mpmath.sqrt(bq * bp) + 0.5))
+            assert res.capacity_nats == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+            assert res.cross_check_gap <= 1e-15 * res.capacity_nats
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        e=st.one_of(st.floats(0.5, 1.7e308), st.builds(lambda x: 10 ** x, st.floats(-0.3, 308.2))),
+        log_bq=st.one_of(st.none(), st.floats(-9.0, 2.0)),
+        log_u=st.one_of(st.none(), st.floats(0.0, 3.0)),
+        cross_check=st.booleans(),
+    )
+    def test_any_finite_energy_returns_a_capacity(self, e, log_bq, log_u, cross_check):
+        # All three noise types.  Regimes L and R put 2E - r/2 on one axis,
+        # which is no float from E = 9e307 on: NumericsError, never a
+        # ValidationError, and only there.
+        e = min(max(e, 0.5), 1.7e308)
+        bq = 0.0 if log_bq is None else 10 ** log_bq
+        bp = INF if log_u is None or bq == 0.0 else 10 ** log_u * 0.25 / bq
+        beta = make_noise(bq, bp)
+        center = bp < INF and e >= max(threshold_energy(bp, bq), threshold_energy(bq, bp))
+        if 2.0 * e == INF and not center:
+            with pytest.raises(NumericsError, match="float range"):
+                capacity_energy(beta, e, cross_check=cross_check)
+            return
+        res = capacity_energy(beta, e, cross_check=cross_check)
+        assert math.isfinite(res.capacity_nats) and res.capacity_nats >= 0.0
+        if cross_check:
+            assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, rel=1e-9)
 
     @pytest.mark.parametrize("bq, e", [(3e7, 1e300), (1.3e154, 1.0), (1e200, 1.0)])
     def test_overflowing_radicand_returns(self, bq, e):

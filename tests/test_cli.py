@@ -147,6 +147,12 @@ class TestBoundCommand:
         payload = json.loads(res.output)
         assert payload["upper_bound_nats"] == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def test_huge_energy_prints_finite_bound(self, runner):
+        # 2(E + beta_q) overflowed, so the bound printed inf.
+        res = run_ok(runner, ["bound", "--beta-q", "0.2", "-e", "1.7e308"])
+        payload = json.loads(res.output)
+        # ln(2(E + 0.2)/1.4) from 40-digit mpmath
+        assert payload["upper_bound_nats"] == pytest.approx(710.0835118371670, rel=1e-15)
 
     @pytest.mark.parametrize("beta_q", ["-1", "nan", "inf"])
     def test_invalid_beta_q_exit_2(self, runner, beta_q):

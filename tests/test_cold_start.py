@@ -1,5 +1,6 @@
 """The closed-form layer loads without the numpy/scipy engine or a process pool,
-and the Fock engine, the stress search included, loads without scipy.  No
+and the Fock engine, the stress search included, loads without scipy; the
+stress search and a pure-state entropy load no numpy.polynomial either.  No
 layer loads dataclasses (and with it inspect, ast, dis and tokenize)."""
 
 import json
@@ -13,6 +14,7 @@ import gausscap
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gausscap.__file__)))
 HEAVY = ("numpy", "scipy", "multiprocessing")
+ENGINE_HEAVY = ("scipy", "numpy.polynomial")  # what the Fock engine itself never loads
 
 CLOSED_FORM_COMMANDS = {
     "capacity": ["capacity", "--beta-q", "0.5", "--beta-p", "0.5", "-e", "2.0"],
@@ -71,7 +73,18 @@ def test_stress_search_loads_no_scipy():
             "from gausscap.hgm import SearchConfig, hgm_search\n"
             "hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5),\n"
             "           SearchConfig(starts=1, max_iter=2, n_max=8))")
-    assert "scipy" not in heavy_modules_after(code)
+    assert heavy_modules_after(code, ENGINE_HEAVY) == []
+
+
+def test_pure_state_entropy_loads_no_polynomial():
+    # Gauss rules come from the engine's own recurrences, not numpy.polynomial.
+    code = ("from gausscap import make_noise\n"
+            "from gausscap.fock import displaced_squeezed_vector\n"
+            "from gausscap.grids import numeric_output_entropy\n"
+            "v = displaced_squeezed_vector(0.3, -0.2, 0.1, 30)\n"
+            "for beta in (make_noise(0.5, 0.5), make_noise(0.2, float('inf'))):\n"
+            "    numeric_output_entropy(v, beta)")
+    assert heavy_modules_after(code, ENGINE_HEAVY) == []
 
 
 def test_stress_search_command_loads_no_scipy():

@@ -121,22 +121,91 @@ class TestGaussianStateFock:
         assert gaussian_state_fock(make_covariance(*alpha), n_max=40).matrix.dtype == np.float64
 
     def test_non_finite_trace_raises(self, monkeypatch):
-        # numpy's 401-node Hermite rule has NaN weights; a NaN trace is no pass.
-        monkeypatch.setattr(fock, "_gauss_rule", lambda n, hermite: np.polynomial.hermite.hermgauss(n))
-        with np.errstate(all="ignore"), pytest.raises(TruncationInsufficient):
-            gaussian_state_fock(make_covariance(1.0, 1.0), n_max=400)
+        # A Hermite rule with a NaN log weight gives a NaN trace, which is no pass.
+        t, log_w = fock._gauss_rule(41, hermite=True)
+        monkeypatch.setattr(fock, "_gauss_rule",
+                            lambda n, hermite: (t, np.where(t == t[-1], np.nan, log_w)))
+        with pytest.raises(TruncationInsufficient):
+            gaussian_state_fock(make_covariance(1.0, 1.0), n_max=40)
+
+    def test_strong_squeezing_builds_past_370_levels(self):
+        # The Hermite weights underflow from 355 nodes; their logs do not, so
+        # the state builds where 370 levels left a trace deficit of 6.8e-7.
+        rho = gaussian_state_fock(make_covariance(30.0, 0.3), n_max=540)
+        _, _, vq, vp = state_moments(rho)
+        assert vq == pytest.approx(30.0, rel=1e-6) and vp == pytest.approx(0.3, rel=1e-6)
+
+
+def mp_legendre_node(n, x0):
+    """(node, weight) of the n-point Gauss-Legendre rule nearest x0, 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x0)
+        for _ in range(6):
+            p0, p1 = mpmath.mpf(1), x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            dp = n * (p0 - x * p1) / (1 - x * x)
+            x -= p1 / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def mp_hermite_node(n, t0):
+    """(node, log weight) of the n-point Gauss-Hermite rule nearest t0, 50 digits:
+    psi_n e^{t^2/2} from the normalized recurrence, w = 1/(n (psi_{n-1} e^{t^2/2})^2)."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t0)
+        for _ in range(6):
+            h0, h1 = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25)
+            for k in range(1, n + 1):
+                h0, h1 = h1, mpmath.sqrt(mpmath.mpf(2) / k) * t * h1 - mpmath.sqrt(
+                    mpmath.mpf(k - 1) / k) * h0
+            t -= h1 / (mpmath.sqrt(2 * n) * h0 - t * h1)
+        return t, -mpmath.log(n) - 2 * mpmath.log(abs(h0))
 
 
 class TestGaussRule:
-    def test_non_finite_hermite_weights_raise(self):
+    @pytest.mark.parametrize("n", [1, 2, 16, 48, 200])
+    def test_legendre_matches_mpmath(self, n):
+        # Edge and centre nodes.  numpy's leggauss weights were 2.2e-11 off at n = 200.
+        x, w = fock._gauss_rule(n)
+        for i in {0, min(1, n - 1), n // 2, n - 1}:
+            node, weight = mp_legendre_node(n, x[i])
+            assert abs(x[i] - float(node)) <= 1e-16
+            assert w[i] == pytest.approx(float(weight), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 25, 61, 370])
+    def test_hermite_matches_mpmath(self, n):
+        t, log_w = fock._gauss_rule(n, hermite=True)
+        for i in {0, min(1, n - 1), n // 2, n - 1}:
+            node, log_weight = mp_hermite_node(n, t[i])
+            assert abs(t[i] - float(node)) <= 4.5e-16 * max(1.0, abs(t[i]))
+            assert log_w[i] == pytest.approx(float(log_weight), abs=3e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 47, 48, 61, 200, 370, 541, 1414])
+    def test_symmetric_increasing_and_normalized(self, n):
+        for hermite, total in ((False, 2.0), (True, math.sqrt(math.pi))):
+            x, w = fock._gauss_rule(n, hermite=hermite)
+            assert len(x) == n and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+            assert np.all(np.diff(x) > 0.0)
+            assert math.fsum(np.exp(w) if hermite else w) == pytest.approx(total, abs=1e-14)
+            assert not (x.flags.writeable or w.flags.writeable)
+
+    def test_non_finite_hermite_weights_raise(self, monkeypatch):
+        # Past 1414 nodes psi_0 exp(t^2/4) leaves the normal floats at the outer
+        # nodes; a NaN log weight fails the finite-weight check.
         with pytest.raises(NumericsError):
-            fock._gauss_rule(401, hermite=True)
+            fock._gauss_rule(1415, hermite=True)
         with pytest.raises(NumericsError):
-            OutputSampler(make_noise(0.3, math.inf), 401)
+            OutputSampler(make_noise(0.3, math.inf), 1415)
+        t, log_w = fock._hermite_half(5)
+        monkeypatch.setattr(fock, "_hermite_half", lambda n: (t, np.where(t > 0.0, log_w, np.nan)))
+        with pytest.raises(NumericsError, match="not finite and positive"):
+            fock._gauss_rule.__wrapped__(5, hermite=True)
 
     def test_rule_is_usable_below_the_limit(self):
-        x, w = fock._gauss_rule(362, hermite=True)
-        assert np.all(w > 0.0) and w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        x, log_w = fock._gauss_rule(1414, hermite=True)
+        assert np.all(np.isfinite(log_w))
+        assert np.exp(log_w).sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def random_state(dim, seed, rank=3):

@@ -71,6 +71,16 @@ class TestPovmDensity:
             expect = math.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
             assert povm_density(rho, beta, x) == pytest.approx(expect, abs=1e-9)
 
+    def test_noisy_position_past_370_levels(self):
+        # The type-2 sampler of dimension 541 takes the log weights of its
+        # 541-node Hermite rule; from 371 nodes numpy's weights were NaN.
+        rho = gaussian_state_fock(make_covariance(30.0, 0.3), n_max=540)
+        sampler = OutputSampler(make_noise(0.2, INF), 541)
+        xs = np.array([-12.0, -3.0, 0.0, 0.5, 8.0, 16.0])
+        var = 30.2
+        expect = np.exp(-xs * xs / (2 * var)) / math.sqrt(2 * math.pi * var)
+        np.testing.assert_allclose(sampler.bind((xs,))([rho])[0], expect, rtol=1e-6)
+
     def test_sharp_measurement(self):
         # beta = (0, inf): the density is |psi(x)|^2, e^{-x^2}/sqrt(pi) for the vacuum.
         beta = make_noise(0.0, INF)
