@@ -228,7 +228,20 @@ def capacity_energy(beta, E, cross_check=True):
         regime = Regime.C
         aq = e + 0.5 * (bp - bq)
         ap = e + 0.5 * (bq - bp)
-        cap = math.log((e + 0.5 * (bq + bp)) / (math.sqrt(bq * bp) + 0.5))
+        root = math.sqrt(bq * bp)
+        top = e + 0.5 * (bq + bp)
+        if root == math.inf:
+            # bq * bp overflowed, and the ratio can be 1 to the last bit: log1p
+            # of ratio - 1 = (e - 1/2 + d^2 / 2) / (sqrt(bq bp) + 1/2), with
+            # d = sqrt bq - sqrt bp taken from bq - bp, numerator and
+            # denominator halved to stay below 9e307.
+            sq, sp = math.sqrt(bq), math.sqrt(bp)
+            d = (bq - bp) / (sq + sp)
+            cap = math.log1p((0.5 * (e - 0.5) + 0.25 * d * d) / (0.5 * sq * sp + 0.25))
+        elif top < math.inf:
+            cap = math.log(top / (root + 0.5))
+        else:  # the numerator overflowed: halved, the ratio's terms stay below 9e307
+            cap = math.log((0.5 * e + 0.25 * bq + 0.25 * bp) / (0.5 * root + 0.25))
     else:
         # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
         mirror = bq > bp

@@ -8,9 +8,12 @@ Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
 banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  Densities
 come on tensor grids of outcomes only, (xs, ys) or (xs,): stream yields them
 a block of vectors (BLOCK_NODES) and a sub-block of overlaps
-(SUB_BLOCK_OVERLAPS) at a time, and bind keeps the same vectors in one array.
-Entropies and mutual information stream the densities into one reducer
-(_information).
+(SUB_BLOCK_OVERLAPS) at a time.  bind keeps stream's vector blocks and
+evaluates them in stream's blocks and sub-blocks, in one pass: its densities
+equal stream's bit for bit, and no bound overlap product spans more than one
+block.  One block's product can still cross OpenBLAS's threading cut-off at
+larger searches (8 members at n_max = 40 on a 48-point axis).  Entropies and
+mutual information stream the densities into one reducer (_information).
 """
 
 import math
@@ -41,7 +44,10 @@ TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
 # A 32-node Gauss-Legendre panel of half-width a integrates exp(ikv) to 1e-14 for |k| a <= 32.
 PANEL_NODES = 32
 SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
-BLOCK_NODES = 256  # vectors built per block: one 200-node row, 0.2 MB at dim 61
+# Vectors built per block, at least one x row: 0.2 MB at dim 61 for a 200-node
+# row of pure noise, 0.7-1.0 MB for the 768-1,024 nodes of a panel-smeared row
+# (896 nodes, 0.83 MB, on the seed-5 mixed entropy of perfbench's fock_oracle).
+BLOCK_NODES = 256
 # Overlaps <u_j|v_k> per sub-block (256 KB complex): 72 vector rows with 225 members.
 SUB_BLOCK_OVERLAPS = 16384
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
@@ -160,19 +166,23 @@ class OutputSampler:
     def bind(self, axes):
         """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
 
-        Returns states -> (n_states, len(xs) * len(ys)) densities, x outer;
-        the vectors that stream builds are kept here in one array.
+        Returns states -> (n_states, len(xs) * len(ys)) densities, x outer.
+        The vector blocks that stream builds are kept here, in stream's memory
+        layout, and every evaluation takes them in stream's chunks and
+        sub-blocks in one _reduce pass: the densities equal stream's, bit for
+        bit.
         """
         nodes, bands = self._smearing_kernel(axes)
-        vectors = np.empty((len(axes[0]) * nodes.size, self.dim),
-                           complex if self.outcome_dim == 2 else float)
-        start = 0
-        for block in self._vector_blocks(axes[0], nodes.ravel()):
-            vectors[start:start + len(block)] = block
-            start += len(block)
         width = nodes.shape[-1]
-        return lambda states: _reduce(
-            *_state_components(states, self.dim), vectors, width, bands)
+        blocks = list(self._vector_blocks(axes[0], nodes.ravel(), keep=True))
+
+        def densities(states):
+            probs, bras = _state_components(states, self.dim)
+            step = _chunk_rows(width, bras)
+            return _reduce(probs, bras, [vectors[k:k + step] for vectors in blocks
+                                         for k in range(0, len(vectors), step)], width, bands)
+
+        return densities
 
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
@@ -184,10 +194,10 @@ class OutputSampler:
         probs, bras = _state_components(states, self.dim)
         nodes, bands = self._smearing_kernel(axes)
         width = nodes.shape[-1]
-        step = max(width, _sub_block_rows(bras) // width * width)
+        step = _chunk_rows(width, bras)
         for vectors in self._vector_blocks(axes[0], nodes.ravel()):
             for k in range(0, len(vectors), step):
-                yield _reduce(probs, bras, vectors[k:k + step], width, bands)
+                yield _reduce(probs, bras, [vectors[k:k + step]], width, bands)
             del vectors
 
     def _smearing_kernel(self, axes):
@@ -227,23 +237,24 @@ class OutputSampler:
                           * w[j:k]))
         return v, bands
 
-    def _vector_blocks(self, xs, nodes):
+    def _vector_blocks(self, xs, nodes, keep=False):
         """Fock coefficient rows u_j of consecutive xs, about BLOCK_NODES per block, x outer.
 
         The nodes are shared by every x.  Type 1: D(x,v) S(r)|0>
-        per node v, each block over the last.  Types 2 and 3: with
-        b = 1 + 2 beta_q, the density at x is exp(-x^2/b)/sqrt(pi b)
-        sum_j W_j rho(q_j) e^{q_j^2} at q_j = x/b + t_j sqrt(2 beta_q/b),
-        exact as rho(q) e^{q^2} is a polynomial; u_j holds the Hermite
-        functions at q_j times sqrt(W_j).
+        per node v.  Types 2 and 3: with b = 1 + 2 beta_q, the density at
+        x is exp(-x^2/b)/sqrt(pi b) sum_j W_j rho(q_j) e^{q_j^2} at
+        q_j = x/b + t_j sqrt(2 beta_q/b), exact as rho(q) e^{q^2} is a
+        polynomial; u_j holds the Hermite functions at q_j times sqrt(W_j).
+        Every block is a column-major view, one Fock level per column, of
+        its own array; type-1 blocks reuse one unless kept (keep).
         """
         xs = np.asarray(xs, dtype=float)[:, None]
         step = max(1, BLOCK_NODES // len(nodes))
-        if self.outcome_dim == 2:
-            g = np.empty((self.dim + 1, min(step, len(xs)), len(nodes)), complex)
         for k in range(0, len(xs), step):
             x = xs[k:k + step]
             if self.outcome_dim == 2:
+                if keep or k == 0:
+                    g = np.empty((self.dim + 1, min(step, len(xs)), len(nodes)), complex)
                 yield _displaced_squeezed(g[:, :len(x)], x, nodes, self.r).reshape(-1, self.dim)
                 continue
             b = 1.0 + 2.0 * self.beta.beta_q
@@ -270,39 +281,58 @@ def _sub_block_rows(bras):
     return max(1, SUB_BLOCK_OVERLAPS // bras.shape[1])
 
 
-def _reduce(probs, bras, vectors, width, bands):
+def _chunk_rows(width, bras):
+    """Vector rows per chunk that _reduce smears at once: whole smearing groups of
+    width nodes, about one sub-block."""
+    return max(width, _sub_block_rows(bras) // width * width)
+
+
+def _reduce(probs, bras, chunks, width, bands):
     """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2 per node j, smeared.
 
     bras holds the conjugated v_k; probs None means one weight-1 column per
     state.  Otherwise real and imaginary parts are squared in place and
-    summed by one matmul with probs repeated per part.  Overlaps run on
-    sub-blocks of u_j; each band smears every block of width nodes in one
-    matmul.  Matmul operands share a dtype, keeping it in BLAS: real u_j take
-    the interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
+    summed by one matmul with probs repeated per part.  The chunks of u_j,
+    whole groups of width nodes, give consecutive outcomes: overlaps run on
+    sub-blocks of each chunk, and each band smears every group of a chunk
+    in one matmul.  Matmul operands share a dtype, keeping it in BLAS: real
+    u_j take the interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
     """
-    split = np.iscomplexobj(bras) and not np.iscomplexobj(vectors)
-    cols = bras.view(float) if split else bras.astype(vectors.dtype, copy=False)
+    split = np.iscomplexobj(bras) and not np.iscomplexobj(chunks[0])
+    cols = bras.view(float) if split else bras.astype(chunks[0].dtype, copy=False)
     if probs is not None and (split or np.iscomplexobj(cols)):
         probs = np.repeat(probs, 2, axis=1)
-    dens = np.empty((bras.shape[1] if probs is None else probs.shape[0], len(vectors)))
+    dens = np.empty((bras.shape[1] if probs is None else len(probs), sum(map(len, chunks))))
     rows = _sub_block_rows(bras)
-    for k in range(0, len(vectors), rows):
-        amps = vectors[k:k + rows] @ cols
-        out = dens[:, k:k + rows]
-        if probs is None:
-            np.abs(amps.view(complex) if split else amps, out=out.T)
-            out *= out
-        else:
-            amps = amps.view(float)  # real and imaginary parts interleaved
-            amps *= amps
-            np.matmul(probs, amps.T, out=out)
-        del amps  # before the next sub-block's overlaps
+    start = 0
+    for vectors in chunks:
+        for k in range(0, len(vectors), rows):
+            amps = vectors[k:k + rows] @ cols
+            out = dens[:, start + k:start + k + len(amps)]
+            if probs is None:
+                np.abs(amps.view(complex) if split else amps, out=out.T)
+            else:
+                amps = amps.view(float)  # real and imaginary parts interleaved
+                amps *= amps
+                np.matmul(probs, amps.T, out=out)
+            del amps  # before the next sub-block's overlaps
+        start += len(vectors)
+    if probs is None:
+        dens *= dens
     if width == 1:  # pure type-1 noise or the sharp measurement
         dens *= bands[0][1][0, 0]
         return dens
-    blocks = dens.reshape(-1, width)
-    return np.concatenate([blocks[:, j:j + band.shape[1]] @ band.T for j, band in bands],
-                          axis=1).reshape(dens.shape[0], -1)
+    smeared = np.empty((len(dens), start // width, sum(len(band) for _, band in bands)))
+    start = 0
+    for vectors in chunks:
+        groups = dens[:, start:start + len(vectors)].reshape(-1, width)
+        part = smeared[:, start // width:(start + len(vectors)) // width]
+        at, start = 0, start + len(vectors)
+        for j, band in bands:
+            part[..., at:at + len(band)] = (groups[:, j:j + band.shape[1]] @ band.T
+                                            ).reshape(len(dens), -1, len(band))
+            at += len(band)
+    return smeared.reshape(len(dens), -1)
 
 
 def povm_density(rho, beta, x, y=0.0):
@@ -412,7 +442,9 @@ def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
     Displacements follow the ensemble's Gaussian with covariance
     diag(gamma_q, gamma_p); axes with zero variance collapse to a point.
     Returns a DiscreteEnsemble of pure displaced squeezed states, each the
-    exact projection onto |0>..|n_max>.
+    exact projection onto |0>..|n_max>.  Members whose weight underflows to
+    0 (from 390 nodes on one axis, or 200 per axis on two) are dropped and
+    the rest renormalized.
     """
     r = 0.5 * math.log(2.0 * spec.delta)
 
@@ -426,4 +458,8 @@ def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
     xs, wx = axis(spec.gamma_q)
     ys, wy = axis(spec.gamma_p)
     states = displaced_squeezed_vector(xs[:, None], ys[None, :], r, n_max + 1)
-    return DiscreteEnsemble(np.outer(wx, wy).ravel(), tuple(states.reshape(-1, n_max + 1)))
+    weights, states = np.outer(wx, wy).ravel(), states.reshape(-1, n_max + 1)
+    kept = weights > 0.0
+    if not kept.all():
+        weights, states = weights[kept] / weights[kept].sum(), states[kept]
+    return DiscreteEnsemble(weights, tuple(states))

@@ -99,8 +99,12 @@ class _Objective:
     def unpack(self, params):
         """Member weights and states, the exact projections onto |0>..|n_max>."""
         w, p = self.decode(params)
+        return w, self._states(p)
+
+    def _states(self, p):
+        """The states of decoded rows, one per row of the result."""
         theta = p[:, 4] if self.cfg.allow_fock else 0.0
-        return w, displaced_squeezed_vector(p[:, 1], p[:, 2], p[:, 3], self.dim, theta)
+        return displaced_squeezed_vector(p[:, 1], p[:, 2], p[:, 3], self.dim, theta)
 
     def describe(self, params):
         """Per-member report entries, with the squeezing the states were built with."""
@@ -117,6 +121,11 @@ class _Objective:
         The excess, the summed |room| of the axes where that is impossible,
         is 0 when the point was placed.
         """
+        _, p, excess = self._placed(params)
+        return p.ravel(), excess
+
+    def _placed(self, params):
+        """(weights, rows, excess) of place, the rows decoded once and moved in place."""
         w, p = self.decode(params)
         offset, var_q, var_p = _member_moments(p[:, 3], p[:, 4] if self.cfg.allow_fock else 0.0)
         excess = 0.0
@@ -130,21 +139,21 @@ class _Objective:
                 excess += abs(room)
             else:
                 p[:, col] = u * math.sqrt(room / spread if spread > 0.0 else 0.0) - off
-        return p.ravel(), excess
+        return w, p, excess
 
     def __call__(self, params):
         self.evaluations += 1
-        params, excess = self.place(params)
+        w, p, excess = self._placed(params)
         if excess > 0.0:
             return excess
-        w, states = self.unpack(params)
+        states = self._states(p)
         lost = 1.0 - float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         if not lost <= KEPT_MASS_TOL:
             return lost
         _, mi, _ = _information(w, [(self.densities(states), self.qweights)])
         if mi > self.best_value:
             self.best_value = mi
-            self.best_params = params
+            self.best_params = p.ravel()
         return -mi
 
 

@@ -344,6 +344,39 @@ class TestCapacityEnergy:
             assert res.capacity_nats == pytest.approx(float(exact), rel=1e-15, abs=0.0)
             assert res.cross_check_gap <= 1e-15 * res.capacity_nats
 
+    @pytest.mark.parametrize("cross_check", [True, False])
+    @pytest.mark.parametrize("b, e", [(1e300, 1e307), (1e307, 8e307)])
+    def test_center_past_the_overflow_of_the_noise_product(self, b, e, cross_check):
+        # beta_q beta_p overflows: sqrt(beta_q beta_p) was inf, the log's
+        # argument 0, and the call raised a bare ValueError.
+        res = capacity_energy(make_noise(b, b), e, cross_check=cross_check)
+        assert res.regime is Regime.C
+        with mpmath.workdps(40):
+            bq = bp = mpmath.mpf(b)
+            exact = mpmath.log((mpmath.mpf(e) + (bq + bp) / 2) / (mpmath.sqrt(bq * bp) + 0.5))
+        assert res.capacity_nats == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        log_bq=st.floats(-300.0, 300.0),
+        log_bp=st.floats(-300.0, 300.0),
+        log_e=st.floats(math.log10(0.5), math.log10(1.6e308)),
+        cross_check=st.booleans(),
+    )
+    def test_any_type1_noise_returns_a_capacity_or_numerics_error(self, log_bq, log_bp, log_e,
+                                                                  cross_check):
+        # Noise variances log-uniform over [1e-300, 1e300], their product
+        # overflowing included.  Regimes L and R raise NumericsError where
+        # 2E - r/2 is no float; no other exception is allowed.
+        bq, bp = 10 ** log_bq, 10 ** log_bp
+        assume(bq * bp >= 0.25)
+        beta = make_noise(bq, bp)
+        try:
+            res = capacity_energy(beta, min(max(10 ** log_e, 0.5), 1.6e308), cross_check=cross_check)
+        except NumericsError:
+            return
+        assert math.isfinite(res.capacity_nats) and res.capacity_nats >= 0.0
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         e=st.one_of(st.floats(0.5, 1.7e308), st.builds(lambda x: 10 ** x, st.floats(-0.3, 308.2))),

@@ -71,6 +71,13 @@ class TestCapacityCommand:
         res = run_ok(runner, ["capacity", "--beta-q", "0.5", "--beta-p", beta_p, "-e", "1.35e154"])
         assert math.isfinite(json.loads(res.output)["capacity_nats"])
 
+    def test_overflowing_noise_product_exit_0(self, runner):
+        # Used to exit 1 with a traceback: sqrt(beta_q beta_p) overflowed in regime C.
+        res = run_ok(runner, ["capacity", "--beta-q", "1e300", "--beta-p", "1e300", "-e", "1e307"])
+        payload = json.loads(res.output)
+        assert payload["regime"] == "C"
+        assert payload["capacity_nats"] == pytest.approx(math.log(1e307 / 1e300 + 1.0), rel=1e-13)
+
     def test_invalid_energy_exit_2(self, runner):
         res = runner.invoke(main, ["capacity", "--beta-q", "0.5",
                                    "--beta-p", "0.5", "-e", "0.4"])

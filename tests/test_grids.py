@@ -190,7 +190,7 @@ class TestOutputSampler:
             bound = sampler.bind(axes)(states)
             direct = np.concatenate(list(sampler.stream(states, axes)), axis=1)
             assert bound.shape == direct.shape == (2, 24 ** len(axes))
-            assert np.max(np.abs(bound - direct)) <= 1e-15
+            assert np.array_equal(bound, direct)
 
     @pytest.mark.parametrize("delta", [-1e-13, 0.0, 1e-6, 1e-4, 1e-3, 1e-2])
     def test_small_classical_noise(self, delta):
@@ -355,6 +355,16 @@ class TestDiscreteEnsemble:
 
 
 class TestMutualInformation:
+    @pytest.mark.parametrize("nodes, gamma_p", [(200, 1.0), (400, 0.0)])
+    def test_members_whose_weight_underflows_are_dropped(self, nodes, gamma_p):
+        # The outermost Gauss-Hermite weights, or their products, underflow
+        # to 0, which DiscreteEnsemble rejected as not positive.
+        ens = discretize_gaussian_ensemble(GaussianEnsembleSpec(0.5, 1.0, gamma_p), nodes=nodes,
+                                           n_max=2)
+        assert np.all(ens.weights > 0.0)
+        assert abs(ens.weights.sum() - 1.0) <= 1e-12
+        assert len(ens) < nodes ** (2 if gamma_p else 1)
+
     def test_position_measurement_matches_capacity(self):
         alpha, beta = make_covariance(1, 2), make_noise(0.2, INF)
         spec = GaussianEnsembleSpec(0.125, 0.875, 0.0)

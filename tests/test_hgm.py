@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from traced import traced_peak
 from gausscap.core import NonPositive, make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
-from gausscap.grids import QuadratureGrid, _average_moments
+from gausscap.grids import OutputSampler, QuadratureGrid, _average_moments
 from gausscap.hgm import (
     SearchConfig,
     SearchReport,
@@ -23,6 +23,26 @@ FAST = SearchConfig(
     members=3, starts=2, max_iter=40, seed=7, n_max=16,
     grid=QuadratureGrid(5.0, 32),
 )
+CRITERION_08 = SearchConfig(members=4, starts=16, max_iter=200, seed=0, n_max=24,
+                            grid=QuadratureGrid(6.0, 48))
+
+
+class _RecordedBlock(np.ndarray):
+    """A vector block, or a slice of one, that logs (block, first row, stop row)
+    of every matmul it is an operand of."""
+
+    def __array_finalize__(self, obj):
+        self.origin = getattr(obj, "origin", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            for x in inputs:
+                if isinstance(x, _RecordedBlock):
+                    log, block, base = x.origin
+                    first = (x.__array_interface__["data"][0] - base) // x.strides[0]
+                    log.append((block, first, first + len(x)))
+        plain = [x.view(np.ndarray) if isinstance(x, _RecordedBlock) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 class TestHgmSearch:
@@ -165,12 +185,42 @@ class TestConstraintSurface:
         assert obj.best_params is None
 
     def test_traced_peak_of_the_c_objective(self):
-        # The bound densities keep one (2304 points x 25 levels) complex
-        # array, 0.92 MB.  Built as a list of blocks and then concatenated,
-        # it was held twice (1.96e6 B traced).
+        # The bound densities keep ten (26 levels x 5 x 48 points) complex
+        # vector blocks, 1.0 MB (1.04e6 B traced).  Built as a list of blocks
+        # and then concatenated, the vectors were held twice (1.96e6 B traced).
         alpha, beta = make_covariance(1, 1), make_noise(0.5, 0.5)
         _Objective(alpha, beta, SearchConfig())  # fills the Gauss-rule caches
         assert traced_peak(lambda: _Objective(alpha, beta, SearchConfig())) < 1.4e6
+
+    @pytest.mark.parametrize("alpha, beta", [((1, 1), (0.5, 0.5)), ((1, 2), (0.2, math.inf))])
+    def test_bound_products_stay_within_one_vector_block(self, monkeypatch, alpha, beta):
+        # Criterion 08's C and L objectives.  Every overlap product of a bound
+        # evaluation takes rows of one _vector_blocks block (C: 240 of the
+        # 2304 vectors, 4 M N K = 4 * 240 * 25 * 4 = 96,000 for the complex
+        # product, below OpenBLAS's threading cut-off), and the products
+        # tile every block.
+        log, sizes = [], []
+        vector_blocks = OutputSampler._vector_blocks
+
+        def recorded(self, xs, nodes, keep=False):
+            for block in vector_blocks(self, xs, nodes, keep):
+                sizes.append(len(block))
+                rec = block.view(_RecordedBlock)
+                rec.origin = (log, len(sizes) - 1, block.__array_interface__["data"][0])
+                yield rec
+
+        monkeypatch.setattr(OutputSampler, "_vector_blocks", recorded)
+        alpha, beta = make_covariance(*alpha), make_noise(*beta)
+        obj = _Objective(alpha, beta, CRITERION_08)
+        x0 = _initial_points(alpha, beta, CRITERION_08, np.random.default_rng(0))[0]
+        _, states = obj.unpack(obj.place(x0)[0])
+        densities = obj.densities(states)
+        assert densities.shape == (4, 48 ** (2 if beta.noise_type == 1 else 1))
+        assert sum(sizes) == 48 * (48 if beta.noise_type == 1 else 25) and max(sizes) <= 256
+        for block, size in enumerate(sizes):
+            ranges = sorted((first, stop) for b, first, stop in log if b == block)
+            assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+            assert ranges[-1][1] == size
 
     def test_members_that_leave_the_truncation_score_their_lost_mass(self):
         # Logits (0, -25): placing sends the light member to x = y = 1.9e5,
