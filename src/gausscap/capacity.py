@@ -242,6 +242,9 @@ def capacity_energy(beta, E, cross_check=True):
             cap = math.log(top / (root + 0.5))
         else:  # the numerator overflowed: halved, the ratio's terms stay below 9e307
             cap = math.log((0.5 * e + 0.25 * bq + 0.25 * bp) / (0.5 * root + 0.25))
+        if not max(aq, ap) < math.inf:
+            raise NumericsError(f"the optimal covariance E + |beta_q - beta_p|/2 at E = {e} "
+                                f"exceeds the float range")
     else:
         # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
         mirror = bq > bp

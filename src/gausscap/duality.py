@@ -31,6 +31,14 @@ def kappa_matrix(alpha):
     return KappaMatrix(factor * aq, factor * ap)
 
 
+def _contracted(kappa, total):
+    """kappa^2 / total, as kappa (kappa / total) where kappa^2 overflows."""
+    try:
+        return kappa ** 2 / total
+    except OverflowError:
+        return kappa * (kappa / total)
+
+
 def dual_ensemble(alpha, beta):
     """Dual ensemble via gamma' = kappa (alpha + beta)^{-1} kappa, alpha' = alpha - gamma'.
 
@@ -44,12 +52,12 @@ def dual_ensemble(alpha, beta):
         raise InvalidForSharp("duality degenerates for the sharp position measurement")
     aq, ap = alpha.alpha_q, alpha.alpha_p
     k = kappa_matrix(alpha)
-    gq = k.kappa_q ** 2 / (aq + beta.beta_q)
+    gq = _contracted(k.kappa_q, aq + beta.beta_q)
     apq = aq * (beta.beta_q + 0.25 / ap) / (aq + beta.beta_q)
     if beta.noise_type == 2:
         gp, app = 0.0, ap
     else:
-        gp = k.kappa_p ** 2 / (ap + beta.beta_p)
+        gp = _contracted(k.kappa_p, ap + beta.beta_p)
         app = ap * (beta.beta_p + 0.25 / aq) / (ap + beta.beta_p)
     return DualEnsemble(apq, app, gq, gp, alpha)
 

@@ -5,10 +5,13 @@ matrix is built.  Displaced squeezed vectors D(x,y) S(r)(cos t|0> + sin t|1>)
 are exact projections onto |0>..|N> from the recurrence of the annihilator
 of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
 vectors of every type-1 outcome density (grids.OutputSampler), and the
-displaced Gaussian states of the duality check (dualcheck).  The
-characteristic function (quantum_charfn) integrates wavefunction products
-on one Gauss-Legendre grid of inner positions.  Squeezed thermal states
-take the exact block <m|S(r)|n> from a Gauss-Hermite rule; numpy only.
+displaced Gaussian states of the duality check (dualcheck).  Density
+matrices enter the outcome densities as the columns of a diagonal-pivoted
+Cholesky factor (_cholesky_columns), and the characteristic function
+(quantum_charfn) contracts rho with wavefunction products on one
+Gauss-Legendre grid of inner positions: no eigensolver runs here.  Squeezed
+thermal states take the exact block <m|S(r)|n> from a Gauss-Hermite rule;
+numpy only.
 Every Gauss rule (_gauss_rule) is Newton's method on the Legendre or the
 Hermite-function recurrence, O(n) memory and O(n^2) time (3200 Legendre
 nodes in about 0.15 s), with no companion matrix or eigensolver; Hermite
@@ -22,12 +25,13 @@ import sys
 
 import numpy as np
 
-from .core import NumericsError, TruncationInsufficient
+from .core import NegativeDensity, NumericsError, TruncationInsufficient
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
 
-# Eigenvalues below this fraction of the largest are dropped from states and noise.
+# A state's factor stops once the trace left over is at most this fraction of
+# its trace, and a diagonal entry left below -EIG_TOL times it is not roundoff.
 EIG_TOL = 1e-13
 
 NEWTON_STEPS_MAX = 20  # per Gauss rule; Newton takes 3 to 6 from its starts
@@ -100,6 +104,28 @@ def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
     if not deficit <= tol:
         raise TruncationInsufficient(f"trace deficit {deficit:.3e} > {tol} at N={n_max}")
     return FockOperator(rho)
+
+
+def _cholesky_columns(mat):
+    """Columns c_k with sum_k c_k c_k+ = mat up to a trace of EIG_TOL Tr mat.
+
+    Diagonal-pivoted Cholesky, at most dim rank-1 steps on the residual:
+    each takes the column of its largest diagonal entry.  Raises
+    NegativeDensity when a diagonal entry of the residual falls below
+    -EIG_TOL Tr mat, as no positive semidefinite mat leaves one.
+    """
+    res = np.array(mat, dtype=np.result_type(mat, float))
+    total = np.trace(res).real
+    cols = []
+    for _ in range(len(res)):
+        diag = np.diagonal(res).real
+        if diag.sum() <= EIG_TOL * total:
+            break
+        cols.append(res[:, np.argmax(diag)] / math.sqrt(diag.max()))
+        res -= np.outer(cols[-1], cols[-1].conj())
+    if np.diagonal(res).real.min() < -EIG_TOL * total:
+        raise NegativeDensity("the density matrix has a negative part beyond roundoff")
+    return np.array(cols).T
 
 
 def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
@@ -298,25 +324,21 @@ def _inner_grid(dim, reach):
 def quantum_charfn(rho):
     """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable.
 
-    rho is Hermitian.  With rho = sum_k lam_k v_k v_k+, Tr[rho D] =
-    int sum_k lam_k conj(v_k(q)) v_k(q-x) e^{i(yq - xy/2)} dq: one (Q,)
-    row of wavefunction products per distinct x, times a (Q, len(ys))
-    Fourier kernel over the distinct y values, on the inner grid sized for
-    max |y|.
+    rho is any Hermitian matrix.  Tr[rho D] = int sum_m psi_m(q) (rho^T
+    psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
+    per distinct x, times a (Q, len(ys)) Fourier kernel over the distinct y
+    values, on the inner grid sized for max |y|.
     """
-    vals, vecs = np.linalg.eigh(state_array(rho))
-    keep = np.abs(vals) > EIG_TOL * np.abs(vals).max()
-    vals, coeffs = vals[keep], vecs[:, keep].T  # row k: the Fock coefficients of v_k
-    dim = coeffs.shape[1]
+    mat = state_array(rho)
+    dim = mat.shape[0]
 
     def phi(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
         q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
-        bras = (coeffs @ psi).conj() * (vals[:, None] * w)
-        rows = np.array([(bras * (coeffs @ _hermite_functions(q - x0, dim))).sum(axis=0)
-                         for x0 in xs])
+        rows = np.array([(psi * (mat.T @ _hermite_functions(q - x0, dim))).sum(axis=0)
+                         for x0 in xs]) * w
         table = (rows @ np.exp(1j * np.outer(q, ys))) * np.exp(-0.5j * np.outer(xs, ys))
         return table[ix, iy].reshape(x.shape)[()]
 

@@ -12,8 +12,10 @@ a block of vectors (BLOCK_NODES) and a sub-block of overlaps
 evaluates them in stream's blocks and sub-blocks, in one pass: its densities
 equal stream's bit for bit, and no bound overlap product spans more than one
 block.  One block's product can still cross OpenBLAS's threading cut-off at
-larger searches (8 members at n_max = 40 on a 48-point axis).  Entropies and
-mutual information stream the densities into one reducer (_information).
+larger searches (8 members at n_max = 40 on a 48-point axis).  A density
+matrix enters as the columns of its pivoted Cholesky factor
+(fock._cholesky_columns), each of weight 1, with no eigensolver.  Entropies
+and mutual information stream the densities into one reducer (_information).
 """
 
 import math
@@ -31,7 +33,7 @@ from .core import (
 )
 from .fock import (
     DEFAULT_N,
-    EIG_TOL,
+    _cholesky_columns,
     _hermite_functions,
     _displaced_squeezed,
     _gauss_rule,
@@ -102,11 +104,12 @@ class DiscreteEnsemble:
 
 
 def _state_components(states, dim):
-    """(P, B): column k of B is the conjugate of an eigenvector of state i with weight P[i, k].
+    """(P, B): column k of B is the conjugate of a column c_k of state i iff P[i, k] = 1.
 
-    A state vector is one normalized column with weight 1; when every state
-    is one, P is the identity and is returned as None.  Columns are
-    zero-padded to dim rows, which is exact in the Fock basis.
+    A state vector is one normalized column; a density matrix is the columns
+    of its pivoted Cholesky factor, sum_k c_k c_k+ = rho (_cholesky_columns).
+    When every state is a vector, P is the identity and is returned as None.
+    Columns are zero-padded to dim rows, which is exact in the Fock basis.
     """
     comps = []
     for s in states:
@@ -117,22 +120,15 @@ def _state_components(states, dim):
         norm = np.linalg.norm(mat) if mat.ndim == 1 else np.trace(mat).real
         if not 0.0 < norm < math.inf:
             raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
-        if mat.ndim == 1:
-            comps.append((None, mat[:, None], norm))
-            continue
-        vals, vecs = np.linalg.eigh(mat)
-        keep = vals > EIG_TOL * max(vals.max(), 1.0)
-        comps.append((vals[keep], vecs[:, keep], 1.0))
-    cols = sum(v.shape[1] for _, v, _ in comps)
-    bras = np.zeros((dim, cols), dtype=np.result_type(*(v for _, v, _ in comps)))
-    pure = all(p is None for p, _, _ in comps)
-    probs = None if pure else np.zeros((len(comps), cols))
+        comps.append(mat[:, None] / norm if mat.ndim == 1 else _cholesky_columns(mat))
+    counts = [v.shape[1] for v in comps]
+    bras = np.zeros((dim, sum(counts)), dtype=np.result_type(*comps))
     col = 0
-    for i, (p, v, norm) in enumerate(comps):
-        bras[:v.shape[0], col:col + v.shape[1]] = v / norm
-        if not pure:
-            probs[i, col:col + v.shape[1]] = 1.0 if p is None else p
-        col += v.shape[1]
+    for v, count in zip(comps, counts):
+        bras[:len(v), col:col + count] = v
+        col += count
+    pure = all(state_array(s).ndim == 1 for s in states)
+    probs = None if pure else np.repeat(np.eye(len(comps)), counts, axis=1)
     return probs, np.conjugate(bras, out=bras)
 
 

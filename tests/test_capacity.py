@@ -356,6 +356,14 @@ class TestCapacityEnergy:
             exact = mpmath.log((mpmath.mpf(e) + (bq + bp) / 2) / (mpmath.sqrt(bq * bp) + 0.5))
         assert res.capacity_nats == pytest.approx(float(exact), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("cross_check", [True, False])
+    @pytest.mark.parametrize("bq, bp", [(1e308, 1e3), (1e3, 1e308)])
+    def test_center_covariance_past_the_float_range(self, bq, bp, cross_check):
+        # alpha = E -+ (beta_q - beta_p)/2 has an entry that is no float, which
+        # make_covariance rejected as bad input (ValidationError).
+        with pytest.raises(NumericsError, match="float range"):
+            capacity_energy(make_noise(bq, bp), 1.7e308, cross_check=cross_check)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         log_bq=st.floats(-300.0, 300.0),

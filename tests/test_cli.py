@@ -78,6 +78,14 @@ class TestCapacityCommand:
         assert payload["regime"] == "C"
         assert payload["capacity_nats"] == pytest.approx(math.log(1e307 / 1e300 + 1.0), rel=1e-13)
 
+    def test_overflowing_center_covariance_exit_3(self, runner):
+        # alpha_p = E + (beta_q - beta_p)/2 is no float here; this exited 2,
+        # "covariance entries must be finite", on valid input.
+        res = runner.invoke(main, ["capacity", "--beta-q", "1e308", "--beta-p", "1e3",
+                                   "-e", "1.7e308"])
+        assert res.exit_code == 3
+        assert "NumericsError" in res.stderr and "float range" in res.stderr
+
     def test_invalid_energy_exit_2(self, runner):
         res = runner.invoke(main, ["capacity", "--beta-q", "0.5",
                                    "--beta-p", "0.5", "-e", "0.4"])
@@ -112,6 +120,15 @@ class TestDualCommand:
         )
         assert payload["alpha_prime"]["q"] + payload["gamma_prime"]["q"] == \
             pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_kappa_squared_exit_0(self, runner):
+        # kappa_q^2 = 1e320 overflowed in dual_ensemble, which printed a traceback.
+        res = run_ok(runner, ["dual", "--alpha-q", "1e160", "--alpha-p", "1e160",
+                              "--beta-q", "0.5", "--beta-p", "0.5"])
+        payload = json.loads(res.output)
+        assert payload["gamma_prime"]["q"] == pytest.approx(1e160, rel=1e-15)
+        assert payload["alpha_prime"]["q"] == pytest.approx(0.5, rel=1e-15)
+        assert math.isfinite(payload["accessible_info_nats"])
 
     def test_sharp_rejected_exit_2(self, runner):
         res = runner.invoke(main, ["dual", "--alpha-q", "1", "--alpha-p", "1",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,6 +80,28 @@ class TestDualEnsemble:
         de = dual_ensemble(alpha, make_noise(0.5, 0.5))
         assert de.gamma_prime_q == 0.0 and de.gamma_prime_p == 0.0
         assert de.alpha_prime_q == alpha.alpha_q
+
+    @pytest.mark.parametrize("a", [1e155, 1e160, 1e300])
+    def test_kappa_squared_past_the_float_range(self, a):
+        # kappa^2 overflowed and raised OverflowError; gamma' is kappa
+        # (kappa / (a + beta)) there and kappa^2 / (a + beta) elsewhere.
+        with mpmath.workdps(40):
+            m = mpmath.mpf(a)
+            gamma = float((1 - 1 / (4 * m * m)) * m * m / (m + mpmath.mpf(0.5)))
+        for beta in (make_noise(0.5, 0.5), make_noise(0.5, INF)):
+            de = dual_ensemble(make_covariance(a, a), beta)
+            assert de.gamma_prime_q == pytest.approx(gamma, rel=1e-15)
+            assert de.alpha_prime_q == pytest.approx(0.5, rel=1e-15)
+
+    def test_kappa_squared_below_the_float_range_is_unchanged(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            alpha = random_alpha(rng)
+            beta = make_noise(*rng.uniform(0.6, 4.0, size=2))
+            k = kappa_matrix(alpha)
+            de = dual_ensemble(alpha, beta)
+            assert de.gamma_prime_q == k.kappa_q ** 2 / (alpha.alpha_q + beta.beta_q)
+            assert de.gamma_prime_p == k.kappa_p ** 2 / (alpha.alpha_p + beta.beta_p)
 
 
 class TestAccessibleInfo:

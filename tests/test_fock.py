@@ -292,6 +292,15 @@ class TestDisplacement:
         got = quantum_charfn(rho)(x, y).ravel()
         assert np.abs(got - dense_charfn(rho, x, y)).max() <= 1e-12
 
+    def test_hermitian_not_positive(self):
+        # (|0><1| + |1><0|)/2 has eigenvalues +-1/2 and trace 0.
+        rho = np.zeros((6, 6))
+        rho[0, 1] = rho[1, 0] = 0.5
+        axis = np.array([-1.7, 0.0, 0.6, 2.2])
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        got = quantum_charfn(rho)(x, y).ravel()
+        assert np.abs(got - dense_charfn(rho, x, y)).max() <= 1e-13
+
     @pytest.mark.parametrize("dim", [25, 61])
     def test_every_element_matches_mpmath(self, dim):
         # Every number state: Tr[|n><n| D] = e^{-t/2} L_n(t), t = |zeta|^2;

@@ -9,6 +9,7 @@ from dense_displacement import displacement_matrix, double_loop_displacement
 from traced import traced_peak
 from gausscap.capacity import GaussianEnsembleSpec, capacity_alpha, optimal_squeezing
 from gausscap.core import (
+    NegativeDensity,
     NonPositive,
     NormalizationFailure,
     NumericsError,
@@ -18,9 +19,11 @@ from gausscap.core import (
     make_noise,
 )
 from gausscap.fock import (
+    EIG_TOL,
     FockOperator,
     displaced_squeezed_vector,
     gaussian_state_fock,
+    quantum_charfn,
     state_moments,
 )
 from gausscap.grids import (
@@ -517,3 +520,70 @@ class TestOversizedStates:
             sampler.bind(axes)([np.outer(wide, wide)])
         with pytest.raises(TruncationInsufficient, match="81.*61"):
             next(sampler.stream([wide], axes))
+
+
+class TestStateFactor:
+    """Density matrices enter as pivoted-Cholesky columns, with no eigensolver."""
+
+    @staticmethod
+    def states():
+        gauss = [gaussian_state_fock(make_covariance(aq, ap), n_max=60).matrix
+                 for aq, ap in [(0.5, 0.5), (1.0, 2.0), (2.0, 1.0), (1.5, 0.6), (2.0, 0.5)]]
+        number = np.zeros((8, 8), dtype=complex)
+        number[3, 3] = 1.0
+        return gauss + [random_mixed_state(41, seed=13, rank=5), number]
+
+    def test_columns_rebuild_the_state(self):
+        # The columns reproduce rho up to the dropped part, whose entries a
+        # positive semidefinite residual bounds by its trace, plus 1e-14 of
+        # roundoff; the dropped trace is at most EIG_TOL of the trace.
+        for rho in self.states():
+            probs, bras = _state_components([rho], len(rho))
+            cols = bras.conj()
+            trace = np.trace(rho).real
+            dropped = trace - np.sum(np.abs(cols) ** 2)
+            assert -1e-14 * trace <= dropped <= EIG_TOL * trace
+            assert np.abs(cols @ cols.conj().T - rho).max() <= max(dropped, 0.0) + 1e-14 * trace
+            assert probs.tolist() == [[1.0] * cols.shape[1]]
+        assert [_state_components([rho], len(rho))[1].shape[1]
+                for rho in self.states()[-2:]] == [5, 1]
+
+    def test_membership_of_mixed_states_and_vectors(self):
+        rho = random_mixed_state(20, seed=3, rank=2)
+        vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
+        probs, bras = _state_components([vec, rho], 20)
+        assert probs.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+        assert np.all(bras[12:, 0] == 0.0)
+        assert np.abs(bras[:12, 0] - vec.conj() / np.linalg.norm(vec)).max() == 0.0
+
+    def test_negative_state_raises(self):
+        # diag(0.7, 0.5, -0.2) has trace 1 and a negative part far beyond
+        # roundoff; the eigenvalue mask used to drop it silently.  So does
+        # a matrix whose diagonal is positive but whose Schur complement is not.
+        for rho in (np.diag([0.7, 0.5, -0.2]), np.array([[0.5, 0.6], [0.6, 0.5]])):
+            for beta in (make_noise(0.5, 0.5), make_noise(1.0, 1.0), make_noise(0.3, INF)):
+                with pytest.raises(NegativeDensity):
+                    numeric_output_entropy(rho, beta, QuadratureGrid(8.0, 24))
+                sampler = OutputSampler(beta, len(rho))
+                with pytest.raises(NegativeDensity):
+                    sampler.bind((np.zeros(1),) * sampler.outcome_dim)([rho])
+                with pytest.raises(NegativeDensity):
+                    povm_density(rho, beta, 0.3, 0.1)
+
+    def test_no_eigensolver_on_the_density_path(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        alpha = make_covariance(1.0, 2.0)
+        rho = gaussian_state_fock(alpha, n_max=40)
+        grid = QuadratureGrid(8.0, 60)
+        for beta in (make_noise(1.0, 1.0), make_noise(0.3, INF)):
+            h = numeric_output_entropy(rho, beta, grid)
+            assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-6)
+        other = gaussian_state_fock(make_covariance(2.0, 1.0), n_max=40)
+        ens = DiscreteEnsemble([0.5, 0.5], (rho, other))
+        assert 0.0 < mutual_information(ens, make_noise(1.0, 1.0), grid) < math.log(2.0)
+        assert povm_density(rho, make_noise(1.0, 1.0), 0.3, 0.1) > 0.0
+        assert quantum_charfn(rho)(0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
