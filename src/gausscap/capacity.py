@@ -60,7 +60,10 @@ def critical_squeezing(beta):
     """Stationary point of the ensemble objective: (1/2)sqrt(beta_q/beta_p)."""
     if beta.noise_type != 1:
         return 0.0
-    return 0.5 * math.sqrt(beta.beta_q / beta.beta_p)
+    ratio = beta.beta_q / beta.beta_p
+    if sys.float_info.min <= ratio < math.inf:
+        return 0.5 * math.sqrt(ratio)
+    return 0.5 * math.sqrt(beta.beta_q) / math.sqrt(beta.beta_p)  # the ratio over/underflowed
 
 
 def squeezing_interval(alpha):
@@ -113,7 +116,7 @@ def threshold_energy(beta_1, beta_2):
     """Energy threshold (beta_1 - beta_2 + sqrt(beta_1/beta_2))/2."""
     if beta_2 <= 0:
         raise OutOfInterval("threshold_energy requires beta_2 > 0")
-    return 0.5 * (beta_1 - beta_2 + math.sqrt(beta_1 / beta_2))
+    return 0.5 * (beta_1 - beta_2 + math.sqrt(beta_1) / math.sqrt(beta_2))
 
 
 def upper_bound(beta_q, E):
@@ -121,30 +124,22 @@ def upper_bound(beta_q, E):
     if not (math.isfinite(beta_q) and beta_q >= 0):
         raise NonPositive(f"beta_q must be finite and >= 0, got {beta_q}")
     e = _energy_value(E)
-    ratio = 2.0 * (e + beta_q) / (1.0 + 2.0 * beta_q)
-    if ratio < math.inf:
-        return math.log(ratio)
-    # 2(E + beta_q) overflowed: an eighth of the ratio stays below 9e307.
-    return math.log((0.0625 * e + 0.0625 * beta_q) / (0.25 + 0.5 * beta_q)) + math.log(8.0)
+    excess = (e - 0.5) / (beta_q + 0.5)  # the ratio minus 1
+    if excess < math.inf:
+        return math.log1p(excess)
+    # beta_q < 1/2 and E > 9e307: log1p is ln here, and half the excess is a float.
+    return math.log(0.5 * (e - 0.5) / (beta_q + 0.5)) + math.log(2.0)
 
 
 def _noisy_position_ratio(E, beta_q):
-    """(r, r - 1) for r = (sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized; r = 2E at bq=0."""
-    try:  # beta_q * beta_q would round differently on about 1 input in 1e5
-        root = math.sqrt(1.0 + 8.0 * E * beta_q + 4.0 * beta_q ** 2)
-    except OverflowError:
-        root = math.inf
-    if root == math.inf:  # the 1s are below roundoff beside 2bq: r = sqrt((2E + bq) / bq)
-        ratio = math.sqrt(1.0 + 2.0 * E / beta_q)
-        if ratio < math.inf:
-            return ratio, (2.0 * E - 1.0) / beta_q / (ratio + 1.0)
-    else:
-        ratio = (4.0 * E + 2.0 * beta_q) / (root + 1.0)
-        if ratio < math.inf:
-            return ratio, (4.0 * E - 2.0) / (root + 2.0 * beta_q + 1.0)
-    # 8E overflowed and bq < 2E/1.8e308, 0 included: the forms above over 4.
-    quarter = math.sqrt(0.0625 + 0.5 * (E * beta_q) + 0.25 * beta_q ** 2)
-    return (E + 0.5 * beta_q) / (quarter + 0.25), (E - 0.5) / (quarter + 0.5 * beta_q + 0.25)
+    """(r, r - 1) for r = (sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized; r = 2E at bq=0.
+
+    g = sqrt(1 + 8E bq + 4bq^2)/4 is a hypot of terms that stay floats, and
+    so are the quartered numerators, for every E and bq up to 1.8e308.
+    """
+    g = math.hypot(0.25, 0.5 * beta_q, math.sqrt(0.5 * E) * math.sqrt(beta_q))
+    return ((0.5 * E + 0.25 * beta_q) / (0.5 * g + 0.125),
+            (0.5 * E - 0.25) / (0.5 * g + 0.25 * beta_q + 0.125))
 
 
 def _ensemble_for(alpha, beta):
@@ -171,32 +166,24 @@ def _golden_section_max(f, a, b, xtol):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    if x == math.inf:  # a + b overflowed
-        x = a + 0.5 * (b - a)
+    x = a + 0.5 * (b - a)
     return x, f(x)
 
 
 def _shell_maximum(beta, E, xtol=1e-11):
     """Direct maximization of capacity_alpha over alpha_q + alpha_p = 2E."""
-    # Both shell ends lie on alpha_q*alpha_p = 1/4.  Taking the lower end and
-    # the partner quadrature from that product, not from E - sqrt(E^2 - 1/4)
-    # or 2E - ap, avoids a cancellation that lands below the uncertainty
-    # boundary for large E.
-    # From E = 2^26 the end is 2E to the bit; E*E overflows from E = 1.3e154.
-    hi = 2.0 * E if E >= 2.0 ** 26 else E + math.sqrt(max(E * E - 0.25, 0.0))
-    lo = 0.25 / hi
-    if hi == math.inf:  # from E = 9e307: the part of the shell where alpha_q is a float
-        lo, hi = E - (sys.float_info.max - E), sys.float_info.max
+    # The shell ends lie on alpha_q*alpha_p = 1/4: the lower end and the partner
+    # quadrature come from that product, which no cancellation takes below 1/4.
+    # From E = 9e307 on, the scan keeps to where alpha_q = 2E - alpha_p is a float.
+    top = sys.float_info.max
+    hi = min(E + math.sqrt(max(E - 0.5, 0.0)) * math.sqrt(E + 0.5), top)
+    lo = max(0.25 / hi, E - (top - E))
     if hi - lo < 1e-14:
         a = make_covariance(E, E)
         return a.alpha_p, capacity_alpha(a, beta)
 
     def value(ap):
-        aq = max(2.0 * E - ap, 0.25 / ap)
-        if aq == math.inf:  # 2E overflowed, ap >= 2E - 1.8e308
-            aq = E + (E - ap)
-        return capacity_alpha(make_covariance(aq, ap), beta)
+        return capacity_alpha(make_covariance(max(E + (E - ap), 0.25 / ap), ap), beta)
 
     # Coarse scan guards against the piecewise structure across regimes,
     # golden-section refines the winning bracket.
@@ -215,36 +202,32 @@ def _shell_maximum(beta, E, xtol=1e-11):
 def capacity_energy(beta, E, cross_check=True):
     """Energy-constrained capacity with the optimizing covariance and ensemble.
 
-    Selects the closed-form branch by the threshold conditions and, unless
-    disabled, cross-checks it against a direct maximization over the energy
-    shell alpha_q + alpha_p = 2E.  In regime C a gap above CROSS_CHECK_TOL
-    raises NumericsError; in L and R, where the closed form rests on the
+    Regime C where its covariance E -+ (beta_q - beta_p)/2 reaches the
+    stationary squeezing on both axes, noisy position (L, or R mirrored)
+    otherwise.  Unless disabled, a direct maximization over the energy shell
+    alpha_q + alpha_p = 2E cross-checks the closed form: in regime C a gap
+    above CROSS_CHECK_TOL raises NumericsError; in L and R, which rest on the
     Gaussian-maximizer hypothesis, the gap is only recorded.
     """
     e = _energy_value(E)
     bq, bp = beta.beta_q, beta.beta_p
-
-    if beta.noise_type == 1 and e >= max(threshold_energy(bp, bq), threshold_energy(bq, bp)):
+    sq, sp = math.sqrt(bq), math.sqrt(bp)
+    # Regime C's covariance, correctly rounded by fsum: no cancellation at the
+    # threshold, inf past the float range.  Types 2 and 3 have none (-inf).
+    aq = ap = -math.inf
+    if beta.noise_type == 1:
+        aq = 2.0 * math.fsum((0.5 * e, 0.25 * bp, -0.25 * bq))
+        ap = 2.0 * math.fsum((0.5 * e, 0.25 * bq, -0.25 * bp))
+    crit = critical_squeezing(beta)
+    if aq >= crit and ap >= 0.25 / crit:  # both reach the stationary squeezing
         regime = Regime.C
-        aq = e + 0.5 * (bp - bq)
-        ap = e + 0.5 * (bq - bp)
-        root = math.sqrt(bq * bp)
-        top = e + 0.5 * (bq + bp)
-        if root == math.inf:
-            # bq * bp overflowed, and the ratio can be 1 to the last bit: log1p
-            # of ratio - 1 = (e - 1/2 + d^2 / 2) / (sqrt(bq bp) + 1/2), with
-            # d = sqrt bq - sqrt bp taken from bq - bp, numerator and
-            # denominator halved to stay below 9e307.
-            sq, sp = math.sqrt(bq), math.sqrt(bp)
-            d = (bq - bp) / (sq + sp)
-            cap = math.log1p((0.5 * (e - 0.5) + 0.25 * d * d) / (0.5 * sq * sp + 0.25))
-        elif top < math.inf:
-            cap = math.log(top / (root + 0.5))
-        else:  # the numerator overflowed: halved, the ratio's terms stay below 9e307
-            cap = math.log((0.5 * e + 0.25 * bq + 0.25 * bp) / (0.5 * root + 0.25))
         if not max(aq, ap) < math.inf:
             raise NumericsError(f"the optimal covariance E + |beta_q - beta_p|/2 at E = {e} "
                                 f"exceeds the float range")
+        # ln (E + (bq + bp)/2) / (sqrt(bq bp) + 1/2) as log1p of the ratio minus 1,
+        # halved, with d = sqrt(bq) - sqrt(bp) taken from bq - bp.
+        d = (bq - bp) / (sq + sp)
+        cap = math.log1p((0.5 * e - 0.25 + 0.25 * d * d) / (0.5 * sq * sp + 0.25))
     else:
         # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
         mirror = bq > bp
@@ -267,12 +250,6 @@ def capacity_energy(beta, E, cross_check=True):
                 f"regime C capacity {cap} and shell maximum {check} differ by "
                 f"{gap:.3e} > {CROSS_CHECK_TOL}"
             )
-    return CapacityResult(
-        capacity_nats=cap,
-        optimal_alpha=alpha,
-        regime=regime,
-        ensemble=_ensemble_for(alpha, beta),
-        hypothetical=regime is not Regime.C,
-        optimizer_check_nats=check,
-        cross_check_gap=gap,
-    )
+    return CapacityResult(capacity_nats=cap, optimal_alpha=alpha, regime=regime,
+                          ensemble=_ensemble_for(alpha, beta), hypothetical=regime is not Regime.C,
+                          optimizer_check_nats=check, cross_check_gap=gap)

@@ -174,10 +174,17 @@ def output_entropy_term(alpha, beta):
     return _entropy_term(alpha.alpha_q, alpha.alpha_p, beta)
 
 
+def _log_sum(a, b):
+    """ln(a + b), from the halves where a + b overflows."""
+    total = a + b
+    return math.log(total) if total < math.inf else math.log(0.5 * a + 0.5 * b) + math.log(2.0)
+
+
 def _entropy_term(aq, ap, beta):
     """The output entropy term at variances (aq, ap), unvalidated."""
-    vq = aq + beta.beta_q
-    if beta.noise_type == 1:
-        vp = ap + beta.beta_p  # vq * vp overflows from about E = 1e154
-        return 0.5 * (math.log(vq * vp) if vq * vp < math.inf else math.log(vq) + math.log(vp))
-    return 0.5 * math.log(vq)
+    if beta.noise_type != 1:
+        return 0.5 * _log_sum(aq, beta.beta_q)
+    vq, vp = aq + beta.beta_q, ap + beta.beta_p  # vq * vp overflows from about E = 1e154
+    if vq * vp < math.inf:
+        return 0.5 * math.log(vq * vp)
+    return 0.5 * (_log_sum(aq, beta.beta_q) + _log_sum(ap, beta.beta_p))
