@@ -132,13 +132,13 @@ def upper_bound(beta_q, E):
 
 
 def _noisy_position_ratio(E, beta_q):
-    """(r, r - 1) for r = (sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized; r = 2E at bq=0.
+    """(r/2, r - 1) for r = (sqrt(1+8E bq+4bq^2)-1)/(2 bq), rationalized; r = 2E at bq=0.
 
-    g = sqrt(1 + 8E bq + 4bq^2)/4 is a hypot of terms that stay floats, and
-    so are the quartered numerators, for every E and bq up to 1.8e308.
+    g = sqrt(1 + 8E bq + 4bq^2)/4 is a hypot of terms that stay floats, and so
+    are the scaled numerators and r/2 <= E, for every E and bq up to 1.8e308.
     """
     g = math.hypot(0.25, 0.5 * beta_q, math.sqrt(0.5 * E) * math.sqrt(beta_q))
-    return ((0.5 * E + 0.25 * beta_q) / (0.5 * g + 0.125),
+    return ((0.25 * E + 0.125 * beta_q) / (0.5 * g + 0.125),
             (0.5 * E - 0.25) / (0.5 * g + 0.25 * beta_q + 0.125))
 
 
@@ -150,7 +150,7 @@ def _ensemble_for(alpha, beta):
 
 
 def _golden_section_max(f, a, b, xtol):
-    """Maximize a unimodal f on [a, b] (a <= b); returns (x, f(x))."""
+    """Maximize a unimodal f on [a, b] (a <= b); returns the best (f(x), x) evaluated."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -166,37 +166,41 @@ def _golden_section_max(f, a, b, xtol):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    x = a + 0.5 * (b - a)
-    return x, f(x)
+    return max((fc, c), (fd, d))  # every step kept the better inner point
 
 
 def _shell_maximum(beta, E, xtol=1e-11):
-    """Direct maximization of capacity_alpha over alpha_q + alpha_p = 2E."""
-    # The shell ends lie on alpha_q*alpha_p = 1/4: the lower end and the partner
-    # quadrature come from that product, which no cancellation takes below 1/4.
-    # From E = 9e307 on, the scan keeps to where alpha_q = 2E - alpha_p is a float.
+    """(smaller entry, capacity_alpha) of the best covariance found on alpha_q + alpha_p = 2E."""
+    # Each half of the shell is scanned by its smaller entry s, the other being
+    # E + (E - s), so s keeps its relative precision however small next to E.
+    # The ends lie on alpha_q*alpha_p = 1/4, which no cancellation takes below
+    # 1/4.  From E = 9e307 on, the scan keeps to where E + (E - s) is a float.
     top = sys.float_info.max
     hi = min(E + math.sqrt(max(E - 0.5, 0.0)) * math.sqrt(E + 0.5), top)
     lo = max(0.25 / hi, E - (top - E))
-    if hi - lo < 1e-14:
-        a = make_covariance(E, E)
-        return a.alpha_p, capacity_alpha(a, beta)
+    if E - lo < 1e-14:
+        return E, capacity_alpha(make_covariance(E, E), beta)
 
-    def value(ap):
-        return capacity_alpha(make_covariance(max(E + (E - ap), 0.25 / ap), ap), beta)
+    def small_q(s):
+        return capacity_alpha(make_covariance(s, max(E + (E - s), 0.25 / s)), beta)
 
-    # Coarse scan guards against the piecewise structure across regimes,
-    # golden-section refines the winning bracket.
-    n = 257
-    step = (hi - lo) / (n - 1)
-    best_i, best_v = 0, -math.inf
-    for i in range(n):
-        v = value(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = max(lo, lo + (best_i - 1) * step)
-    b = min(hi, lo + (best_i + 1) * step)
-    return _golden_section_max(value, a, b, xtol)
+    def small_p(s):
+        return capacity_alpha(make_covariance(max(E + (E - s), 0.25 / s), s), beta)
+
+    # A coarse scan of 257 points guards against the piecewise structure across
+    # regimes; golden section refines the winning bracket.  Past s = E a half
+    # runs on into the other, so a bracket at the middle spans both.
+    n = 128
+    step = (E - lo) / n
+    points = [lo + i * step for i in range(n)]
+    best_v, best_s, best_f = -math.inf, E, small_q
+    for f, scan in ((small_p, points), (small_q, points + [E])):
+        for s in scan:
+            v = f(s)
+            if v > best_v:
+                best_v, best_s, best_f = v, s, f
+    v, s = _golden_section_max(best_f, max(lo, best_s - step), best_s + step, xtol)
+    return (s, v) if v > best_v else (best_s, best_v)
 
 
 def capacity_energy(beta, E, cross_check=True):
@@ -232,12 +236,13 @@ def capacity_energy(beta, E, cross_check=True):
         # Noisy position L, or its mirror R if bp < bq; bp = inf for types 2, 3.
         mirror = bq > bp
         regime = Regime.R if mirror else Regime.L
-        ratio, excess = _noisy_position_ratio(e, bp if mirror else bq)
-        low, high = 0.5 * ratio, 2.0 * e - 0.5 * ratio
+        low, excess = _noisy_position_ratio(e, bp if mirror else bq)
+        high = e + (e - low)
         if not high < math.inf:
-            raise NumericsError(f"the optimal covariance 2E - r/2 at E = {e} exceeds the "
+            raise NumericsError(f"the optimal covariance E + (E - r/2) at E = {e} exceeds the "
                                 f"float range")
-        cap = math.log1p(excess)
+        # r - 1 is no float once r/2 passes 9e307; log1p is ln there, ln r = ln(r/2) + ln 2.
+        cap = math.log1p(excess) if excess < math.inf else math.log(low) + math.log(2.0)
         aq, ap = (low, high) if mirror else (high, low)
 
     alpha = make_covariance(aq, ap)

@@ -170,11 +170,9 @@ def _linspace(start, stop, num):
 @click.option("--energy-min", default=0.5, show_default=True, type=float)
 @click.option("--energy-max", default=5.0, show_default=True, type=float)
 @click.option("--steps", default=50, show_default=True, type=int)
-@click.option("--workers", default=0, type=int, hidden=True,
-              help="Accepted and ignored; points are evaluated in one process.")
 @log_base_option
 @handle_errors
-def sweep(beta_q, beta_p, energy_min, energy_max, steps, workers, log_base):
+def sweep(beta_q, beta_p, energy_min, energy_max, steps, log_base):
     """Capacity versus energy curve as CSV (columns in --help order).
 
     CSV columns: energy, capacity, regime, hypothetical, alpha_q, alpha_p.

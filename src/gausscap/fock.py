@@ -91,18 +91,19 @@ def squeezed_thermal(alpha, dim):
     return (a @ b.T) * (math.exp(-0.5 * r) / s), thermal_diagonal(n_bar, dim)
 
 
-def gaussian_state_fock(alpha, n_max=DEFAULT_N, tol=DEFAULT_TRUNCATION_TOL):
+def gaussian_state_fock(alpha, n_max=DEFAULT_N):
     """Projection onto |0>..|N> of the state with covariance alpha, float64.
 
-    Raises TruncationInsufficient when its trace misses 1 by more than tol
-    or is not finite.
+    Raises TruncationInsufficient when its trace misses 1 by more than
+    DEFAULT_TRUNCATION_TOL or is not finite.
     """
     s, diag = squeezed_thermal(alpha, n_max + 1)
     c = s * np.sqrt(diag)
     rho = c @ c.T
     deficit = 1.0 - np.trace(rho)
-    if not deficit <= tol:
-        raise TruncationInsufficient(f"trace deficit {deficit:.3e} > {tol} at N={n_max}")
+    if not deficit <= DEFAULT_TRUNCATION_TOL:
+        raise TruncationInsufficient(
+            f"trace deficit {deficit:.3e} > {DEFAULT_TRUNCATION_TOL} at N={n_max}")
     return FockOperator(rho)
 
 

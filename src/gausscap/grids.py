@@ -12,9 +12,9 @@ a block of vectors (BLOCK_NODES) and a sub-block of overlaps
 evaluates them in stream's blocks and sub-blocks, in one pass: its densities
 equal stream's bit for bit, and no bound overlap product spans more than one
 block.  One block's product can still cross OpenBLAS's threading cut-off at
-larger searches (8 members at n_max = 40 on a 48-point axis).  A density
-matrix enters as the columns of its pivoted Cholesky factor
-(fock._cholesky_columns), each of weight 1, with no eigensolver.  Entropies
+larger searches (8 members at n_max = 40 on a 48-point axis).  States enter
+as given, unnormalized, a density matrix as the columns of its pivoted
+Cholesky factor (fock._cholesky_columns), with no eigensolver.  Entropies
 and mutual information stream the densities into one reducer (_information).
 """
 
@@ -55,6 +55,7 @@ SUB_BLOCK_OVERLAPS = 16384
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
 # is smeared so; on a 200-node row, 10 cost what the panels cost (delta = 1e-3).
 HERMITE_NODES_MAX = 10
+MASS_TOL = 1e-6  # largest |1 - grid mass| of the average density; lost trace counts too
 
 
 class QuadratureGrid(_record("QuadratureGrid", "half_width nodes_per_axis")):
@@ -106,9 +107,9 @@ class DiscreteEnsemble:
 def _state_components(states, dim):
     """(P, B): column k of B is the conjugate of a column c_k of state i iff P[i, k] = 1.
 
-    A state vector is one normalized column; a density matrix is the columns
-    of its pivoted Cholesky factor, sum_k c_k c_k+ = rho (_cholesky_columns).
-    When every state is a vector, P is the identity and is returned as None.
+    States are taken as given: a vector is its own column, a density matrix
+    the columns of its pivoted Cholesky factor, sum_k c_k c_k+ = rho.  When
+    every state has one column, P is the identity and is returned as None.
     Columns are zero-padded to dim rows, which is exact in the Fock basis.
     """
     comps = []
@@ -117,18 +118,15 @@ def _state_components(states, dim):
         if mat.shape[0] > dim:
             raise TruncationInsufficient(
                 f"a state of dimension {mat.shape[0]} exceeds the sampler's dimension {dim}")
-        norm = np.linalg.norm(mat) if mat.ndim == 1 else np.trace(mat).real
-        if not 0.0 < norm < math.inf:
-            raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
-        comps.append(mat[:, None] / norm if mat.ndim == 1 else _cholesky_columns(mat))
+        trace = np.vdot(mat, mat).real if mat.ndim == 1 else np.trace(mat).real
+        if not 0.0 < trace < math.inf:
+            raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
+        comps.append(mat[:, None] if mat.ndim == 1 else _cholesky_columns(mat))
     counts = [v.shape[1] for v in comps]
     bras = np.zeros((dim, sum(counts)), dtype=np.result_type(*comps))
-    col = 0
-    for v, count in zip(comps, counts):
-        bras[:len(v), col:col + count] = v
-        col += count
-    pure = all(state_array(s).ndim == 1 for s in states)
-    probs = None if pure else np.repeat(np.eye(len(comps)), counts, axis=1)
+    for v, col in zip(comps, np.cumsum([0] + counts)):
+        bras[:len(v), col:col + v.shape[1]] = v
+    probs = None if max(counts) == 1 else np.repeat(np.eye(len(comps)), counts, axis=1)
     return probs, np.conjugate(bras, out=bras)
 
 
@@ -400,39 +398,37 @@ def _average_moments(weights, states):
     return mq, mp, eq2 - mq ** 2, ep2 - mp ** 2
 
 
-def _grid_information(weights, states, beta, grid, mass_tol):
+def _grid_information(weights, states, beta, grid):
     """_information's (h(avg), MI) on the grid around the states' average output.
 
-    Raises NormalizationFailure when the average density's mass misses 1 by
-    more than mass_tol.
+    Raises NormalizationFailure when the average density's mass misses 1 by > MASS_TOL.
     """
     axes = _grid_axes(*_output_window(_average_moments(weights, states), beta), grid)
     sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in states))
     h, mi, mass = _information(weights, _grid_blocks(sampler, states, axes))
-    if not abs(mass - 1.0) <= mass_tol:  # a NaN mass fails too
-        raise NormalizationFailure(f"average density mass {mass} deviates from 1 beyond "
-                                   f"{mass_tol}")
+    if not abs(mass - 1.0) <= MASS_TOL:  # a NaN mass fails too
+        raise NormalizationFailure(f"average density mass {mass} misses 1 by > {MASS_TOL}")
     return h, mi
 
 
-def numeric_output_entropy(rho, beta, grid=QuadratureGrid(), mass_tol=1e-6):
+def numeric_output_entropy(rho, beta, grid=QuadratureGrid()):
     """Lebesgue differential entropy of the outcome density, in nats.
 
     The grid window is centered on the state's output Gaussian.
     """
-    return _grid_information(np.ones(1), [rho], beta, grid, mass_tol)[0]
+    return _grid_information(np.ones(1), [rho], beta, grid)[0]
 
 
-def mutual_information(ens, beta, grid=QuadratureGrid(), mass_tol=1e-6):
+def mutual_information(ens, beta, grid=QuadratureGrid()):
     """I = h(average output) - sum_i w_i h(member output), on a shared grid.
 
     The Lebesgue-reference constants cancel exactly between the two terms.
     Members of different dimensions are zero-padded to the largest.
     """
-    return _grid_information(ens.weights, ens.states, beta, grid, mass_tol)[1]
+    return _grid_information(ens.weights, ens.states, beta, grid)[1]
 
 
-def discretize_gaussian_ensemble(spec, beta=None, nodes=15, n_max=DEFAULT_N):
+def discretize_gaussian_ensemble(spec, nodes=15, n_max=DEFAULT_N):
     """Gauss-Hermite discretization of a Gaussian squeezed-coherent ensemble.
 
     Displacements follow the ensemble's Gaussian with covariance

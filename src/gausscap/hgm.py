@@ -150,7 +150,8 @@ class _Objective:
         lost = 1.0 - float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         if not lost <= KEPT_MASS_TOL:
             return lost
-        _, mi, _ = _information(w, [(self.densities(states), self.qweights)])
+        normalized = [s / np.linalg.norm(s) for s in states]  # scored as normalized states
+        _, mi, _ = _information(w, [(self.densities(normalized), self.qweights)])
         if mi > self.best_value:
             self.best_value = mi
             self.best_params = p.ravel()

@@ -282,13 +282,13 @@ class TestCapacityEnergy:
         noises = np.concatenate([np.geomspace(1e-12, 1e2, 57), np.geomspace(1e8, 1e300, 25),
                                  [6.7e153, 1.3e154, 1.35e154]])
         for e in energies.tolist():
-            assert _noisy_position_ratio(e, 0.0)[0] == 2.0 * e
+            assert _noisy_position_ratio(e, 0.0)[0] == e
             for bq in noises.tolist():
                 with mpmath.workdps(50):
                     b = mpmath.mpf(bq)
                     exact = (mpmath.sqrt(1 + 8 * e * b + 4 * b * b) - 1) / (2 * b)
                 assert _noisy_position_ratio(e, bq)[0] == pytest.approx(
-                    float(exact), rel=1e-14)
+                    float(exact / 2), rel=1e-14)
 
     def test_noisy_position_capacity_matches_mpmath(self):
         # ln r with r = 1 + O(E/bq) when bq >> E: ln of the rounded ratio was
@@ -322,11 +322,11 @@ class TestCapacityEnergy:
     def test_noisy_position_ratio_past_8e_overflow_matches_mpmath(self, bq, e):
         # 8E overflows from E = 2.2e307; with bq below 2E/1.8e308 the ratio was
         # inf (and NaN at bq = 0) and capacity_energy raised NonPositive.
-        ratio, excess = _noisy_position_ratio(e, bq)
+        half, excess = _noisy_position_ratio(e, bq)
         with mpmath.workdps(700):
             b, en = mpmath.mpf(bq), mpmath.mpf(e)
             exact = (mpmath.sqrt(1 + 8 * en * b + 4 * b * b) - 1) / (2 * b) if bq else 2 * en
-        assert ratio == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert half == pytest.approx(float(exact / 2), rel=1e-15, abs=0.0)
         assert excess == pytest.approx(float(exact - 1), rel=1e-15, abs=0.0)
         res = capacity_energy(make_noise(bq, INF), e)
         assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, rel=1e-15, abs=0.0)
@@ -375,7 +375,7 @@ class TestCapacityEnergy:
                                                                   cross_check):
         # Noise variances log-uniform over [1e-300, 1e300], their product
         # overflowing included.  Regimes L and R raise NumericsError where
-        # 2E - r/2 is no float; no other exception is allowed.
+        # E + (E - r/2) is no float; no other exception is allowed.
         bq, bp = 10 ** log_bq, 10 ** log_bp
         assume(bq * bp >= 0.25)
         beta = make_noise(bq, bp)
@@ -393,15 +393,16 @@ class TestCapacityEnergy:
         cross_check=st.booleans(),
     )
     def test_any_finite_energy_returns_a_capacity(self, e, log_bq, log_u, cross_check):
-        # All three noise types.  Regimes L and R put 2E - r/2 on one axis,
-        # which is no float from E = 9e307 on: NumericsError, never a
-        # ValidationError, and only there.
+        # All three noise types.  Regimes L and R put E + (E - r/2) on one
+        # axis, which is no float only where r/2 < 2E - 1.8e308: NumericsError,
+        # never a ValidationError, and only there.
         e = min(max(e, 0.5), 1.7e308)
         bq = 0.0 if log_bq is None else 10 ** log_bq
         bp = INF if log_u is None or bq == 0.0 else 10 ** log_u * 0.25 / bq
         beta = make_noise(bq, bp)
         center = bp < INF and e >= max(threshold_energy(bp, bq), threshold_energy(bq, bp))
-        if 2.0 * e == INF and not center:
+        half = _noisy_position_ratio(e, min(bq, bp))[0]
+        if not center and e + (e - half) == INF:
             with pytest.raises(NumericsError, match="float range"):
                 capacity_energy(beta, e, cross_check=cross_check)
             return

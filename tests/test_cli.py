@@ -140,7 +140,7 @@ class TestSweepCommand:
     def test_csv_shape_and_values(self, runner):
         res = run_ok(runner, ["sweep", "--beta-q", "0.5", "--beta-p", "0.5",
                               "--energy-min", "0.5", "--energy-max", "2.0",
-                              "--steps", "4", "--workers", "1"])
+                              "--steps", "4"])
         rows = list(csv.DictReader(io.StringIO(res.output)))
         assert len(rows) == 4
         assert [r["energy"] for r in rows] == ["0.5", "1.0", "1.5", "2.0"]
@@ -157,12 +157,11 @@ class TestSweepCommand:
         energies = [r["energy"] for r in csv.DictReader(io.StringIO(res.output))]
         assert energies == [str(e) for e in np.linspace(0.7, 13.3, steps)]
 
-    def test_parallel_matches_serial(self, runner):
-        args = ["sweep", "--beta-q", "0.2", "--beta-p", "inf",
-                "--energy-min", "0.6", "--energy-max", "3.0", "--steps", "5"]
-        serial = run_ok(runner, args + ["--workers", "1"])
-        parallel = run_ok(runner, args + ["--workers", "2"])
-        assert serial.output == parallel.output
+    def test_removed_workers_option_is_a_usage_error(self, runner):
+        res = runner.invoke(main, ["sweep", "--beta-q", "0.5", "--beta-p", "0.5",
+                                   "--workers", "1"])
+        assert res.exit_code == 2
+        assert "--workers" in res.stderr
 
 
 class TestBoundCommand:

@@ -23,8 +23,7 @@ CLOSED_FORM_COMMANDS = {
     "dual": ["dual", "--alpha-q", "1", "--alpha-p", "1",
              "--beta-q", "0.2", "--beta-p", "5"],
     "bound": ["bound", "--beta-q", "0.2", "-e", "1.0"],
-    "sweep": ["sweep", "--beta-q", "0.2", "--beta-p", "inf", "--steps", "5",
-              "--workers", "2"],
+    "sweep": ["sweep", "--beta-q", "0.2", "--beta-p", "inf", "--steps", "5"],
 }
 
 

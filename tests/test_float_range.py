@@ -10,6 +10,7 @@ wherever alpha + beta is a float.
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -199,9 +200,9 @@ def test_center_capacity_and_covariance_match_mpmath(beta, above):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(e=ENERGIES, bq=st.one_of(st.just(0.0), log_uniform()))
 def test_ratio_excess_and_bound_match_mpmath(e, bq):
-    ratio, excess = _noisy_position_ratio(e, bq)
+    half, excess = _noisy_position_ratio(e, bq)
     exact_ratio, exact_excess = noisy_position_ratio(e, bq)
-    assert_close(ratio, exact_ratio, 5e-16)
+    assert_close(half, exact_ratio / 2, 5e-16)
     assert_close(excess, exact_excess, 5e-16)
     assert_close(upper_bound(bq, e), bound(bq, e), 5e-16)
 
@@ -291,8 +292,48 @@ def test_regime_at_the_float_limit_prints_finite_json(runner):
     assert payload["capacity_alpha_nats"] == pytest.approx(math.log(18.0), abs=1e-12)
 
 
+def test_sharp_position_at_the_float_limit(runner):
+    # alpha = (E, E) and ln 2E are floats; 2E - r/2 with r = 2E was not, and
+    # the command exited 3.
+    res = runner.invoke(main, ["capacity", "--beta-q", "0", "--beta-p", "inf", "-e", "1e308"])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout, parse_constant=_reject_constant)
+    exact = float(mp.log(2 * mp.mpf(1e308)))
+    assert payload["capacity_nats"] == pytest.approx(exact, rel=5e-16, abs=0.0)
+    assert payload["optimal_alpha"] == {"alpha_q": 1e308, "alpha_p": 1e308}
+    assert payload["optimizer_check_nats"] == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_shell_maximum_where_alpha_q_is_tiny_next_to_alpha_p(runner):
+    # The optimal alpha_q = 5e20 is 5e-8 of alpha_p = 1e28: scanned as
+    # 2E - alpha_p it kept a few ulps of alpha_p, the shell maximum came out
+    # 0.0, and the regime-C cross-check exited 3.
+    res = runner.invoke(main, ["capacity", "--beta-q", "1e28", "--beta-p", "10",
+                               "-e", "5.000000500000015e27"])
+    assert res.exit_code == 0, res.stderr
+    payload = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert abs(payload["optimizer_check_nats"] - 31.084898805419616) <= 1e-9
+
+
+def test_regime_c_cross_check_up_to_100_thresholds():
+    # Noise variances log-uniform over [1e-300, 1e300], E from just above
+    # the regime-C threshold to 100 times it.  Where one optimal entry is
+    # tiny next to the other, the shell scan lost it, and the cross-check
+    # raised NumericsError on 17 of the 199 admissible draws here.
+    rng = random.Random(0)
+    for _ in range(400):
+        bq, bp = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        if bq * bp < 0.25:
+            continue
+        thr = max(threshold_energy(bq, bp), threshold_energy(bp, bq), 0.5)
+        e = thr * (1.0 + 10.0 ** rng.uniform(-16.0, 2.0))
+        if e <= E_MAX:
+            res = capacity_energy(make_noise(bq, bp), e)
+            assert res.cross_check_gap <= 1e-9, (bq, bp, e)
+
+
 def test_noisy_position_covariance_past_the_float_range_exits_3(runner):
-    # beta_q ** 2 raised a bare OverflowError; 2E - r/2 is no float here.
+    # beta_q ** 2 raised a bare OverflowError; E + (E - r/2) is no float here.
     res = runner.invoke(main, ["capacity", "--beta-q", "1e200", "--beta-p", "inf", "-e", "1e308"])
     assert res.exit_code == 3
     assert "NumericsError" in res.stderr and "float range" in res.stderr
@@ -301,9 +342,9 @@ def test_noisy_position_covariance_past_the_float_range_exits_3(runner):
 @pytest.mark.parametrize("e, bq", [(1.3330196660772722e308, 1274.0438174764986), (1e308, 1e200)])
 def test_noisy_position_ratio_near_the_float_limit(e, bq):
     # The first returned r = 0.0 against 4.57e152.
-    ratio, excess = _noisy_position_ratio(e, bq)
+    half, excess = _noisy_position_ratio(e, bq)
     exact_ratio, exact_excess = noisy_position_ratio(e, bq)
-    assert ratio == pytest.approx(float(exact_ratio), rel=5e-16, abs=0.0)
+    assert half == pytest.approx(float(exact_ratio / 2), rel=5e-16, abs=0.0)
     assert excess == pytest.approx(float(exact_excess), rel=5e-16, abs=0.0)
 
 

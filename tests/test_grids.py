@@ -544,17 +544,67 @@ class TestStateFactor:
             dropped = trace - np.sum(np.abs(cols) ** 2)
             assert -1e-14 * trace <= dropped <= EIG_TOL * trace
             assert np.abs(cols @ cols.conj().T - rho).max() <= max(dropped, 0.0) + 1e-14 * trace
-            assert probs.tolist() == [[1.0] * cols.shape[1]]
+            # A single column, as the vacuum's and |3><3|'s, takes the pure path.
+            assert (probs is None if cols.shape[1] == 1
+                    else probs.tolist() == [[1.0] * cols.shape[1]])
         assert [_state_components([rho], len(rho))[1].shape[1]
                 for rho in self.states()[-2:]] == [5, 1]
 
     def test_membership_of_mixed_states_and_vectors(self):
+        # A vector is its own column, as given: not divided by its norm.
         rho = random_mixed_state(20, seed=3, rank=2)
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
         probs, bras = _state_components([vec, rho], 20)
         assert probs.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
         assert np.all(bras[12:, 0] == 0.0)
-        assert np.abs(bras[:12, 0] - vec.conj() / np.linalg.norm(vec)).max() == 0.0
+        assert np.all(bras[:12, 0] == vec.conj())
+
+    def test_rank_one_matrices_take_the_pure_path(self):
+        vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
+        probs, bras = _state_components([vec, np.outer(vec, vec.conj())], 12)
+        assert probs is None and bras.shape == (12, 2)
+        col = bras[:, 1].conj()
+        assert np.abs(np.outer(col, col.conj()) - np.outer(vec, vec.conj())).max() <= 1e-15
+
+
+class TestStatesTakenAsGiven:
+    """A vector and its density matrix are one state: both keep their lost trace."""
+
+    BETA = make_noise(0.5, 0.5)
+    # The output entropy of every D(x, y) S(0.3)|0> under BETA.
+    EXACT = 2.8822178363352857
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+    def test_entropy_of_a_vector_and_its_matrix(self, x):
+        assert analytic_entropy(make_covariance(0.5 * math.exp(0.6), 0.5 * math.exp(-0.6)),
+                                self.BETA) == pytest.approx(self.EXACT, abs=1e-15)
+        # Cut to dim 12 the state keeps 0.99999 (x = 1) to 0.99897 (x = 2) of
+        # its trace; the vector's entropy was renormalized to 1.8e-3 above EXACT.
+        short = displaced_squeezed_vector(x, 0.5, 0.3, 12)
+        for state in (short, np.outer(short, short.conj())):
+            with pytest.raises(NormalizationFailure):
+                numeric_output_entropy(state, self.BETA)
+        vec = displaced_squeezed_vector(x, 0.5, 0.3, 41)
+        h_vec = numeric_output_entropy(vec, self.BETA)
+        h_mat = numeric_output_entropy(np.outer(vec, vec.conj()), self.BETA)
+        assert h_vec == pytest.approx(h_mat, abs=1e-12)
+        assert h_vec == pytest.approx(self.EXACT, abs=1e-6)
+
+    def test_information_of_an_ensemble_of_vectors_and_matrices(self):
+        grid = QuadratureGrid(8.0, 80)
+        for dim in (12, 41):
+            vecs = [displaced_squeezed_vector(x, 0.5, 0.3, dim) for x in (1.0, -2.0)]
+            mats = [np.outer(v, v.conj()) for v in vecs]
+            forms = [(vecs[0], mats[1]), (mats[0], vecs[1]), tuple(vecs), tuple(mats)]
+            ensembles = [DiscreteEnsemble(np.array([0.5, 0.5]), states) for states in forms]
+            if dim == 12:
+                for ens in ensembles:
+                    with pytest.raises(NormalizationFailure):
+                        mutual_information(ens, self.BETA, grid)
+                continue
+            mi = [mutual_information(ens, self.BETA, grid) for ens in ensembles]
+            assert max(mi) - min(mi) <= 1e-12
+            assert 0.0 < mi[0] < math.log(2.0)
 
     def test_negative_state_raises(self):
         # diag(0.7, 0.5, -0.2) has trace 1 and a negative part far beyond

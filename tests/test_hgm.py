@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -248,6 +249,28 @@ def _recorded(f):
 
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+class TestObjectivePins:
+    def test_values_match_the_pinned_ones_bit_for_bit(self):
+        # The objective scores each member as the normalized state of its
+        # kept part; the density layer takes states as given.  200 points of
+        # the criterion-08 cases at n_max = 14, where members may lose up to
+        # KEPT_MASS_TOL of their norm^2, against values pinned before the
+        # density layer stopped renormalizing vectors.
+        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "objective_pins.json")
+        with open(path) as fh:
+            pinned = json.load(fh)["values"]
+        values = []
+        for alpha, beta, seed in ((make_covariance(1, 1), make_noise(0.5, 0.5), 1),
+                                  (make_covariance(1, 2), make_noise(0.2, math.inf), 2)):
+            config = SearchConfig(members=4, starts=100, seed=seed, n_max=14,
+                                  grid=QuadratureGrid(6.0, 48))
+            obj = _Objective(alpha, beta, config)
+            rng = np.random.default_rng(seed)
+            values += [obj(x) for x in _initial_points(alpha, beta, config, rng)]
+        assert len(values) == 200
+        assert values == pinned
 
 
 class TestNelderMead:
