@@ -150,22 +150,35 @@ def _ensemble_for(alpha, beta):
 
 
 def _golden_section_max(f, a, b, xtol):
-    """Maximize a unimodal f on [a, b] (a <= b); returns the best (f(x), x) evaluated."""
+    """Maximize a unimodal f on [a, b] (0 < a <= b); returns the best (f(x), x) evaluated.
+
+    Stops once b - a <= xtol.  Where the float spacing above a exceeds xtol,
+    so that b - a cannot reach it, it stops once no float is left between a
+    new inner point and its bracket end.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
+
+    def exhausted(low, end, x):  # low: the bracket's lower end after the step
+        return math.ulp(low) > xtol and math.nextafter(end, x) == x
+
     for _ in range(300):
         if b - a <= xtol:
             break
         if fc > fd:
+            x = d - invphi * (d - a)
+            if exhausted(a, a, x):
+                break
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+            c, fc = x, f(x)
         else:
+            x = c + invphi * (b - c)
+            if exhausted(c, b, x):
+                break
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+            d, fd = x, f(x)
     return max((fc, c), (fd, d))  # every step kept the better inner point
 
 

@@ -77,10 +77,18 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     worst = 0.0
     for x in axis:
         for rows, gap in zip(_kicked_vectors(beta.beta_q, beta.beta_p, x, axis, buf), gaps):
-            s = sqrt_bar @ rows.T
-            np.divide(s @ s.conj().T, np.vdot(s, s).real, out=gap)
+            s = (sqrt_bar @ rows.T.view(float)).view(complex)
+            np.divide(_gram(s), np.vdot(s, s).real, out=gap)
         prime = _kicked_vectors(dual.alpha_prime_q, dual.alpha_prime_p, cx * x, cy * axis, buf)
         for rows, gap in zip(prime, gaps):
-            gap -= rows.T @ rows.conj()
+            gap -= _gram(rows.T)
             worst = max(worst, float(np.abs(np.linalg.eigvalsh(gap)).sum()))
     return worst
+
+
+def _gram(x):
+    """x x+ as two float64 products on real views, below OpenBLAS's threading
+    cut-off where the complex product crosses it: Re = X X^T and
+    Im = Y X^T, X and Y the real views of x and -i x."""
+    real = x.view(float)
+    return real @ real.T + 1j * ((-1j * x).view(float) @ real.T)

@@ -340,7 +340,11 @@ def quantum_charfn(rho):
         q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
         rows = np.array([(psi * (mat.T @ _hermite_functions(q - x0, dim))).sum(axis=0)
                          for x0 in xs]) * w
-        table = (rows @ np.exp(1j * np.outer(q, ys))) * np.exp(-0.5j * np.outer(xs, ys))
+        # One float64 product per part of the rows, on the Fourier kernel's
+        # real view: below OpenBLAS's threading cut-off on the CLT's grids.
+        kernel = np.exp(1j * np.outer(q, ys)).view(float)
+        re, im = (np.stack((rows.real, rows.imag)) @ kernel).view(complex)
+        table = (re + 1j * im) * np.exp(-0.5j * np.outer(xs, ys))
         return table[ix, iy].reshape(x.shape)[()]
 
     return phi

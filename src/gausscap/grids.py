@@ -7,15 +7,16 @@ variance delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo,
 Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
 banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  Densities
 come on tensor grids of outcomes only, (xs, ys) or (xs,): stream yields them
-a block of vectors (BLOCK_NODES) and a sub-block of overlaps
-(SUB_BLOCK_OVERLAPS) at a time.  bind keeps stream's vector blocks and
-evaluates them in stream's blocks and sub-blocks, in one pass: its densities
-equal stream's bit for bit, and no bound overlap product spans more than one
-block.  One block's product can still cross OpenBLAS's threading cut-off at
-larger searches (8 members at n_max = 40 on a 48-point axis).  States enter
-as given, unnormalized, a density matrix as the columns of its pivoted
-Cholesky factor (fock._cholesky_columns), with no eigensolver.  Entropies
-and mutual information stream the densities into one reducer (_information).
+a block of vectors (BLOCK_NODES) and a chunk of about 2 SUB_BLOCK_MULADDS /
+dim overlaps at a time.  bind keeps stream's vector blocks and evaluates them in
+stream's chunks and sub-blocks, in one pass: its densities equal stream's bit
+for bit, and no bound overlap product spans more than one block.  Every
+overlap product is float64 arithmetic on real views, at most
+SUB_BLOCK_MULADDS multiply-adds, so OpenBLAS keeps it on one thread.
+States enter as given, unnormalized, a density matrix as the columns of its
+pivoted Cholesky factor (fock._cholesky_columns), with no eigensolver.
+Entropies and mutual information stream the densities into one reducer
+(_information).
 """
 
 import math
@@ -50,8 +51,10 @@ SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
 # row of pure noise, 0.7-1.0 MB for the 768-1,024 nodes of a panel-smeared row
 # (896 nodes, 0.83 MB, on the seed-5 mixed entropy of perfbench's fock_oracle).
 BLOCK_NODES = 256
-# Overlaps <u_j|v_k> per sub-block (256 KB complex): 72 vector rows with 225 members.
-SUB_BLOCK_OVERLAPS = 16384
+# Real multiply-adds per overlap product, below OpenBLAS's threading cut-off
+# (about 1.0e6 for dgemm): 19 complex vectors times either part of 225
+# complex members at dim 61.
+SUB_BLOCK_MULADDS = 2 ** 19
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
 # is smeared so; on a 200-node row, 10 cost what the panels cost (delta = 1e-3).
 HERMITE_NODES_MAX = 10
@@ -105,12 +108,13 @@ class DiscreteEnsemble:
 
 
 def _state_components(states, dim):
-    """(P, B): column k of B is the conjugate of a column c_k of state i iff P[i, k] = 1.
+    """(P, B): row k of B[0], plus i B[1] for complex states, is the conjugate of
+    a column c_k of state i iff P[i, k] = 1.
 
     States are taken as given: a vector is its own column, a density matrix
     the columns of its pivoted Cholesky factor, sum_k c_k c_k+ = rho.  When
     every state has one column, P is the identity and is returned as None.
-    Columns are zero-padded to dim rows, which is exact in the Fock basis.
+    Columns are zero-padded to dim entries, which is exact in the Fock basis.
     """
     comps = []
     for s in states:
@@ -123,11 +127,11 @@ def _state_components(states, dim):
             raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
         comps.append(mat[:, None] if mat.ndim == 1 else _cholesky_columns(mat))
     counts = [v.shape[1] for v in comps]
-    bras = np.zeros((dim, sum(counts)), dtype=np.result_type(*comps))
+    bras = np.zeros((sum(counts), dim), dtype=np.result_type(*comps))
     for v, col in zip(comps, np.cumsum([0] + counts)):
-        bras[:len(v), col:col + v.shape[1]] = v
+        bras[col:col + v.shape[1], :len(v)] = v.T
     probs = None if max(counts) == 1 else np.repeat(np.eye(len(comps)), counts, axis=1)
-    return probs, np.conjugate(bras, out=bras)
+    return probs, np.stack((bras.real, -bras.imag)) if np.iscomplexobj(bras) else bras[None]
 
 
 class OutputSampler:
@@ -182,8 +186,8 @@ class OutputSampler:
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
 
         Yields (n_states, m) blocks of consecutive outcomes, x outer: whole
-        smearing groups of about SUB_BLOCK_OVERLAPS overlaps, or under panel
-        smearing one x.
+        smearing groups of about 2 SUB_BLOCK_MULADDS / dim overlaps, or under
+        panel smearing one x.
         """
         probs, bras = _state_components(states, self.dim)
         nodes, bands = self._smearing_kernel(axes)
@@ -270,49 +274,46 @@ def _hermite_rule(omega):
     return None
 
 
-def _sub_block_rows(bras):
-    """Vector rows per sub-block: about SUB_BLOCK_OVERLAPS overlaps with the bras' columns."""
-    return max(1, SUB_BLOCK_OVERLAPS // bras.shape[1])
-
-
 def _chunk_rows(width, bras):
     """Vector rows per chunk that _reduce smears at once: whole smearing groups of
-    width nodes, about one sub-block."""
-    return max(width, _sub_block_rows(bras) // width * width)
+    width nodes, about 2 SUB_BLOCK_MULADDS / dim overlaps (17,189 at dim 61), two
+    to four sub-blocks, so stream and _information pay their per-chunk cost
+    less often."""
+    return max(width, 2 * SUB_BLOCK_MULADDS // bras[0].size // width * width)
 
 
 def _reduce(probs, bras, chunks, width, bands):
     """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2 per node j, smeared.
 
-    bras holds the conjugated v_k; probs None means one weight-1 column per
-    state.  Otherwise real and imaginary parts are squared in place and
-    summed by one matmul with probs repeated per part.  The chunks of u_j,
-    whole groups of width nodes, give consecutive outcomes: overlaps run on
-    sub-blocks of each chunk, and each band smears every group of a chunk
-    in one matmul.  Matmul operands share a dtype, keeping it in BLAS: real
-    u_j take the interleaved parts of the bras, as |u.conj(v)| = |<u|v>|.
+    bras holds the parts of the conjugated v_k as _state_components gives
+    them; probs None means one weight-1 column per state.  Overlaps are
+    float64 products, each below OpenBLAS's threading cut-off: each part of
+    the bras times a sub-block's real view, real and imaginary parts
+    interleaved if complex.  The overlap is the product with the real part
+    plus i times that with the imaginary part, and its squared modulus the
+    sum of its squared parts; probs multiplies those.  The chunks of u_j,
+    column-major as _vector_blocks gives them and whole groups of width
+    nodes, give consecutive outcomes, and each band smears every group of a
+    chunk in one matmul.
     """
-    split = np.iscomplexobj(bras) and not np.iscomplexobj(chunks[0])
-    cols = bras.view(float) if split else bras.astype(chunks[0].dtype, copy=False)
-    if probs is not None and (split or np.iscomplexobj(cols)):
-        probs = np.repeat(probs, 2, axis=1)
     dens = np.empty((bras.shape[1] if probs is None else len(probs), sum(map(len, chunks))))
-    rows = _sub_block_rows(bras)
+    b = 1 + np.iscomplexobj(chunks[0])  # real columns per vector
+    rows = max(1, SUB_BLOCK_MULADDS // bras[0].size // b)  # per sub-block
     start = 0
     for vectors in chunks:
         for k in range(0, len(vectors), rows):
-            amps = vectors[k:k + rows] @ cols
-            out = dens[:, start + k:start + k + len(amps)]
-            if probs is None:
-                np.abs(amps.view(complex) if split else amps, out=out.T)
-            else:
-                amps = amps.view(float)  # real and imaginary parts interleaved
-                amps *= amps
-                np.matmul(probs, amps.T, out=out)
-            del amps  # before the next sub-block's overlaps
+            right = vectors[k:k + rows].T
+            amps = bras @ (right.view(float) if b == 2 else right)
+            if len(amps) == b == 2:  # <v|u> = Re(v+) u + i Im(v+) u, in complex views
+                z = amps.view(complex)
+                z[1] *= 1j
+                z[0] += z[1]
+                amps = amps[:1]
+            amps *= amps
+            sq = sum(part[:, j::b] for part in amps for j in range(b))
+            dens[:, start + k:start + k + right.shape[1]] = sq if probs is None else probs @ sq
+            del amps, sq  # before the next sub-block's overlaps
         start += len(vectors)
-    if probs is None:
-        dens *= dens
     if width == 1:  # pure type-1 noise or the sharp measurement
         dens *= bands[0][1][0, 0]
         return dens

@@ -454,6 +454,40 @@ class TestCapacityEnergy:
         res = capacity_energy(make_noise(bq, bp), e)
         assert res.optimizer_check_nats == pytest.approx(res.capacity_nats, abs=1e-9)
 
+    @pytest.mark.parametrize("bq, bp, e, check, most", [
+        (0.5, 0.5, 1e5, 11.512930464957728, 330),
+        (0.5, 0.5, 1e6, 13.81551105796415, 330),
+        (0.5, 0.5, 1e300, 690.7755278982137, 330),
+        # The golden section starts on a bracket 1e4 (L) and 4e4 times wider
+        # than the optimum; some 95 steps take it to the optimum's float spacing.
+        (0.2, INF, 1e12, 14.966802313891932, 360),
+        (1e28, 10.0, 5.000000500000015e27, 31.084898805419613, 360),
+    ])
+    def test_shell_maximum_stops_at_the_float_spacing(self, monkeypatch, bq, bp, e, check, most):
+        # There the absolute xtol is below the float spacing, and the golden
+        # section once ran all 300 steps: 559 evaluations, checks as pinned.
+        calls = self.counted_calls(monkeypatch)
+        res = capacity_energy(make_noise(bq, bp), e)
+        assert len(calls) <= most
+        assert res.optimizer_check_nats == pytest.approx(check, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("e, count", [(2.0, 305), (8.0, 308)])
+    def test_shell_maximum_stopped_by_xtol_keeps_its_evaluations(self, monkeypatch, e, count):
+        calls = self.counted_calls(monkeypatch)
+        capacity_energy(make_noise(0.5, 0.5), e)
+        assert len(calls) == count
+
+    @staticmethod
+    def counted_calls(monkeypatch):
+        calls, real = [], gausscap.capacity.capacity_alpha
+
+        def counted(alpha, beta):
+            calls.append(alpha)
+            return real(alpha, beta)
+
+        monkeypatch.setattr(gausscap.capacity, "capacity_alpha", counted)
+        return calls
+
     def test_monotone_in_energy_and_noise(self):
         beta = make_noise(0.4, 1.0)
         caps = [capacity_energy(beta, e, cross_check=False).capacity_nats

@@ -28,12 +28,13 @@ from gausscap.fock import (
 )
 from gausscap.grids import (
     DiscreteEnsemble,
-    SUB_BLOCK_OVERLAPS,
+    SUB_BLOCK_MULADDS,
     OutputSampler,
     QuadratureGrid,
     _average_moments,
     _grid_axes,
     _output_window,
+    _reduce,
     _state_components,
     discretize_gaussian_ensemble,
     mutual_information,
@@ -135,6 +136,11 @@ def tensor_points(xs, ys):
     return [(x, y) for x in xs for y in ys]
 
 
+def columns(bras):
+    """The columns c_k of _state_components' real stack of their conjugates."""
+    return (bras[0] - 1j * bras[1] if len(bras) == 2 else bras[0]).T
+
+
 def random_axes(seed, lo=-6.0, hi=6.0):
     """Four random xs and three random ys in [lo, hi), unsorted: 12 outcomes."""
     rng = np.random.default_rng(seed)
@@ -168,8 +174,8 @@ class TestOutputSampler:
     def test_type1_component_basis_matches_reference(self):
         # A low-rank state with complex eigen-components.
         rho = random_mixed_state(41, seed=13, rank=5)
-        _, vecs = _state_components([rho], 41)
-        assert vecs.shape[1] == 5 and np.abs(vecs.imag).max() > 0.1
+        _, bras = _state_components([rho], 41)
+        assert bras.shape == (2, 5, 41) and np.abs(bras[1]).max() > 0.1
         beta = make_noise(2.0, 2.0)
         axes = random_axes(17)
         got = OutputSampler(beta, 41).bind(axes)([rho])[0]
@@ -481,10 +487,11 @@ class TestStreamedReducer:
             assert numeric_output_entropy(state, beta, grid) == pytest.approx(h, abs=1e-12)
 
     def test_all_pure_ensemble_across_sub_blocks(self):
-        # 324 pure members: one 60-point outcome row spans several sub-blocks.
+        # 324 complex pure members at dim 41: one 60-point outcome row spans
+        # several sub-blocks of complex vectors.
         ens = discretize_gaussian_ensemble(GaussianEnsembleSpec(0.5, 0.5, 0.5), nodes=18, n_max=40)
         beta, grid = make_noise(0.5, 0.5), QuadratureGrid(8.0, 60)
-        assert SUB_BLOCK_OVERLAPS // len(ens) < grid.nodes_per_axis
+        assert SUB_BLOCK_MULADDS // (2 * len(ens) * 41) < grid.nodes_per_axis
         _, (_, mi, _) = self.dense(ens.weights, ens.states, beta, grid)
         assert mutual_information(ens, beta, grid) == pytest.approx(mi, abs=1e-12)
 
@@ -539,7 +546,7 @@ class TestStateFactor:
         # roundoff; the dropped trace is at most EIG_TOL of the trace.
         for rho in self.states():
             probs, bras = _state_components([rho], len(rho))
-            cols = bras.conj()
+            cols = columns(bras)
             trace = np.trace(rho).real
             dropped = trace - np.sum(np.abs(cols) ** 2)
             assert -1e-14 * trace <= dropped <= EIG_TOL * trace
@@ -556,15 +563,65 @@ class TestStateFactor:
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
         probs, bras = _state_components([vec, rho], 20)
         assert probs.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
-        assert np.all(bras[12:, 0] == 0.0)
-        assert np.all(bras[:12, 0] == vec.conj())
+        cols = columns(bras)
+        assert np.all(cols[12:, 0] == 0.0)
+        assert np.all(cols[:12, 0] == vec)
 
     def test_rank_one_matrices_take_the_pure_path(self):
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
         probs, bras = _state_components([vec, np.outer(vec, vec.conj())], 12)
-        assert probs is None and bras.shape == (12, 2)
-        col = bras[:, 1].conj()
+        assert probs is None and bras.shape == (2, 2, 12)
+        col = columns(bras)[:, 1]
         assert np.abs(np.outer(col, col.conj()) - np.outer(vec, vec.conj())).max() <= 1e-15
+
+
+class TestReduceDtypePairs:
+    """_reduce's real products against the complex one, |U* V|^2, for real and
+    complex vectors U and state columns V."""
+
+    UNIT = [(0, np.ones((1, 1)))]  # width-1 smearing by 1
+
+    @staticmethod
+    def array(shape, kind, rng):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if kind is complex else a
+
+    def vectors(self, rows, dim, kind, seed):
+        # Column-major, one Fock level per column, as _vector_blocks gives them.
+        return np.asfortranarray(self.array((rows, dim), kind, np.random.default_rng(seed)))
+
+    def expected(self, probs, bras, u):
+        overlaps = np.abs(u.conj() @ columns(bras)) ** 2
+        return (overlaps if probs is None else overlaps @ probs.T).T
+
+    @pytest.mark.parametrize("vector_kind", [float, complex])
+    @pytest.mark.parametrize("state_kind", [float, complex])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_the_complex_product(self, vector_kind, state_kind, mixed):
+        rng = np.random.default_rng(7)
+        states = [self.array(12, state_kind, rng) for _ in range(3)]
+        if mixed:  # a rank-3 density matrix and a vector
+            g = self.array((12, 3), state_kind, rng)
+            states[0] = g @ g.conj().T
+        probs, bras = _state_components(states, 12)
+        assert len(bras) == (2 if state_kind is complex else 1)
+        assert (probs is None) != mixed
+        u = self.vectors(50, 12, vector_kind, 1)
+        got = _reduce(probs, bras, [u[:20], u[20:]], 1, self.UNIT)
+        expect = self.expected(probs, bras, u)
+        assert got.shape == (3, 50)
+        assert np.abs(got - expect).max() <= 1e-14 * expect.max()
+
+    def test_a_row_across_several_products(self):
+        # 200 complex members at dim 41: a sub-block holds 31 complex
+        # vectors, so one row of 100 outcomes spans four products.
+        rng = np.random.default_rng(8)
+        probs, bras = _state_components([self.array(41, complex, rng) for _ in range(200)], 41)
+        u = self.vectors(100, 41, complex, 2)
+        assert SUB_BLOCK_MULADDS // (200 * 41 * 2) == 31
+        got = _reduce(probs, bras, [u], 1, self.UNIT)
+        expect = self.expected(probs, bras, u)
+        assert np.abs(got - expect).max() <= 1e-14 * expect.max()
 
 
 class TestStatesTakenAsGiven:

@@ -29,8 +29,9 @@ CRITERION_08 = SearchConfig(members=4, starts=16, max_iter=200, seed=0, n_max=24
 
 
 class _RecordedBlock(np.ndarray):
-    """A vector block, or a slice of one, that logs (block, first row, stop row)
-    of every matmul it is an operand of."""
+    """A vector block, or a view of some of its rows (transposed, perhaps as
+    floats), that logs (block, first row, stop row) of every matmul it is an
+    operand of."""
 
     def __array_finalize__(self, obj):
         self.origin = getattr(obj, "origin", None)
@@ -39,9 +40,9 @@ class _RecordedBlock(np.ndarray):
         if ufunc is np.matmul:
             for x in inputs:
                 if isinstance(x, _RecordedBlock):
-                    log, block, base = x.origin
-                    first = (x.__array_interface__["data"][0] - base) // x.strides[0]
-                    log.append((block, first, first + len(x)))
+                    log, block, base, row = x.origin  # row: the block's row stride
+                    first = (x.__array_interface__["data"][0] - base) // row
+                    log.append((block, first, first + x.shape[-1] * x.strides[-1] // row))
         plain = [x.view(np.ndarray) if isinstance(x, _RecordedBlock) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -197,9 +198,9 @@ class TestConstraintSurface:
     def test_bound_products_stay_within_one_vector_block(self, monkeypatch, alpha, beta):
         # Criterion 08's C and L objectives.  Every overlap product of a bound
         # evaluation takes rows of one _vector_blocks block (C: 240 of the
-        # 2304 vectors, 4 M N K = 4 * 240 * 25 * 4 = 96,000 for the complex
-        # product, below OpenBLAS's threading cut-off), and the products
-        # tile every block.
+        # 2304 vectors, whose real view times each part of the 4 members is
+        # 4 * 25 * 480 = 48,000 real multiply-adds, within SUB_BLOCK_MULADDS
+        # and OpenBLAS's threading cut-off), and the products tile every block.
         log, sizes = [], []
         vector_blocks = OutputSampler._vector_blocks
 
@@ -207,7 +208,8 @@ class TestConstraintSurface:
             for block in vector_blocks(self, xs, nodes, keep):
                 sizes.append(len(block))
                 rec = block.view(_RecordedBlock)
-                rec.origin = (log, len(sizes) - 1, block.__array_interface__["data"][0])
+                rec.origin = (log, len(sizes) - 1, block.__array_interface__["data"][0],
+                              block.strides[0])
                 yield rec
 
         monkeypatch.setattr(OutputSampler, "_vector_blocks", recorded)
@@ -256,8 +258,8 @@ class TestObjectivePins:
         # The objective scores each member as the normalized state of its
         # kept part; the density layer takes states as given.  200 points of
         # the criterion-08 cases at n_max = 14, where members may lose up to
-        # KEPT_MASS_TOL of their norm^2, against values pinned before the
-        # density layer stopped renormalizing vectors.
+        # KEPT_MASS_TOL of their norm^2, against values pinned with the
+        # density layer's overlaps as float64 products on real views.
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "objective_pins.json")
         with open(path) as fh:
             pinned = json.load(fh)["values"]
