@@ -10,8 +10,9 @@ ensemble under a sharp position readout reproduces the regime-L capacity
 formula exactly.
 
 Level 3: operators.  On a truncated Fock space, the conditional state
-rho^(1/2) m(x,y) rho^(1/2) (normalized) is compared in trace norm against
-the closed-form displaced Gaussian prediction.
+rho^(1/2) m(x,y) rho^(1/2) (normalized) is compared against the
+closed-form displaced Gaussian prediction, through an upper bound on the
+trace-norm gap: sqrt(dim) times the gap's Hilbert-Schmidt norm.
 """
 
 import math
@@ -51,7 +52,8 @@ def information_level(alpha, beta, de):
 
 def operator_level(alpha, beta, n_max=40):
     worst = dual_operator_check(alpha, beta, n_max=n_max)
-    print(f"worst trace-norm gap over sampled outcomes (N={n_max}): {worst:.3e}")
+    print(f"upper bound on the worst trace-norm gap over sampled outcomes "
+          f"(N={n_max}): {worst:.3e}")
 
 
 if __name__ == "__main__":

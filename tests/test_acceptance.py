@@ -287,4 +287,5 @@ def test_criterion_10_operator_duality():
     """Operator-built dual states match the closed-form displaced Gaussians."""
     worst = dual_operator_check(make_covariance(1, 1), make_noise(0.2, 5),
                                 n_max=60)
-    report(10, worst < 1e-4, f"max trace-norm gap {worst:.2e} (tol 1e-4) at N=60")
+    report(10, worst < 1e-4, f"upper bound on the max trace-norm gap {worst:.2e} "
+                             "(tol 1e-4) at N=60")

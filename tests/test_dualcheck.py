@@ -43,7 +43,9 @@ def displaced_blocks(cq, cp, xs, ys, dim):
 
 
 def dense_dual_check(alpha, beta, n_max, sample_radius, samples_per_axis):
-    """The duality check with dense displacement matrices, displaced before projecting."""
+    """The duality check with dense displacement matrices, displaced before
+    projecting: the worst exact trace-norm gap (singular values) and the
+    worst sqrt(dim) Hilbert-Schmidt bound on it."""
     dual = dual_ensemble(alpha, beta)
     dim = n_max + 1
     sqrt_bar = dense_state(alpha.alpha_q, alpha.alpha_p, dim, 0.5)
@@ -55,7 +57,10 @@ def dense_dual_check(alpha, beta, n_max, sample_radius, samples_per_axis):
     num = sqrt_bar @ displaced_blocks(beta.beta_q, beta.beta_p, x, y, dim) @ sqrt_bar
     num /= np.trace(num, axis1=1, axis2=2).real[:, None, None]
     closed = displaced_blocks(dual.alpha_prime_q, dual.alpha_prime_p, cx * x, cy * y, dim)
-    return float(np.linalg.svd(num - closed, compute_uv=False).sum(axis=1).max())
+    gaps = num - closed
+    exact = np.linalg.svd(gaps, compute_uv=False).sum(axis=1).max()
+    bound = math.sqrt(dim) * np.linalg.norm(gaps, axis=(1, 2)).max()
+    return float(exact), float(bound)
 
 
 class TestKickedVectors:
@@ -92,11 +97,14 @@ class TestDualOperatorCheck:
     @pytest.mark.parametrize("n_max", [17, 24, 30])
     def test_matches_dense_displacement(self, n_max):
         # The noise and dual states enter displaced, then projected, so the
-        # gap stays at rounding also at small N.
+        # gap stays at rounding also at small N.  The check reports
+        # sqrt(dim) ||gap||_HS, between the trace norm and sqrt(dim) times it.
         alpha, beta = make_covariance(1.0, 1.0), make_noise(0.2, 5.0)
         args = (n_max, 1.5, 3)
-        dense = dense_dual_check(alpha, beta, *args)
-        assert dual_operator_check(alpha, beta, *args) == pytest.approx(dense, rel=1e-9, abs=1e-12)
+        exact, bound = dense_dual_check(alpha, beta, *args)
+        worst = dual_operator_check(alpha, beta, *args)
+        assert worst == pytest.approx(bound, rel=1e-9, abs=1e-12)
+        assert exact <= worst <= math.sqrt(n_max + 1) * exact + 1e-12
 
     def test_squeezed_input_and_noise(self):
         alpha, beta = make_covariance(1.4, 1 / 1.4), make_noise(0.1, 10.0)

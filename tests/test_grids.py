@@ -18,6 +18,7 @@ from gausscap.core import (
     make_covariance,
     make_noise,
 )
+from gausscap.dualcheck import dual_operator_check
 from gausscap.fock import (
     EIG_TOL,
     FockOperator,
@@ -41,6 +42,7 @@ from gausscap.grids import (
     numeric_output_entropy,
     povm_density,
 )
+from gausscap.hgm import SearchConfig, hgm_search
 
 INF = math.inf
 LN_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -678,11 +680,15 @@ class TestStatesTakenAsGiven:
                     povm_density(rho, beta, 0.3, 0.1)
 
     def test_no_eigensolver_on_the_density_path(self, monkeypatch):
+        # Nor an SVD or other LAPACK routine anywhere in the package: the
+        # dual check bounds its trace norm by the Hilbert-Schmidt norm, and
+        # the stress search scores its states on the density path.
         def forbidden(*args, **kwargs):
-            raise AssertionError("an eigensolver ran")
+            raise AssertionError("a LAPACK routine ran")
 
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky", "qr", "solve",
+                     "lstsq", "inv", "pinv", "det", "slogdet"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
         alpha = make_covariance(1.0, 2.0)
         rho = gaussian_state_fock(alpha, n_max=40)
         grid = QuadratureGrid(8.0, 60)
@@ -694,3 +700,9 @@ class TestStatesTakenAsGiven:
         assert 0.0 < mutual_information(ens, make_noise(1.0, 1.0), grid) < math.log(2.0)
         assert povm_density(rho, make_noise(1.0, 1.0), 0.3, 0.1) > 0.0
         assert quantum_charfn(rho)(0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
+        assert dual_operator_check(make_covariance(1.0, 1.0), make_noise(0.2, 5.0), n_max=20,
+                                   sample_radius=1.0, samples_per_axis=2) < 1e-4
+        config = SearchConfig(members=2, starts=1, max_iter=10, n_max=12,
+                              grid=QuadratureGrid(5.0, 24))
+        report = hgm_search(make_covariance(1.0, 1.0), make_noise(0.5, 0.5), config)
+        assert report.feasible and 0.0 < report.best_value_nats <= report.ceiling_nats + 1e-3
