@@ -328,9 +328,13 @@ def quantum_charfn(rho):
     rho is any Hermitian matrix.  Tr[rho D] = int sum_m psi_m(q) (rho^T
     psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
     per distinct x, times a (Q, len(ys)) Fourier kernel over the distinct y
-    values, on the inner grid sized for max |y|.
+    values, on the inner grid sized for max |y|.  Every product is float64:
+    rho^T psi is taken on rho's real view, its real and imaginary parts
+    interleaved if complex, so no complex matrix product runs.
     """
     mat = state_array(rho)
+    mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
+    real = mat.view(float)  # (dim, dim), or (dim, 2 dim) with Re and Im interleaved
     dim = mat.shape[0]
 
     def phi(x, y):
@@ -338,8 +342,9 @@ def quantum_charfn(rho):
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
         q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
-        rows = np.array([(psi * (mat.T @ _hermite_functions(q - x0, dim))).sum(axis=0)
-                         for x0 in xs]) * w
+        # rho^T psi(q - x) as (psi^T rho)^T, one product on rho's real view.
+        rows = np.array([(psi * (_hermite_functions(q - x0, dim).T @ real).view(mat.dtype).T
+                          ).sum(axis=0) for x0 in xs]) * w
         # One float64 product per part of the rows, on the Fourier kernel's
         # real view: below OpenBLAS's threading cut-off on the CLT's grids.
         kernel = np.exp(1j * np.outer(q, ys)).view(float)

@@ -5,12 +5,14 @@ difference of entropies.  A type-1 measurement is the pure one with noise
 state S(r)|0>, e^{2r} = 2 beta_q, followed by classical Gaussian noise of
 variance delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo,
 Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
-banded kernel; types 2 and 3 are exact on a Gauss-Hermite rule.  Densities
-come on tensor grids of outcomes only, (xs, ys) or (xs,): stream yields them
-a block of vectors (BLOCK_NODES) and a chunk of about 2 SUB_BLOCK_MULADDS /
-dim overlaps at a time.  bind keeps stream's vector blocks and evaluates them in
-stream's chunks and sub-blocks, in one pass: its densities equal stream's bit
-for bit, and no bound overlap product spans more than one block.  Every
+banded kernel on uniform trapezoidal nodes, or on a Gauss-Hermite rule around
+each outcome when delta is small; types 2 and 3 are exact on a Gauss-Hermite
+rule.  Densities come on tensor grids of outcomes only, (xs, ys) or (xs,):
+stream yields them a block of vectors (BLOCK_NODES) and a chunk of about
+2 SUB_BLOCK_MULADDS / dim overlaps at a time.  bind keeps stream's vector
+blocks and evaluates them in stream's chunks and sub-blocks, in one pass: its
+densities equal stream's bit for bit, and no bound overlap product spans more
+than one block.  Every
 overlap product is float64 arithmetic on real views, at most
 SUB_BLOCK_MULADDS multiply-adds, so OpenBLAS keeps it on one thread.
 States enter as given, unnormalized, a density matrix as the columns of its
@@ -44,19 +46,19 @@ from .fock import (
 )
 
 TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
-# A 32-node Gauss-Legendre panel of half-width a integrates exp(ikv) to 1e-14 for |k| a <= 32.
-PANEL_NODES = 32
 SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
 # Vectors built per block, at least one x row: 0.2 MB at dim 61 for a 200-node
-# row of pure noise, 0.7-1.0 MB for the 768-1,024 nodes of a panel-smeared row
-# (896 nodes, 0.83 MB, on the seed-5 mixed entropy of perfbench's fock_oracle).
+# row of pure noise, 0.24-0.31 MB for the 239-311 nodes of a trapezoid-smeared
+# row (278 nodes, 0.28 MB, on the seed-5 mixed entropy of perfbench's fock_oracle).
 BLOCK_NODES = 256
 # Real multiply-adds per overlap product, below OpenBLAS's threading cut-off
 # (about 1.0e6 for dgemm): 19 complex vectors times either part of 225
 # complex members at dim 61.
 SUB_BLOCK_MULADDS = 2 ** 19
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
-# is smeared so; on a 200-node row, 10 cost what the panels cost (delta = 1e-3).
+# is smeared so; on a 200-node row, 10 cost what the former Gauss-Legendre panels
+# cost (delta = 1e-3).  The trapezoid's node count grows with the output window,
+# so its crossover with this rule depends on the input and is not retuned here.
 HERMITE_NODES_MAX = 10
 MASS_TOL = 1e-6  # largest |1 - grid mass| of the average density; lost trace counts too
 
@@ -187,7 +189,7 @@ class OutputSampler:
 
         Yields (n_states, m) blocks of consecutive outcomes, x outer: whole
         smearing groups of about 2 SUB_BLOCK_MULADDS / dim overlaps, or under
-        panel smearing one x.
+        trapezoidal smearing one x.
         """
         probs, bras = _state_components(states, self.dim)
         nodes, bands = self._smearing_kernel(axes)
@@ -205,11 +207,14 @@ class OutputSampler:
 
         Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
         (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
-        W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise
-        Gauss-Legendre panels over the ys widened by TAIL deviations,
-        resolving the noise kernel plus the bandwidth; each run of ys in one
-        span of TAIL/2 deviations takes S[y, v] = w_v N(y - v; delta) / 2 pi
-        at the nodes v within TAIL deviations of it.
+        W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise the
+        trapezoidal rule over the ys widened by TAIL deviations, at spacing
+        h = 2 pi / (bandwidth + TAIL / sd): p1(x, v) N(y - v; delta) has
+        wavenumbers in v up to that sum, and the rule's error is its spectrum
+        at 2 pi / h and beyond, aliased (Trefethen & Weideman, SIAM Rev. 56
+        (2014) 385).  Each run of ys in one span of TAIL/2 deviations takes
+        S[y, v] = h N(y - v; delta) / 2 pi at the nodes v within TAIL
+        deviations of it.
         """
         t, w = self.rule or (None, None)
         if self.outcome_dim == 1:
@@ -220,19 +225,17 @@ class OutputSampler:
                 (0, w[None, :] / (2.0 * math.pi ** 1.5))]
         sd = math.sqrt(self.delta)
         lo, hi = ys.min() - TAIL * sd, ys.max() + TAIL * sd
-        panels = math.ceil((hi - lo) * (self.bandwidth + TAIL / sd) / (2.0 * PANEL_NODES))
-        if panels * PANEL_NODES > SMEARING_NODES_MAX:
+        h = 2.0 * math.pi / (self.bandwidth + TAIL / sd)
+        n = math.ceil((hi - lo) / h) + 1
+        if n > SMEARING_NODES_MAX:
             raise NumericsError(f"classical noise {self.delta:.3e} over a window of {hi - lo:.3g} "
-                                f"needs {panels * PANEL_NODES} > {SMEARING_NODES_MAX} nodes")
-        t, w = _gauss_rule(PANEL_NODES)
-        half = 0.5 * (hi - lo) / panels
-        v = ((lo + half * (2.0 * np.arange(panels) + 1.0))[:, None] + half * t).ravel()
-        w = np.tile(half * w, panels) / ((2.0 * math.pi) ** 1.5 * sd)
+                                f"needs {n} > {SMEARING_NODES_MAX} nodes")
+        v, w = lo + h * np.arange(n), h / ((2.0 * math.pi) ** 1.5 * sd)
         bands = []
         for part in np.split(ys, np.flatnonzero(np.diff((ys - lo) // (0.5 * TAIL * sd))) + 1):
             j, k = np.searchsorted(v, (part.min() - TAIL * sd, part.max() + TAIL * sd))
             bands.append((j, np.exp(np.subtract.outer(part, v[j:k]) ** 2 / (-2.0 * self.delta))
-                          * w[j:k]))
+                          * w))
         return v, bands
 
     def _vector_blocks(self, xs, nodes, keep=False):
@@ -355,6 +358,7 @@ def _grid_blocks(sampler, states, axes):
         i, j = divmod(start, len(wy))
         stop = start + p.shape[1]
         yield p, np.outer(wx[i:(stop - 1) // len(wy) + 1], wy).ravel()[j:j + p.shape[1]]
+        del p  # before the next block's densities
         start = stop
 
 
@@ -384,6 +388,7 @@ def _information(weights, blocks):
         h_avg.append(ent[0])
         h_members.append(weights @ ent[1:])
         mass.append(rows[0] @ qweights)
+        del p, rows, positive, terms, ent  # before the next block is reduced
     h = math.fsum(h_avg)
     return h, h - math.fsum(h_members), math.fsum(mass)
 

@@ -1,10 +1,12 @@
-"""The Fock engine keeps OpenBLAS on one thread: no worker accrues CPU time.
+"""The Fock engine keeps OpenBLAS on one thread and on its float64 kernels.
 
 Every overlap and Gram product of a fock_oracle-shaped pass at N = 60 is a
 float64 product below OpenBLAS's threading cut-off, so a worker thread,
 which OpenBLAS starts at import, never wakes.  The pass runs in a fresh
 process, and the CPU time of every thread but the main one is read from
-/proc before and after it.
+/proc before and after it.  No complex product runs either: once a real
+state has taken the float64 path, a complex one faults in no new OpenBLAS
+code, as the resident pages of its mappings in /proc/self/smaps show.
 """
 
 import os
@@ -73,11 +75,53 @@ PASS = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(SKIP is not None, reason=SKIP or "")
-def test_a_verification_pass_wakes_no_blas_worker():
+def fresh_process(script):
+    """The two integers that script prints, run in a fresh process on this tree's src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", PASS], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    before, after = map(int, out.split())
+    return map(int, out.split())
+
+
+@pytest.mark.skipif(SKIP is not None, reason=SKIP or "")
+def test_a_verification_pass_wakes_no_blas_worker():
+    before, after = fresh_process(PASS)
     assert after == before
+
+
+CHARFN = textwrap.dedent("""
+    import numpy as np
+
+    from gausscap.fock import quantum_charfn
+
+    def openblas_rss_kb():
+        total, counting = 0, False
+        with open("/proc/self/smaps") as fh:
+            for line in fh:
+                head = line.split()
+                if not head[0].endswith(":"):  # a mapping's header line
+                    counting = "openblas" in line
+                elif counting and head[0] == "Rss:":
+                    total += int(head[1])
+        return total
+
+    axis = np.linspace(-3.0, 3.0, 7)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    real = np.diag(np.linspace(1.0, 0.2, 8))
+    real /= np.trace(real)
+    quantum_charfn(real)(x, y)
+    before = openblas_rss_kb()
+    hermitian = real.astype(complex)
+    hermitian[1, 2], hermitian[2, 1] = 0.3j, -0.3j
+    quantum_charfn(hermitian)(x, y)
+    print(before, openblas_rss_kb())
+""")
+
+
+@pytest.mark.skipif(SKIP is not None, reason=SKIP or "")
+def test_a_complex_state_runs_no_complex_product():
+    # A zgemm of the complex state with the real Hermite table faulted in
+    # 320 KB of OpenBLAS code that the float64 products never touch.
+    before, after = fresh_process(CHARFN)
+    assert before > 0 and after == before

@@ -301,6 +301,16 @@ class TestDisplacement:
         got = quantum_charfn(rho)(x, y).ravel()
         assert np.abs(got - dense_charfn(rho, x, y)).max() <= 1e-13
 
+    def test_complex_copy_of_a_real_state(self):
+        # A complex rho is contracted on its real view, Re and Im interleaved;
+        # a complex copy of a real rho, C- or Fortran-ordered, gives its phi.
+        rho = gaussian_state_fock(make_covariance(1.3, 0.8), n_max=30).matrix
+        axis = np.array([-2.2, -0.5, 0.0, 0.9, 3.1])
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        real = quantum_charfn(rho)(x, y)
+        for copy in (rho.astype(complex), np.asfortranarray(rho, dtype=complex)):
+            assert np.abs(quantum_charfn(copy)(x, y) - real).max() <= 1e-15
+
     @pytest.mark.parametrize("dim", [25, 61])
     def test_every_element_matches_mpmath(self, dim):
         # Every number state: Tr[|n><n| D] = e^{-t/2} L_n(t), t = |zeta|^2;

@@ -185,7 +185,7 @@ class TestOutputSampler:
         assert np.max(np.abs(got - expect)) <= 1e-12
 
     @pytest.mark.parametrize("beta", [
-        make_noise(2.0, 2.0),  # panel smearing
+        make_noise(2.0, 2.0),  # trapezoidal smearing
         make_noise(0.3, INF),
         make_noise(0.5, 0.5),  # pure type-1 noise, delta = 0
         make_noise(1.0, 0.25 + 1e-4),  # a Gauss-Hermite rule
@@ -207,7 +207,7 @@ class TestOutputSampler:
     def test_small_classical_noise(self, delta):
         # beta_q beta_p = 1/4 + delta beta_q: a nearly pure measurement.
         # |delta| <= 1e-12 beta_p is the pure one; up to 1e-3 a Gauss-Hermite
-        # rule smears around each y, and 1e-2 takes the panels.
+        # rule smears around each y, and 1e-2 takes the trapezoidal rule.
         alpha, bq = make_covariance(1.2, 0.7), 1.0
         bp = 0.25 / bq + delta if delta >= 0.0 else 0.25 / bq * (1.0 + delta)
         beta = make_noise(bq, bp)
@@ -223,11 +223,11 @@ class TestOutputSampler:
         expect = reference_density(rho, beta, tensor_points(xs[:2], ys[:2]), 81)
         assert np.max(np.abs(got - expect)) <= 1e-12
 
-    def test_panel_bands_reach_the_outermost_outcomes(self):
-        # delta = 3.75 takes the panels, and each group of consecutive ys
-        # keeps only the nodes within TAIL deviations of it.  On a +-2 sd
-        # window no outcome is negligible, the first and last ys included.
-        # The ys need not be sorted.
+    def test_trapezoid_bands_reach_the_outermost_outcomes(self):
+        # delta = 3.75 takes the trapezoidal rule, and each group of
+        # consecutive ys keeps only the nodes within TAIL deviations of it.
+        # On a +-2 sd window no outcome is negligible, the first and last ys
+        # included.  The ys need not be sorted.
         beta = make_noise(0.2, 5.0)
         rho = random_mixed_state(41, seed=31)
         (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(rho), beta),
@@ -245,17 +245,27 @@ class TestOutputSampler:
         got = sampler.bind(axes)([rho])[0]
         expect = reference_density(rho, beta, tensor_points(*axes), 141)
         assert np.max(np.abs(got - expect)) <= 1e-12
+        # Criterion 06's mixed noise: doubling the bandwidth, which about
+        # halves the node spacing, leaves the densities where they were.
+        beta, gauss = make_noise(2.0, 2.0), gaussian_state_fock(make_covariance(1.5, 0.6), 60)
+        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(gauss), beta),
+                                      QuadratureGrid())
+        sampler = OutputSampler(beta, 61)
+        spaced = sampler.bind((xs[::20], ys))([gauss])[0]
+        sampler.bandwidth *= 2.0
+        halved = sampler.bind((xs[::20], ys))([gauss])[0]
+        assert np.max(np.abs(halved - spaced)) <= 1e-14 * np.max(spaced)
 
     def test_classical_noise_past_the_cap_raises(self):
-        # delta = 0.01 takes the panels, and a 600-wide window of y would
-        # need about 30,000 nodes per outcome row.
+        # delta = 0.01 takes the trapezoidal rule, and a 2,000-wide window of
+        # y would need about 33,000 nodes per outcome row (+-300 needs 9,900).
         beta = make_noise(1.0, 0.26)
         rho = gaussian_state_fock(make_covariance(1.2, 0.7), n_max=60)
         sampler = OutputSampler(beta, 61)
         with pytest.raises(NumericsError):
-            sampler.bind(([0.0], [-300.0, 300.0]))
+            sampler.bind(([0.0], [-1000.0, 1000.0]))
         with pytest.raises(NumericsError):
-            next(sampler.stream([rho], ([0.0], [-300.0, 300.0])))
+            next(sampler.stream([rho], ([0.0], [-1000.0, 1000.0])))
 
 
 class TestQuadratureGrid:
@@ -410,11 +420,13 @@ class TestMutualInformation:
         assert mi == pytest.approx(0.1114214821847, abs=1e-12)
 
     def test_traced_peak_of_the_oracle_ensemble(self):
-        # 225 members on the default 200 x 200 grid: the full density matrix
-        # alone would take 72 MB, and one 200-point row of overlaps 0.7 MB.
+        # Criterion 07's C case, 225 members on the default 200 x 200 grid:
+        # the full density matrix alone would take 72 MB.  It traces about
+        # 0.96 MB, and 1.37 MB while the reducer kept each block alive
+        # until the next one had been computed.
         spec = GaussianEnsembleSpec(0.5, 0.5, 0.5)
         ens = discretize_gaussian_ensemble(spec, nodes=15, n_max=60)
-        assert traced_peak(lambda: mutual_information(ens, make_noise(0.5, 0.5))) < 2.0e6
+        assert traced_peak(lambda: mutual_information(ens, make_noise(0.5, 0.5))) < 1.1e6
 
     def test_regime_r_discretized_capacity(self):
         # Criterion 07's R case: a 15-node discretization of the optimal
@@ -430,11 +442,12 @@ class TestMutualInformation:
     def test_traced_peak_of_the_rank_59_entropy(self):
         # Criterion 06's mixed noise, beta_q beta_p = 4: with a noise matrix
         # of rank 59, each outcome row once built a (61 levels x 59 noise
-        # columns x inner nodes) product, 38 MB traced.  Most of what is left
-        # is one x's vectors (0.75 MB) and the panel smearing bands (0.67 MB;
-        # the dense 200 x 768 matrix they replace took 1.2 MB).
+        # columns x inner nodes) product, 38 MB traced.  The trapezoidal rule
+        # takes 242 inner nodes per row where Gauss-Legendre panels took 768,
+        # so one x's vectors (0.24 MB) and the smearing bands (0.22 MB) leave
+        # a peak of about 0.67 MB, where the panels traced 1.7 MB.
         rho = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)
-        assert traced_peak(lambda: numeric_output_entropy(rho, make_noise(2.0, 2.0))) < 2.0e6
+        assert traced_peak(lambda: numeric_output_entropy(rho, make_noise(2.0, 2.0))) < 1.0e6
 
 
 def dense_information(weights, dens, qweights):
