@@ -129,11 +129,14 @@ def _state_components(states, dim):
             raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
         comps.append(mat[:, None] if mat.ndim == 1 else _cholesky_columns(mat))
     counts = [v.shape[1] for v in comps]
-    bras = np.zeros((sum(counts), dim), dtype=np.result_type(*comps))
+    bras = np.zeros((1 + any(map(np.iscomplexobj, comps)), sum(counts), dim))
     for v, col in zip(comps, np.cumsum([0] + counts)):
-        bras[col:col + v.shape[1], :len(v)] = v.T
+        bras[0, col:col + v.shape[1], :len(v)] = v.T.real
+        if np.iscomplexobj(v):
+            bras[1, col:col + v.shape[1], :len(v)] = v.T.imag
+    np.negative(bras[1:], out=bras[1:])  # in place: no complex copy of the columns
     probs = None if max(counts) == 1 else np.repeat(np.eye(len(comps)), counts, axis=1)
-    return probs, np.stack((bras.real, -bras.imag)) if np.iscomplexobj(bras) else bras[None]
+    return probs, bras
 
 
 class OutputSampler:

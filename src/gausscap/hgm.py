@@ -10,6 +10,13 @@ information value.  A value above the closed-form ceiling is reported as a
 flagged finding, never asserted as a violation: in the open regimes the
 ceiling itself is hypothetical.
 
+The measurement is covariant under the reflection x -> -x of phase space,
+and the search's outcome window is centred on 0, so the density of a member
+at -x is that of its mirror image at +x (parity and complex conjugation in
+the Fock basis; see _Objective).  The objective therefore
+binds only the xs >= 0 of its grid, half the vectors, and scores each
+member together with its mirror image there.
+
 The simplex method is the adaptive Nelder-Mead of Gao and Han (Comput.
 Optim. Appl. 51 (2012) 259) in numpy: ``_nelder_mead`` takes the steps of
 scipy's unbounded ``minimize(method="Nelder-Mead", adaptive=True)`` in the
@@ -72,7 +79,19 @@ class SearchReport(_record("SearchReport", "best_value_nats ceiling_nats gap reg
 
 
 class _Objective:
-    """Negative mutual information of the packed ensemble moved onto the constraint."""
+    """Negative mutual information of the packed ensemble moved onto the constraint.
+
+    The outcome window is centred on 0, so its x nodes come in pairs +-x, and
+    the density of a state psi at -x is that of its mirror image P K psi at
+    +x, where P is the parity (-1)^n and K the conjugation in the Fock basis.
+    Type 1: D(-x, y) = P K D(x, y) K P, and K P S(r)|0> = S(r)|0>.  Types 2
+    and 3: psi_n(-q) = (-1)^n psi_n(q) on the mirrored Gauss-Hermite nodes,
+    and K changes no density, as the Hermite functions are real.  So only
+    the nodes x >= 0 are bound, and each evaluation scores the members and
+    their mirror images there, the x = 0 row of an odd grid once.  The
+    Gauss-Legendre weights are symmetric, so a mirrored row takes the weights
+    of the row it is evaluated on.
+    """
 
     def __init__(self, alpha, beta, config):
         self.alpha = alpha
@@ -81,8 +100,12 @@ class _Objective:
         self.dim = config.n_max + 1
         means, sigmas = _output_window((0.0, 0.0, alpha.alpha_q, alpha.alpha_p), beta)
         nodes, weights = zip(*_grid_axes(means, sigmas, config.grid))
-        self.qweights = functools.reduce(np.multiply.outer, weights).ravel()
-        self.densities = OutputSampler(beta, self.dim).bind(nodes)
+        mid = len(nodes[0]) // 2  # nodes[0][mid:] are the xs >= 0
+        half = (weights[0][mid:],) + weights[1:]
+        self.qweights = functools.reduce(np.multiply.outer, half).ravel()
+        self.mirror_from = len(nodes[0]) % 2 * math.prod(map(len, nodes[1:]))  # past x = 0
+        self.sign = (-1.0) ** np.arange(self.dim)
+        self.densities = OutputSampler(beta, self.dim).bind((nodes[0][mid:],) + nodes[1:])
         self.evaluations = 0
         self.best_value = -math.inf
         self.best_params = None
@@ -150,8 +173,12 @@ class _Objective:
         lost = 1.0 - float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
         if not lost <= KEPT_MASS_TOL:
             return lost
-        normalized = [s / np.linalg.norm(s) for s in states]  # scored as normalized states
-        _, mi, _ = _information(w, [(self.densities(normalized), self.qweights)])
+        # Scored as normalized states, together with their mirror images.
+        normalized = states / np.linalg.norm(states, axis=1, keepdims=True)
+        dens = self.densities(np.concatenate((normalized, self.sign * normalized.conj())))
+        k, skip = len(w), self.mirror_from
+        _, mi, _ = _information(w, [(dens[:k], self.qweights),
+                                    (dens[k:, skip:], self.qweights[skip:])])
         if mi > self.best_value:
             self.best_value = mi
             self.best_params = p.ravel()

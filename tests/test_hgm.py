@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,7 +10,14 @@ from scipy.optimize import minimize
 from traced import traced_peak
 from gausscap.core import NonPositive, make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
-from gausscap.grids import OutputSampler, QuadratureGrid, _average_moments
+from gausscap.grids import (
+    OutputSampler,
+    QuadratureGrid,
+    _average_moments,
+    _grid_axes,
+    _information,
+    _output_window,
+)
 from gausscap.hgm import (
     SearchConfig,
     SearchReport,
@@ -187,20 +195,22 @@ class TestConstraintSurface:
         assert obj.best_params is None
 
     def test_traced_peak_of_the_c_objective(self):
-        # The bound densities keep ten (26 levels x 5 x 48 points) complex
-        # vector blocks, 1.0 MB (1.04e6 B traced).  Built as a list of blocks
-        # and then concatenated, the vectors were held twice (1.96e6 B traced).
+        # The bound densities keep the vector blocks of the 24 xs >= 0, five
+        # (26 levels x 5 x 48 points) complex blocks, 0.5 MB (0.535e6 B
+        # traced).  Bound on all 48 xs they traced 1.04e6 B, and built as a
+        # list of blocks and then concatenated, 1.96e6 B.
         alpha, beta = make_covariance(1, 1), make_noise(0.5, 0.5)
         _Objective(alpha, beta, SearchConfig())  # fills the Gauss-rule caches
-        assert traced_peak(lambda: _Objective(alpha, beta, SearchConfig())) < 1.4e6
+        assert traced_peak(lambda: _Objective(alpha, beta, SearchConfig())) < 0.6e6
 
     @pytest.mark.parametrize("alpha, beta", [((1, 1), (0.5, 0.5)), ((1, 2), (0.2, math.inf))])
     def test_bound_products_stay_within_one_vector_block(self, monkeypatch, alpha, beta):
-        # Criterion 08's C and L objectives.  Every overlap product of a bound
-        # evaluation takes rows of one _vector_blocks block (C: 240 of the
-        # 2304 vectors, whose real view times each part of the 4 members is
-        # 4 * 25 * 480 = 48,000 real multiply-adds, within SUB_BLOCK_MULADDS
-        # and OpenBLAS's threading cut-off), and the products tile every block.
+        # Criterion 08's C and L objectives, bound on the 24 xs >= 0.  Every
+        # overlap product of a bound evaluation takes rows of one
+        # _vector_blocks block (C: 240 of the 1152 vectors, whose real view
+        # times each part of the 4 members is 4 * 25 * 480 = 48,000 real
+        # multiply-adds, within SUB_BLOCK_MULADDS and OpenBLAS's threading
+        # cut-off), and the products tile every block.
         log, sizes = [], []
         vector_blocks = OutputSampler._vector_blocks
 
@@ -218,8 +228,8 @@ class TestConstraintSurface:
         x0 = _initial_points(alpha, beta, CRITERION_08, np.random.default_rng(0))[0]
         _, states = obj.unpack(obj.place(x0)[0])
         densities = obj.densities(states)
-        assert densities.shape == (4, 48 ** (2 if beta.noise_type == 1 else 1))
-        assert sum(sizes) == 48 * (48 if beta.noise_type == 1 else 25) and max(sizes) <= 256
+        assert densities.shape == (4, 24 * (48 if beta.noise_type == 1 else 1))
+        assert sum(sizes) == 24 * (48 if beta.noise_type == 1 else 25) and max(sizes) <= 256
         for block, size in enumerate(sizes):
             ranges = sorted((first, stop) for b, first, stop in log if b == block)
             assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
@@ -236,6 +246,66 @@ class TestConstraintSurface:
         assert placed[5] == pytest.approx(1.9e5, rel=0.05)
         assert obj(point) == 1.0
         assert obj.best_params is None
+
+
+class TestMirrorSymmetry:
+    """The objective binds the xs >= 0 of its centred window and scores each
+    member's mirror image there: its values are those of the whole grid."""
+
+    # Pure type 1, trapezoid-smeared type 1, type 1 with a Gauss-Hermite
+    # inner rule, type 2 and type 3.
+    NOISES = [(0.5, 0.5), (2.0, 3.0), (1.0, 0.25 + 1e-4), (0.2, math.inf), (0.0, math.inf)]
+
+    @pytest.mark.parametrize("beta", NOISES, ids=str)
+    @pytest.mark.parametrize("nodes", [1, 2, 47, 48])
+    def test_values_match_the_full_grid(self, beta, nodes):
+        # Against -MI of the same normalized members bound on every node,
+        # with the whole weight table.  A one-node grid weighs its point by
+        # (2 half_width sd)^2, so the entropies whose difference is the MI
+        # reach about 70 nats, where 1e-14 is one ulp: there the bound is 4 ulp
+        # of the average's entropy.
+        beta = make_noise(*beta)
+        alpha = make_covariance(1, 1) if beta.noise_type == 1 else make_covariance(1, 2)
+        config = SearchConfig(members=3, starts=8, seed=nodes, grid=QuadratureGrid(6.0, nodes))
+        obj = _Objective(alpha, beta, config)
+        axes, weights = zip(*_grid_axes(*_output_window((0.0, 0.0, *alpha), beta), config.grid))
+        qweights = functools.reduce(np.multiply.outer, weights).ravel()
+        full = OutputSampler(beta, obj.dim).bind(axes)
+        scored = 0
+        for x0 in _initial_points(alpha, beta, config, np.random.default_rng(nodes)):
+            w, p, excess = obj._placed(x0)
+            if excess > 0.0:  # a start on the variance bound, missed by roundoff
+                continue
+            states = obj._states(p)
+            assert np.all(p[:, 4] != 0.0)  # photon angles mixed in
+            h, mi, _ = _information(w, [(full(states / np.linalg.norm(states, axis=1)[:, None]),
+                                         qweights)])
+            assert abs(obj(x0) + mi) <= max(1e-14, 4 * np.spacing(h))
+            scored += 1
+        assert scored >= 3 and obj.best_params is not None
+
+    @pytest.mark.parametrize("alpha, beta, grid", [
+        ((1, 1), (0.5, 0.5), (6.0, 48)), ((1, 2), (0.2, math.inf), (6.0, 48)),
+        ((1.5, 0.6), (2.0, 3.0), (8.0, 47)), ((3.0, 0.2), (0.0, math.inf), (5.0, 1)),
+        ((0.7, 2.83), (0.2, 5.0), (4.5, 2))])
+    def test_the_window_is_centred(self, monkeypatch, alpha, beta, grid):
+        # The identity's precondition: the x nodes come in exact pairs +-x,
+        # and the objective binds those >= 0.
+        seen = []
+
+        def grid_axes(*args):
+            seen.append(_grid_axes(*args)[0][0])
+            return _grid_axes(*args)
+
+        bind = OutputSampler.bind
+        monkeypatch.setattr("gausscap.hgm._grid_axes", grid_axes)
+        monkeypatch.setattr(OutputSampler, "bind", lambda self, axes: seen.append(axes[0])
+                            or bind(self, axes))
+        _Objective(make_covariance(*alpha), make_noise(*beta),
+                   SearchConfig(n_max=8, grid=QuadratureGrid(*grid)))
+        xs, bound = seen
+        assert np.array_equal(xs, -xs[::-1])
+        assert np.array_equal(bound, xs[len(xs) // 2:]) and np.all(bound >= 0.0)
 
 
 def _recorded(f):
@@ -259,7 +329,8 @@ class TestObjectivePins:
         # kept part; the density layer takes states as given.  200 points of
         # the criterion-08 cases at n_max = 14, where members may lose up to
         # KEPT_MASS_TOL of their norm^2, against values pinned with the
-        # density layer's overlaps as float64 products on real views.
+        # density layer's overlaps as float64 products on real views, the
+        # objective bound on the xs >= 0 and scoring mirror images there.
         path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "objective_pins.json")
         with open(path) as fh:
             pinned = json.load(fh)["values"]

@@ -70,13 +70,15 @@ INVALID = {
 # hgm_search(alpha = (1, 1), beta = (0.5, 0.5), PINNED_CONFIG).to_json(), as
 # printed by the dataclass records this module's types replaced, except that
 # best_value_nats and gap moved by 8.9e-16 with the Gauss rules built from
-# the engine's recurrences, and by 8.9e-16 again with the density layer's
-# overlaps taken as float64 products on real views.
+# the engine's recurrences, by 8.9e-16 again with the density layer's
+# overlaps taken as float64 products on real views, and by 8.9e-16 once more
+# (up) with the objective scoring the x >= 0 half of its grid and the
+# members' mirror images there.
 PINNED_CONFIG = SearchConfig(members=2, starts=2, max_iter=10, seed=3, n_max=10,
                              grid=QuadratureGrid(5.0, 16))
 PINNED_JSON = (
-    '{"best_value_nats": 0.33688787514670304, "ceiling_nats": 0.4054651081081644, '
-    '"gap": -0.06857723296146134, "regime": "C", "hypothetical": false, "seed": 3, '
+    '{"best_value_nats": 0.33688787514670393, "ceiling_nats": 0.4054651081081644, '
+    '"gap": -0.06857723296146045, "regime": "C", "hypothetical": false, "seed": 3, '
     '"ensemble": [{"weight": 0.5146153352371768, "x": -1.0981377338712286, '
     '"y": -0.5990683961824271, "squeeze_r": -0.04265723696265227, '
     '"photon_mix_angle": 0.2700879542346533}, {"weight": 0.4853846647628231, '
