@@ -13,9 +13,9 @@ ceiling itself is hypothetical.
 The measurement is covariant under the reflection x -> -x of phase space,
 and the search's outcome window is centred on 0, so the density of a member
 at -x is that of its mirror image at +x (parity and complex conjugation in
-the Fock basis; see _Objective).  The objective therefore
-binds only the xs >= 0 of its grid, half the vectors, and scores each
-member together with its mirror image there.
+the Fock basis; see _Objective).  The objective therefore binds only the
+xs >= 0 of its grid, half the vectors, and scores each member together with
+its mirror image there.
 
 The simplex method is the adaptive Nelder-Mead of Gao and Han (Comput.
 Optim. Appl. 51 (2012) 259) in numpy: ``_nelder_mead`` takes the steps of

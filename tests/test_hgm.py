@@ -294,8 +294,9 @@ class TestMirrorSymmetry:
         seen = []
 
         def grid_axes(*args):
-            seen.append(_grid_axes(*args)[0][0])
-            return _grid_axes(*args)
+            axes = _grid_axes(*args)
+            seen.append(axes[0][0])
+            return axes
 
         bind = OutputSampler.bind
         monkeypatch.setattr("gausscap.hgm._grid_axes", grid_axes)

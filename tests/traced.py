@@ -17,8 +17,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def working_sets():
-    """(name, call) of each quoted working set, on the tests' inputs."""
+if __name__ == "__main__":
     import math
 
     from gausscap.capacity import GaussianEnsembleSpec
@@ -37,17 +36,13 @@ def working_sets():
     c_case = make_covariance(1, 1), make_noise(0.5, 0.5)
     l_case = make_covariance(1, 2), make_noise(0.2, math.inf)
     dual_case = make_covariance(1.1, 1 / 1.1), make_noise(0.2, 5.0)
-    return [
+    for name, call in [
         ("criterion 08 C objective set-up", lambda: _Objective(*c_case, SearchConfig())),
         ("criterion 08 L objective set-up", lambda: _Objective(*l_case, SearchConfig())),
         ("criterion 07 mutual information",
          lambda: mutual_information(ensemble, make_noise(0.5, 0.5))),
         ("criterion 06 rank-59 entropy", lambda: numeric_output_entropy(rho, make_noise(2, 2))),
         ("dual check at N = 60", lambda: dual_operator_check(*dual_case, n_max=60)),
-    ]
-
-
-if __name__ == "__main__":
-    for name, call in working_sets():
+    ]:
         call()  # fills the Gauss-rule caches
         print(f"{name:34} {traced_peak(call) / 1e6:6.3f} MB traced")
