@@ -38,7 +38,8 @@ NEWTON_STEPS_MAX = 20  # per Gauss rule; Newton takes 3 to 6 from its starts
 
 
 class FockOperator:
-    """Dense operator on the truncated Fock basis; ``matrix`` is read-only."""
+    """Dense operator on the truncated Fock basis; ``matrix`` is read-only, and
+    ``np.asarray`` gives it."""
 
     __slots__ = ("_matrix",)
 
@@ -50,6 +51,9 @@ class FockOperator:
 
     matrix = property(lambda self: self._matrix)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._matrix, dtype=dtype, copy=copy)
+
     @property
     def dim(self):
         return self.matrix.shape[0]
@@ -57,13 +61,6 @@ class FockOperator:
     @property
     def n_max(self):
         return self.matrix.shape[0] - 1
-
-
-def state_array(state):
-    """The ndarray of a FockOperator, density matrix or state vector."""
-    if isinstance(state, FockOperator):
-        return state.matrix
-    return np.asarray(state)
 
 
 def thermal_diagonal(n_bar, dim):
@@ -174,7 +171,7 @@ def state_moments(rho):
     Read off the ladder sums <a>, <a^2> and <a+a> of the normalized state,
     which need only the first three bands below the diagonal of rho.
     """
-    mat = state_array(rho)
+    mat = np.asarray(rho)
     dim = mat.shape[0]
     b0, b1, b2 = (mat[k:] * np.conj(mat[:dim - k]) if mat.ndim == 1 else np.diagonal(mat, -k)
                   for k in range(3))
@@ -332,7 +329,7 @@ def quantum_charfn(rho):
     rho^T psi is taken on rho's real view, its real and imaginary parts
     interleaved if complex, so no complex matrix product runs.
     """
-    mat = state_array(rho)
+    mat = np.asarray(rho)
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
     real = mat.view(float)  # (dim, dim), or (dim, 2 dim) with Re and Im interleaved
     dim = mat.shape[0]

@@ -41,7 +41,6 @@ from .fock import (
     _displaced_squeezed,
     _gauss_rule,
     displaced_squeezed_vector,
-    state_array,
     state_moments,
 )
 
@@ -120,7 +119,7 @@ def _state_components(states, dim):
     """
     comps = []
     for s in states:
-        mat = state_array(s)
+        mat = np.asarray(s)
         if mat.shape[0] > dim:
             raise TruncationInsufficient(
                 f"a state of dimension {mat.shape[0]} exceeds the sampler's dimension {dim}")
@@ -338,7 +337,7 @@ def _reduce(probs, bras, chunks, width, bands):
 
 def povm_density(rho, beta, x, y=0.0):
     """Outcome density of a single state at one point (convenience wrapper)."""
-    sampler = OutputSampler(beta, state_array(rho).shape[0])
+    sampler = OutputSampler(beta, np.asarray(rho).shape[0])
     return float(sampler.bind(([x], [y])[:sampler.outcome_dim])([rho])[0, 0])
 
 
@@ -413,7 +412,7 @@ def _grid_information(weights, states, beta, grid):
     Raises NormalizationFailure when the average density's mass misses 1 by > MASS_TOL.
     """
     axes = _grid_axes(*_output_window(_average_moments(weights, states), beta), grid)
-    sampler = OutputSampler(beta, max(state_array(s).shape[0] for s in states))
+    sampler = OutputSampler(beta, max(np.asarray(s).shape[0] for s in states))
     h, mi, mass = _information(weights, _grid_blocks(sampler, states, axes))
     if not abs(mass - 1.0) <= MASS_TOL:  # a NaN mass fails too
         raise NormalizationFailure(f"average density mass {mass} misses 1 by > {MASS_TOL}")

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .capacity import capacity_alpha, classify_regime, optimal_squeezing
-from .core import NonPositive, _is_count, _record
+from .core import BOUNDARY_RTOL, NonPositive, _is_count, _record
 from .fock import displaced_squeezed_vector
 from .grids import (
     OutputSampler,
@@ -108,55 +108,37 @@ class _Objective:
         self.densities = OutputSampler(beta, self.dim).bind((nodes[0][mid:],) + nodes[1:])
         self.evaluations = 0
         self.best_value = -math.inf
-        self.best_params = None
+        self.best = None  # (weights, rows, states) of the best point scored
 
-    def decode(self, params):
-        """Member weights and the (members, per_member) rows, r clipped to [-3, 3]."""
-        p = np.array(params, dtype=float).reshape(self.cfg.members, self.cfg.per_member)
+    def _states(self, p):
+        """The states of placed rows, one per row of the result."""
+        return displaced_squeezed_vector(p[:, 1], p[:, 2], p[:, 3], self.dim, p[:, 4])
+
+    def _placed(self, params):
+        """(weights, rows, excess) of a packed point moved onto the constraint surface.
+
+        The rows are [logit, x, y, r, theta], r clipped to [-3, 3] and theta 0
+        without photon mixing.  Per axis the member means u are centered and
+        scaled so that their spread w.u^2 fills the room alpha - w.v left by
+        the member variances; a room below 0 by roundoff (members on the
+        bound) leaves no spread.  The excess, the summed |room| of the axes
+        where placing is impossible, is 0 when the point was placed.
+        """
+        p = np.zeros((self.cfg.members, 5))
+        p[:, :self.cfg.per_member] = np.reshape(params, (self.cfg.members, -1))
         logits = np.clip(p[:, 0], -30.0, 30.0)
         w = np.exp(logits - logits.max())
         w /= w.sum()
         p[:, 3] = np.clip(p[:, 3], -3.0, 3.0)
-        return w, p
-
-    def unpack(self, params):
-        """Member weights and states, the exact projections onto |0>..|n_max>."""
-        w, p = self.decode(params)
-        return w, self._states(p)
-
-    def _states(self, p):
-        """The states of decoded rows, one per row of the result."""
-        theta = p[:, 4] if self.cfg.allow_fock else 0.0
-        return displaced_squeezed_vector(p[:, 1], p[:, 2], p[:, 3], self.dim, theta)
-
-    def describe(self, params):
-        """Per-member report entries, with the squeezing the states were built with."""
-        w, p = self.decode(params)
-        p[:, 0] = w
-        keys = ("weight", "x", "y", "squeeze_r", "photon_mix_angle")
-        return [dict(zip(keys, map(float, row))) for row in p]
-
-    def place(self, params):
-        """(params with x, y moved onto the constraint surface, excess).
-
-        Per axis the member means u are centered and scaled so that their
-        spread w.u^2 fills the room alpha - w.v left by the member variances.
-        The excess, the summed |room| of the axes where that is impossible,
-        is 0 when the point was placed.
-        """
-        _, p, excess = self._placed(params)
-        return p.ravel(), excess
-
-    def _placed(self, params):
-        """(weights, rows, excess) of place, the rows decoded once and moved in place."""
-        w, p = self.decode(params)
-        offset, var_q, var_p = _member_moments(p[:, 3], p[:, 4] if self.cfg.allow_fock else 0.0)
+        offset, var_q, var_p = _member_moments(p[:, 3], p[:, 4])
         excess = 0.0
         for col, off, var, target in ((1, offset, var_q, self.alpha.alpha_q),
                                       (2, 0.0, var_p, self.alpha.alpha_p)):
             u = p[:, col] + off
             u -= w @ u
             room = target - w @ var
+            if -BOUNDARY_RTOL * target <= room < 0.0:
+                room = 0.0
             spread = w @ (u * u)
             if room < 0.0 or spread == 0.0 < room:
                 excess += abs(room)
@@ -181,7 +163,7 @@ class _Objective:
                                     (dens[k:, skip:], self.qweights[skip:])])
         if mi > self.best_value:
             self.best_value = mi
-            self.best_params = p.ravel()
+            self.best = (w, p, states)
         return -mi
 
 
@@ -282,20 +264,23 @@ def hgm_search(alpha, beta, config=SearchConfig()):
     obj = _Objective(alpha, beta, config)
 
     for x0 in _initial_points(alpha, beta, config, rng):
-        obj(x0)
-        if config.max_iter > 0:
+        if config.max_iter > 0:  # x0 is the first vertex Nelder-Mead scores
             _nelder_mead(obj, x0, config.max_iter)
+        else:
+            obj(x0)
 
-    feasible = obj.best_params is not None
+    feasible = obj.best is not None
     ensemble_desc = []
     violation = min_kept_mass = math.inf
     if feasible:
-        w, states = obj.unpack(obj.best_params)
+        w, p, states = obj.best
         mq, mp, vq, vp = _average_moments(w, states)
         violation = (mq ** 2 + mp ** 2
                      + (vq - alpha.alpha_q) ** 2 + (vp - alpha.alpha_p) ** 2)
         min_kept_mass = float(np.min(np.sum(np.abs(states) ** 2, axis=1)))
-        ensemble_desc = obj.describe(obj.best_params)
+        keys = ("weight", "x", "y", "squeeze_r", "photon_mix_angle")[:config.per_member]
+        ensemble_desc = [dict(zip(keys, map(float, (wk, *row[1:]))))
+                         for wk, row in zip(w, p)]
 
     gap = obj.best_value - ceiling if feasible else -math.inf
     return SearchReport(

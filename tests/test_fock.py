@@ -503,3 +503,11 @@ class TestFockOperator:
     def test_dims(self):
         op = FockOperator(np.eye(7))
         assert op.dim == 7 and op.n_max == 6
+
+    def test_converts_with_asarray(self):
+        mat = np.eye(3)
+        op = FockOperator(mat)
+        assert np.asarray(op) is mat
+        assert np.asarray(op, dtype=complex).dtype == complex
+        assert np.array(op) is not mat and np.array_equal(np.array(op), mat)
+        assert state_moments(op) == state_moments(mat)

@@ -120,20 +120,23 @@ class TestHgmSearch:
             SearchConfig(**{field: value})
 
     def test_report_gives_the_squeezing_the_states_use(self):
-        # unpack clips r to [-3, 3]; the report must describe the same states.
+        # _placed clips r to [-3, 3]; its rows, which the report gives, build the states.
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
-        best = np.zeros((FAST.members, FAST.per_member))
-        best[0, 3], best[1, 3], best[2, 3] = 5.0, -4.0, 0.25
-        ensemble = obj.describe(best.ravel())
-        assert [m["squeeze_r"] for m in ensemble] == [3.0, -3.0, 0.25]
-        assert sum(m["weight"] for m in ensemble) == pytest.approx(1.0)
+        point = np.zeros((FAST.members, FAST.per_member))
+        point[0, 3], point[1, 3], point[2, 3] = 5.0, -4.0, 0.25
+        w, rows, _ = obj._placed(point.ravel())
+        assert list(rows[:, 3]) == [3.0, -3.0, 0.25]
+        assert w.sum() == pytest.approx(1.0)
+        built = displaced_squeezed_vector(rows[:, 1], rows[:, 2], [3.0, -3.0, 0.25], obj.dim,
+                                          rows[:, 4])
+        assert np.array_equal(obj._states(rows), built)
 
     def test_members_are_exact_projections(self):
         # (x, y, r, theta) = (2, 0.5, 3, 1) keeps 9.1 % of its mass in
         # |0>..|24>; the member is not renormalized.
         cfg = SearchConfig(members=1, n_max=24)
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
-        _, states = obj.unpack([0.0, 2.0, 0.5, 3.0, 1.0])
+        states = obj._states(np.array([[0.0, 2.0, 0.5, 3.0, 1.0]]))
         assert states.shape == (1, 25)
         assert np.vdot(states[0], states[0]).real == pytest.approx(0.091342, abs=1e-6)
 
@@ -147,6 +150,24 @@ class TestHgmSearch:
         assert 0.0 < report.min_kept_mass <= 1.0
         assert report.min_kept_mass == pytest.approx(min(masses), abs=1e-15)
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 40])
+    def test_each_start_is_scored_once(self, monkeypatch, max_iter):
+        # A start is Nelder-Mead's first vertex; with no steps the search scores it itself.
+        alpha, beta = make_covariance(1, 1), make_noise(0.5, 0.5)
+        cfg = FAST._replace(max_iter=max_iter)
+        points, call = [], _Objective.__call__
+
+        def recorded(self, x):
+            points.append(np.array(x))
+            return call(self, x)
+
+        monkeypatch.setattr(_Objective, "__call__", recorded)
+        report = hgm_search(alpha, beta, cfg)
+        starts = _initial_points(alpha, beta, cfg, np.random.default_rng(cfg.seed))
+        assert [sum(np.array_equal(x, x0) for x in points) for x0 in starts] == [1] * cfg.starts
+        assert report.evaluations == len(points)
+        assert (report.evaluations == cfg.starts) == (max_iter == 0)
+
     def test_starts_explore_the_photon_mixing_angle(self):
         # In regime L the Gaussian optimum sits on the p-variance bound, so
         # the starts must squeeze less where they mix in a photon.
@@ -156,7 +177,7 @@ class TestHgmSearch:
         theta = np.array([x0.reshape(cfg.members, cfg.per_member)[:, 4] for x0 in starts])
         assert np.std(theta) > 0.1
         obj = _Objective(alpha, beta, cfg)
-        assert [obj.place(x0)[1] for x0 in starts] == [0.0] * cfg.starts
+        assert [obj._placed(x0)[2] for x0 in starts] == [0.0] * cfg.starts
 
 
 class TestConstraintSurface:
@@ -176,15 +197,14 @@ class TestConstraintSurface:
         for _ in range(10):
             raw = rng.standard_normal((cfg.members, cfg.per_member))
             raw[:, 3:] *= 0.3
-            placed, excess = obj.place(raw.ravel())
+            w, rows, excess = obj._placed(raw.ravel())
             assert excess == 0.0
-            w, states = obj.unpack(placed)
-            assert np.allclose(_average_moments(w, states), (0.0, 0.0, 1.5, 2.0),
+            assert np.allclose(_average_moments(w, obj._states(rows)), (0.0, 0.0, 1.5, 2.0),
                                rtol=0.0, atol=1e-10)
             # Placing is idempotent, up to the last bit of the re-centering.
-            again, excess = obj.place(placed)
+            _, again, excess = obj._placed(rows[:, :cfg.per_member].ravel())
             assert excess == 0.0
-            assert np.allclose(again, placed, rtol=0.0, atol=1e-15)
+            assert np.allclose(again, rows, rtol=0.0, atol=1e-15)
 
     def test_members_wider_than_alpha_score_their_excess(self):
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
@@ -192,7 +212,20 @@ class TestConstraintSurface:
         wide[:, 1], wide[:, 2], wide[:, 3] = [-1.0, 0.0, 1.0], [1.0, 0.0, -1.0], 1.5
         # The q axis has room 1 - e^3/2 < 0; the p axis can be placed.
         assert obj(wide.ravel()) == pytest.approx(0.5 * math.exp(3.0) - 1.0)
-        assert obj.best_params is None
+        assert obj.best is None
+
+    @pytest.mark.parametrize("seed", [1, 47])
+    def test_starts_on_the_variance_bound_are_placed(self, seed):
+        # Starts clip the squeezing onto the bound, where the room alpha - w.v
+        # may come out below 0 by roundoff: such a start is placed with no
+        # spread on that axis, not scored as a 4.4e-16 excess.
+        alpha, beta = make_covariance(1, 2), make_noise(0.2, math.inf)
+        cfg = SearchConfig(members=3, starts=8, seed=seed, grid=QuadratureGrid(6.0, 2))
+        obj = _Objective(alpha, beta, cfg)
+        placed = [obj._placed(x0)
+                  for x0 in _initial_points(alpha, beta, cfg, np.random.default_rng(seed))]
+        assert [excess for _, _, excess in placed] == [0.0] * cfg.starts
+        assert any(np.all(rows[:, 2] == 0.0) for _, rows, _ in placed)
 
     def test_traced_peak_of_the_c_objective(self):
         # The bound densities keep the vector blocks of the 24 xs >= 0, five
@@ -226,8 +259,7 @@ class TestConstraintSurface:
         alpha, beta = make_covariance(*alpha), make_noise(*beta)
         obj = _Objective(alpha, beta, CRITERION_08)
         x0 = _initial_points(alpha, beta, CRITERION_08, np.random.default_rng(0))[0]
-        _, states = obj.unpack(obj.place(x0)[0])
-        densities = obj.densities(states)
+        densities = obj.densities(obj._states(obj._placed(x0)[1]))
         assert densities.shape == (4, 24 * (48 if beta.noise_type == 1 else 1))
         assert sum(sizes) == 24 * (48 if beta.noise_type == 1 else 25) and max(sizes) <= 256
         for block, size in enumerate(sizes):
@@ -241,11 +273,11 @@ class TestConstraintSurface:
         cfg = SearchConfig(members=2, allow_fock=False, n_max=24, grid=QuadratureGrid(5.0, 16))
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), cfg)
         point = np.array([[0.0, 0.0, 0.0, 0.0], [-25.0, 1.0, 1.0, 0.0]]).ravel()
-        placed, excess = obj.place(point)
+        _, rows, excess = obj._placed(point)
         assert excess == 0.0
-        assert placed[5] == pytest.approx(1.9e5, rel=0.05)
+        assert rows[1, 1] == pytest.approx(1.9e5, rel=0.05)
         assert obj(point) == 1.0
-        assert obj.best_params is None
+        assert obj.best is None
 
 
 class TestMirrorSymmetry:
@@ -274,15 +306,14 @@ class TestMirrorSymmetry:
         scored = 0
         for x0 in _initial_points(alpha, beta, config, np.random.default_rng(nodes)):
             w, p, excess = obj._placed(x0)
-            if excess > 0.0:  # a start on the variance bound, missed by roundoff
-                continue
+            assert excess == 0.0
             states = obj._states(p)
             assert np.all(p[:, 4] != 0.0)  # photon angles mixed in
             h, mi, _ = _information(w, [(full(states / np.linalg.norm(states, axis=1)[:, None]),
                                          qweights)])
             assert abs(obj(x0) + mi) <= max(1e-14, 4 * np.spacing(h))
             scored += 1
-        assert scored >= 3 and obj.best_params is not None
+        assert scored == config.starts and obj.best is not None
 
     @pytest.mark.parametrize("alpha, beta, grid", [
         ((1, 1), (0.5, 0.5), (6.0, 48)), ((1, 2), (0.2, math.inf), (6.0, 48)),

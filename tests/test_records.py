@@ -73,7 +73,8 @@ INVALID = {
 # the engine's recurrences, by 8.9e-16 again with the density layer's
 # overlaps taken as float64 products on real views, and by 8.9e-16 once more
 # (up) with the objective scoring the x >= 0 half of its grid and the
-# members' mirror images there.
+# members' mirror images there; evaluations fell from 44 to 42 once each
+# start was scored only as Nelder-Mead's first vertex.
 PINNED_CONFIG = SearchConfig(members=2, starts=2, max_iter=10, seed=3, n_max=10,
                              grid=QuadratureGrid(5.0, 16))
 PINNED_JSON = (
@@ -85,7 +86,7 @@ PINNED_JSON = (
     '"x": 0.8720694622214665, "y": 0.6351452897302784, "squeeze_r": -0.1013092283874223, '
     '"photon_mix_angle": -0.06059998574589373}], "feasible": true, "flagged_excess": false, '
     '"budget_exhausted": false, "violation": 1.5477424986619128e-13, '
-    '"min_kept_mass": 0.9999999930310741, "starts": 2, "evaluations": 44}'
+    '"min_kept_mass": 0.9999999930310741, "starts": 2, "evaluations": 42}'
 )
 
 
