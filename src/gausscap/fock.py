@@ -52,7 +52,10 @@ class FockOperator:
     matrix = property(lambda self: self._matrix)
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._matrix, dtype=dtype, copy=copy)
+        # NumPy 1.x passes no copy and rejects copy=None in np.array.
+        if copy:
+            return np.array(self._matrix, dtype=dtype)
+        return np.asarray(self._matrix, dtype=dtype)
 
     @property
     def dim(self):

@@ -137,6 +137,8 @@ class _Objective:
             u = p[:, col] + off
             u -= w @ u
             room = target - w @ var
+            # Applies to every point: one scored as placed overshoots the
+            # target average variance by at most BOUNDARY_RTOL * target.
             if -BOUNDARY_RTOL * target <= room < 0.0:
                 room = 0.0
             spread = w @ (u * u)

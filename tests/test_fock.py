@@ -511,3 +511,11 @@ class TestFockOperator:
         assert np.asarray(op, dtype=complex).dtype == complex
         assert np.array(op) is not mat and np.array_equal(np.array(op), mat)
         assert state_moments(op) == state_moments(mat)
+
+    def test_converts_without_a_copy_argument(self):
+        # NumPy 1.x calls __array__() or __array__(dtype) and passes no copy.
+        mat = np.eye(3)
+        op = FockOperator(mat)
+        assert op.__array__() is mat
+        assert op.__array__(complex).dtype == complex
+        assert op.__array__(copy=True) is not mat

@@ -119,17 +119,14 @@ class TestHgmSearch:
         with pytest.raises(NonPositive):
             SearchConfig(**{field: value})
 
-    def test_report_gives_the_squeezing_the_states_use(self):
-        # _placed clips r to [-3, 3]; its rows, which the report gives, build the states.
+    def test_placed_rows_carry_the_clipped_squeezing(self):
+        # _placed clips r to [-3, 3] in the rows that build the states.
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)
         point = np.zeros((FAST.members, FAST.per_member))
         point[0, 3], point[1, 3], point[2, 3] = 5.0, -4.0, 0.25
         w, rows, _ = obj._placed(point.ravel())
         assert list(rows[:, 3]) == [3.0, -3.0, 0.25]
         assert w.sum() == pytest.approx(1.0)
-        built = displaced_squeezed_vector(rows[:, 1], rows[:, 2], [3.0, -3.0, 0.25], obj.dim,
-                                          rows[:, 4])
-        assert np.array_equal(obj._states(rows), built)
 
     def test_members_are_exact_projections(self):
         # (x, y, r, theta) = (2, 0.5, 3, 1) keeps 9.1 % of its mass in
