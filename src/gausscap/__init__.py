@@ -10,7 +10,6 @@ import importlib
 
 from .core import (
     EnergyBelowVacuum,
-    EnergyConstraint,
     GausscapError,
     HeisenbergViolation,
     InvalidForSharp,
@@ -77,7 +76,6 @@ _ENGINE_MODULES = frozenset(_ENGINE_EXPORTS.values())
 
 __all__ = [
     "EnergyBelowVacuum",
-    "EnergyConstraint",
     "GausscapError",
     "HeisenbergViolation",
     "InvalidForSharp",

@@ -37,11 +37,6 @@ class GaussianEnsembleSpec(_record("GaussianEnsembleSpec", "delta gamma_q gamma_
 
     __slots__ = ()
 
-    @property
-    def average_covariance(self):
-        return make_covariance(self.gamma_q + self.delta,
-                               self.gamma_p + 0.25 / self.delta)
-
 
 class CapacityResult(_record("CapacityResult", "capacity_nats optimal_alpha regime ensemble "
                              "hypothetical optimizer_check_nats cross_check_gap",
@@ -54,6 +49,8 @@ class CapacityResult(_record("CapacityResult", "capacity_nats optimal_alpha regi
 
 # Largest cross-check gap accepted where the closed form is proven (regime C).
 CROSS_CHECK_TOL = 1e-9
+# Bracket width at which the shell maximum's golden-section search stops.
+SHELL_XTOL = 1e-11
 
 
 def critical_squeezing(beta):
@@ -149,10 +146,10 @@ def _ensemble_for(alpha, beta):
     return GaussianEnsembleSpec(d, gq, gp)
 
 
-def _golden_section_max(f, a, b, xtol):
+def _golden_section_max(f, a, b):
     """Maximize a unimodal f on [a, b] (0 < a <= b); returns the best (f(x), x) evaluated.
 
-    Stops once b - a <= xtol.  Where the float spacing above a exceeds xtol,
+    Stops once b - a <= SHELL_XTOL.  Where the float spacing above a exceeds it,
     so that b - a cannot reach it, it stops once no float is left between a
     new inner point and its bracket end.
     """
@@ -162,10 +159,10 @@ def _golden_section_max(f, a, b, xtol):
     fc, fd = f(c), f(d)
 
     def exhausted(low, end, x):  # low: the bracket's lower end after the step
-        return math.ulp(low) > xtol and math.nextafter(end, x) == x
+        return math.ulp(low) > SHELL_XTOL and math.nextafter(end, x) == x
 
     for _ in range(300):
-        if b - a <= xtol:
+        if b - a <= SHELL_XTOL:
             break
         if fc > fd:
             x = d - invphi * (d - a)
@@ -182,7 +179,7 @@ def _golden_section_max(f, a, b, xtol):
     return max((fc, c), (fd, d))  # every step kept the better inner point
 
 
-def _shell_maximum(beta, E, xtol=1e-11):
+def _shell_maximum(beta, E):
     """(smaller entry, capacity_alpha) of the best covariance found on alpha_q + alpha_p = 2E."""
     # Each half of the shell is scanned by its smaller entry s, the other being
     # E + (E - s), so s keeps its relative precision however small next to E.
@@ -212,7 +209,7 @@ def _shell_maximum(beta, E, xtol=1e-11):
             v = f(s)
             if v > best_v:
                 best_v, best_s, best_f = v, s, f
-    v, s = _golden_section_max(best_f, max(lo, best_s - step), best_s + step, xtol)
+    v, s = _golden_section_max(best_f, max(lo, best_s - step), best_s + step)
     return (s, v) if v > best_v else (best_s, best_v)
 
 

@@ -58,9 +58,13 @@ def handle_errors(fn):
     return wrapper
 
 
-def _seed_option(default=0):
-    env = os.environ.get("GAUSSCAP_SEED")
-    return int(env) if env is not None else default
+def _seed_option():
+    """The seed GAUSSCAP_SEED gives, or 0 if it is unset."""
+    env = os.environ.get("GAUSSCAP_SEED", "0")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"GAUSSCAP_SEED must be an integer, got {env!r}") from None
 
 
 log_base_option = click.option(

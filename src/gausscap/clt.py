@@ -12,9 +12,7 @@ import math
 
 import numpy as np
 
-from .core import NonPositive
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+from .core import NonPositive, _is_count
 
 
 def gaussian_charfn(alpha):
@@ -43,9 +41,9 @@ def clt_convergence_report(phi, alpha, n_list, half_width=4.0, nodes=41):
     |x|, |y| <= half_width.  The sequence is reported as computed; no
     monotonicity is enforced.
     """
-    if not (0 < half_width < math.inf) or nodes < 1:
+    if not (0 < half_width < math.inf) or not _is_count(nodes, 1):
         raise NonPositive(
-            f"need finite half_width > 0 and nodes >= 1, got {half_width} and {nodes}")
+            f"need finite half_width > 0 and an integer nodes >= 1, got {half_width} and {nodes}")
     axis = np.linspace(-half_width, half_width, nodes)
     xg, yg = np.meshgrid(axis, axis, indexing="ij")
     target = gaussian_charfn(alpha)(xg, yg)

@@ -134,22 +134,12 @@ def make_noise(beta_q, beta_p):
     return MeasurementNoise(float(beta_q), float(beta_p))
 
 
-class EnergyConstraint(_record("EnergyConstraint", "E")):
-    """Mean oscillator energy bound E for H = (q^2 + p^2)/2."""
-
-    __slots__ = ()
-
-    def __new__(cls, E):
-        if not math.isfinite(E) or E < 0.5 * (1.0 - BOUNDARY_RTOL):
-            raise EnergyBelowVacuum(f"E must be >= 1/2 (vacuum energy), got {E}")
-        return super().__new__(cls, E)
-
-
 def _energy_value(E):
-    """Accept an EnergyConstraint or a bare number, validating either way."""
-    if isinstance(E, EnergyConstraint):
-        return E.E
-    return EnergyConstraint(float(E)).E
+    """The mean energy bound E for H = (q^2 + p^2)/2 as a float, at least 1/2 (vacuum)."""
+    e = float(E)
+    if not math.isfinite(e) or e < 0.5 * (1.0 - BOUNDARY_RTOL):
+        raise EnergyBelowVacuum(f"E must be >= 1/2 (vacuum energy), got {e}")
+    return e
 
 
 class OutputGaussian(_record("OutputGaussian", "var_q var_p")):

@@ -47,11 +47,11 @@ def _kicked_vectors(cq, cp, x, ys, buf):
     return rows
 
 
-def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
-                        samples_per_axis=5):
+def dual_operator_check(alpha, beta, n_max=DEFAULT_N):
     """Upper bound on the max trace-norm gap between operator-built and
-    closed-form dual states: sqrt(n_max + 1) times the largest gap's
-    Hilbert-Schmidt norm, at most sqrt(n_max + 1) times the trace norm.
+    closed-form dual states over a 5 x 5 grid of outcomes on [-2, 2]^2:
+    sqrt(n_max + 1) times the largest gap's Hilbert-Schmidt norm, at most
+    sqrt(n_max + 1) times the trace norm.
 
     Raises TruncationInsufficient when rho's trace misses 1 by more than
     DEFAULT_TRUNCATION_TOL, as the normalized built states would hide that
@@ -59,10 +59,8 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     """
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
-    if not (_is_count(n_max, 0) and _is_count(samples_per_axis, 1)
-            and math.isfinite(sample_radius)):
-        raise NonPositive(f"need integers n_max >= 0, samples_per_axis >= 1 and a finite "
-                          f"sample_radius, got {n_max!r}, {samples_per_axis!r}, {sample_radius!r}")
+    if not _is_count(n_max, 0):
+        raise NonPositive(f"n_max must be an integer >= 0, got {n_max!r}")
     dual = dual_ensemble(alpha, beta)
     squeeze, diag = squeezed_thermal(alpha, n_max + 1)
     root = squeeze * np.sqrt(diag)
@@ -76,9 +74,9 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N, sample_radius=2.0,
     cx = kappa_q / (alpha.alpha_q + beta.beta_q)
     cy = kappa_p / (alpha.alpha_p + beta.beta_p)
 
-    axis = np.linspace(-sample_radius, sample_radius, samples_per_axis)
-    buf = np.empty((n_max + 2, samples_per_axis, n_max + 1), complex)
-    gaps = np.empty((samples_per_axis, n_max + 1, n_max + 1), complex)
+    axis = np.linspace(-2.0, 2.0, 5)
+    buf = np.empty((n_max + 2, len(axis), n_max + 1), complex)
+    gaps = np.empty((len(axis), n_max + 1, n_max + 1), complex)
     worst_sq = 0.0
     for x in axis:
         for rows, gap in zip(_kicked_vectors(beta.beta_q, beta.beta_p, x, axis, buf), gaps):

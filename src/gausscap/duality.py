@@ -19,7 +19,7 @@ class KappaMatrix(_record("KappaMatrix", "kappa_q kappa_p")):
 
 
 class DualEnsemble(_record("DualEnsemble", "alpha_prime_q alpha_prime_p gamma_prime_q "
-                           "gamma_prime_p parent_alpha")):
+                           "gamma_prime_p")):
     """Dual Gaussian ensemble parameters (alpha', gamma') of a measurement."""
 
     __slots__ = ()
@@ -68,7 +68,7 @@ def dual_ensemble(alpha, beta):
     else:
         gp = _contracted(k.kappa_p, ap, beta.beta_p)
         app = _dual_variance(ap, aq, beta.beta_p)
-    return DualEnsemble(apq, app, gq, gp, alpha)
+    return DualEnsemble(apq, app, gq, gp)
 
 
 def accessible_info_sharp_position(dual, beta):
@@ -76,8 +76,8 @@ def accessible_info_sharp_position(dual, beta):
 
     Equals (1/2) ln[(alpha'_q + gamma'_q)/alpha'_q], taken as log1p(gamma'_q/alpha'_q)
     or, where that ratio overflows, a difference of logs; in regime L this is the
-    capacity at fixed alpha.  The dual ensemble already carries beta; the
-    argument is kept so existing callers need not change.
+    capacity at fixed alpha.  beta is not read: alpha' and gamma' already
+    depend on it.  The argument stays for existing callers.
     """
     ratio = dual.gamma_prime_q / dual.alpha_prime_q
     if ratio < math.inf:

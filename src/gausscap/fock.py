@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .core import NegativeDensity, NumericsError, TruncationInsufficient
+from .core import NegativeDensity, NonPositive, NumericsError, TruncationInsufficient, _is_count
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
@@ -56,14 +56,6 @@ class FockOperator:
         if copy:
             return np.array(self._matrix, dtype=dtype)
         return np.asarray(self._matrix, dtype=dtype)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_max(self):
-        return self.matrix.shape[0] - 1
 
 
 def thermal_diagonal(n_bar, dim):
@@ -97,6 +89,8 @@ def gaussian_state_fock(alpha, n_max=DEFAULT_N):
     Raises TruncationInsufficient when its trace misses 1 by more than
     DEFAULT_TRUNCATION_TOL or is not finite.
     """
+    if not _is_count(n_max, 0):
+        raise NonPositive(f"n_max must be an integer >= 0, got {n_max!r}")
     s, diag = squeezed_thermal(alpha, n_max + 1)
     c = s * np.sqrt(diag)
     rho = c @ c.T
@@ -141,6 +135,8 @@ def displaced_squeezed_vector(x, y, r, dim, theta=0.0):
     part D S |1> = (cosh r a+ - sinh r a - conj(c)) g reads g one level
     past the truncation.
     """
+    if not _is_count(dim, 1):
+        raise NonPositive(f"dim must be an integer >= 1, got {dim!r}")
     x, y, r, theta = (np.asarray(v, float) for v in (x, y, r, theta))
     shape = (dim + 1,) + np.broadcast_shapes(x.shape, y.shape, r.shape, theta.shape)
     return _displaced_squeezed(np.empty(shape, complex), x, y, r, theta)

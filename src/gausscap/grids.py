@@ -148,7 +148,7 @@ class OutputSampler:
     at x are S @ sum_k p_k |<u_j|v_k>|^2 over the states' v_k.
     """
 
-    def __init__(self, beta, dim=DEFAULT_N + 1):
+    def __init__(self, beta, dim):
         self.beta = beta
         self.dim = dim
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
@@ -446,6 +446,8 @@ def discretize_gaussian_ensemble(spec, nodes=15, n_max=DEFAULT_N):
     0 (from 390 nodes on one axis, or 200 per axis on two) are dropped and
     the rest renormalized.
     """
+    if not (_is_count(nodes, 1) and _is_count(n_max, 0)):
+        raise NonPositive(f"need integers nodes >= 1 and n_max >= 0, got {nodes!r} and {n_max!r}")
     r = 0.5 * math.log(2.0 * spec.delta)
 
     def axis(var):

@@ -56,6 +56,8 @@ class SearchConfig(_record("SearchConfig", "members allow_fock starts max_iter s
             raise NonPositive(f"members and n_max must be integers >= 1: {members}, {n_max}")
         if not (_is_count(starts, 1) and _is_count(max_iter, 0)):
             raise NonPositive(f"need integers starts >= 1, max_iter >= 0: {starts}, {max_iter}")
+        if not (seed is None or _is_count(seed, 0)):
+            raise NonPositive(f"seed must be None or an integer >= 0, got {seed!r}")
         return super().__new__(cls, members, allow_fock, starts, max_iter, seed, n_max, grid)
 
     @property

@@ -232,6 +232,12 @@ class TestCapacityEnergy:
         with pytest.raises(EnergyBelowVacuum):
             capacity_energy(make_noise(0.5, 0.5), 0.4)
 
+    @pytest.mark.parametrize("e", [0.4, math.nan, math.inf])
+    def test_energy_is_validated_as_a_bare_number(self, e):
+        for call in (lambda: capacity_energy(make_noise(0.5, 0.5), e), lambda: upper_bound(0.5, e)):
+            with pytest.raises(EnergyBelowVacuum, match="vacuum energy"):
+                call()
+
     def test_cross_check_agrees(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -464,7 +470,7 @@ class TestCapacityEnergy:
         (1e28, 10.0, 5.000000500000015e27, 31.084898805419613, 360),
     ])
     def test_shell_maximum_stops_at_the_float_spacing(self, monkeypatch, bq, bp, e, check, most):
-        # There the absolute xtol is below the float spacing, and the golden
+        # There SHELL_XTOL is below the float spacing, and the golden
         # section once ran all 300 steps: 559 evaluations, checks as pinned.
         calls = self.counted_calls(monkeypatch)
         res = capacity_energy(make_noise(bq, bp), e)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gausscap.clt import (
-    HADAMARD,
     clt_convergence_report,
     clt_marginal_charfn,
     gaussian_charfn,
@@ -17,11 +16,6 @@ def one_photon_charfn():
     rho = np.zeros((8, 8), dtype=complex)
     rho[1, 1] = 1.0
     return quantum_charfn(rho)
-
-
-class TestHadamard:
-    def test_orthogonal(self):
-        assert np.allclose(HADAMARD @ HADAMARD.T, np.eye(2), atol=1e-15)
 
 
 class TestGaussianCharfn:
@@ -105,3 +99,10 @@ class TestConvergenceReport:
         alpha = make_covariance(0.9, 0.7)
         with pytest.raises(NonPositive):
             clt_convergence_report(gaussian_charfn(alpha), alpha, [2], half_width, nodes)
+
+    @pytest.mark.parametrize("nodes", [2.5, 4.0, True])
+    def test_rejects_nodes_that_are_not_counts(self, nodes):
+        # 2.5 and 4.0 passed the old nodes < 1 check and died in numpy; True made one node.
+        alpha = make_covariance(0.9, 0.7)
+        with pytest.raises(NonPositive):
+            clt_convergence_report(gaussian_charfn(alpha), alpha, [2], 4.0, nodes)

@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 from dense_displacement import destroy, double_loop_displacement, padded_squeeze
 from gausscap import fock
-from gausscap.core import NumericsError, TruncationInsufficient, make_covariance, make_noise
+from gausscap.core import (NonPositive, NumericsError, TruncationInsufficient, make_covariance,
+                           make_noise)
 from gausscap.fock import (
     FockOperator,
     displaced_squeezed_vector,
@@ -101,6 +102,12 @@ class TestGaussianStateFock:
     def test_truncation_guard(self):
         with pytest.raises(TruncationInsufficient):
             gaussian_state_fock(make_covariance(50.0, 50.0), n_max=10)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, True])
+    def test_rejects_n_max_that_is_not_a_count(self, n_max):
+        # -1 died in the Gauss rule, 2.5 in numpy; True built a 2-level state.
+        with pytest.raises(NonPositive):
+            gaussian_state_fock(make_covariance(1.0, 1.0), n_max=n_max)
 
     @pytest.mark.parametrize("alpha", [(30.0, 0.3), (10.0, 0.1)])
     def test_strong_squeezing_raises(self, alpha):
@@ -356,6 +363,12 @@ class TestDisplacedSqueezedVector:
         v = displaced_squeezed_vector(1.0, 0.5, -0.3, 80)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_rejects_dim_that_is_not_a_count(self, dim):
+        # 0 and -1 died on an index, 2.5 in numpy; True built a 1-level vector.
+        with pytest.raises(NonPositive):
+            displaced_squeezed_vector(0.3, 0.2, 0.1, dim)
+
     def test_fock_amplitudes(self):
         # pure |1> without squeeze or displacement
         v = displaced_squeezed_vector(0.0, 0.0, 0.0, 10, theta=math.pi / 2)
@@ -500,10 +513,6 @@ class TestQuantumCharfn:
 
 
 class TestFockOperator:
-    def test_dims(self):
-        op = FockOperator(np.eye(7))
-        assert op.dim == 7 and op.n_max == 6
-
     def test_converts_with_asarray(self):
         mat = np.eye(3)
         op = FockOperator(mat)

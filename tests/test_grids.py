@@ -374,6 +374,13 @@ class TestDiscreteEnsemble:
         assert vq == pytest.approx(1.0, abs=1e-8)
         assert vp == pytest.approx(0.25 / 0.325, abs=1e-8)
 
+    @pytest.mark.parametrize("nodes, n_max", [(0, 40), (-1, 40), (2.5, 40), (True, 40),
+                                              (11, -1), (11, 2.5)])
+    def test_discretize_rejects_sizes_that_are_not_counts(self, nodes, n_max):
+        # These died on an index, in math.sqrt or in numpy; nodes=True drew one member.
+        with pytest.raises(NonPositive):
+            discretize_gaussian_ensemble(GaussianEnsembleSpec(0.325, 0.675, 0.0), nodes, n_max)
+
 
 class TestMutualInformation:
     @pytest.mark.parametrize("nodes, gamma_p", [(200, 1.0), (400, 0.0)])
@@ -716,8 +723,7 @@ class TestStatesTakenAsGiven:
         assert 0.0 < mutual_information(ens, make_noise(1.0, 1.0), grid) < math.log(2.0)
         assert povm_density(rho, make_noise(1.0, 1.0), 0.3, 0.1) > 0.0
         assert quantum_charfn(rho)(0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
-        assert dual_operator_check(make_covariance(1.0, 1.0), make_noise(0.2, 5.0), n_max=20,
-                                   sample_radius=1.0, samples_per_axis=2) < 1e-4
+        assert dual_operator_check(make_covariance(1.0, 1.0), make_noise(0.2, 5.0), n_max=20) < 1e-4
         config = SearchConfig(members=2, starts=1, max_iter=10, n_max=12,
                               grid=QuadratureGrid(5.0, 24))
         report = hgm_search(make_covariance(1.0, 1.0), make_noise(0.5, 0.5), config)

@@ -119,6 +119,13 @@ class TestHgmSearch:
         with pytest.raises(NonPositive):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_config_rejects_seeds_that_are_not_counts(self, seed):
+        # numpy's default_rng raised on these only inside hgm_search; True seeded it as 1.
+        with pytest.raises(NonPositive):
+            SearchConfig(seed=seed)
+        assert SearchConfig(seed=None).seed is None and SearchConfig(seed=0).seed == 0
+
     def test_placed_rows_carry_the_clipped_squeezing(self):
         # _placed clips r to [-3, 3] in the rows that build the states.
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)

@@ -12,8 +12,6 @@ import pytest
 
 from gausscap.capacity import CapacityResult, GaussianEnsembleSpec, Regime
 from gausscap.core import (
-    EnergyBelowVacuum,
-    EnergyConstraint,
     HeisenbergViolation,
     MeasurementNoise,
     NonPositive,
@@ -34,15 +32,14 @@ SPEC = GaussianEnsembleSpec(0.5, 0.5, 1.0)
 RECORDS = {
     OneModeCovariance: (("alpha_q", "alpha_p"), (1.0, 2.0)),
     MeasurementNoise: (("beta_q", "beta_p"), (0.5, math.inf)),
-    EnergyConstraint: (("E",), (2.0,)),
     OutputGaussian: (("var_q", "var_p"), (1.5, 2.5)),
     GaussianEnsembleSpec: (("delta", "gamma_q", "gamma_p"), (0.5, 0.5, 1.0)),
     CapacityResult: (("capacity_nats", "optimal_alpha", "regime", "ensemble", "hypothetical",
                       "optimizer_check_nats", "cross_check_gap"),
                      (0.4, make_covariance(1, 1.5), Regime.C, SPEC, False, 0.4, 0.0)),
     KappaMatrix: (("kappa_q", "kappa_p"), (0.8, 0.9)),
-    DualEnsemble: (("alpha_prime_q", "alpha_prime_p", "gamma_prime_q", "gamma_prime_p",
-                    "parent_alpha"), (0.6, 0.7, 0.4, 0.3, make_covariance(1, 1))),
+    DualEnsemble: (("alpha_prime_q", "alpha_prime_p", "gamma_prime_q", "gamma_prime_p"),
+                   (0.6, 0.7, 0.4, 0.3)),
     FockOperator: (("matrix",), (np.eye(3),)),
     QuadratureGrid: (("half_width", "nodes_per_axis"), (6.0, 48)),
     DiscreteEnsemble: (("weights", "states"), (np.array([0.5, 0.5]), (VACUUM, VACUUM))),
@@ -61,7 +58,6 @@ HASHABLE = [t for t in RECORDS if t not in ARRAY_RECORDS + (SearchReport,)]
 INVALID = {
     OneModeCovariance: ((0.1, 0.1), HeisenbergViolation),
     MeasurementNoise: ((-1.0, 1.0), NonPositive),
-    EnergyConstraint: ((0.1,), EnergyBelowVacuum),
     QuadratureGrid: ((0.0, 48), NonPositive),
     DiscreteEnsemble: ((np.array([0.5, 0.6]), (VACUUM, VACUUM)), ValueError),
     SearchConfig: ((0, True, 16, 200, 0, 24, QuadratureGrid(6.0, 48)), NonPositive),
