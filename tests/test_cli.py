@@ -243,7 +243,6 @@ class TestHgmSearchCommand:
         (None, {"GAUSSCAP_SEED": "abc"}, "ValidationError"),
         (None, {"GAUSSCAP_SEED": "1.5"}, "ValidationError")])
     def test_bad_seed_exit_2(self, runner, seed, env, error):
-        # numpy's default_rng and int() used to raise these as tracebacks, exit 1.
         args = ["hgm-search", "--alpha-q", "1", "--alpha-p", "1", "--beta-q", "0.5",
                 "--beta-p", "0.5", "--starts", "1", "--iters", "0", "-n", "8"]
         res = runner.invoke(main, args + ([] if seed is None else ["--seed", seed]), env=env)

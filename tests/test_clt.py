@@ -94,15 +94,9 @@ class TestConvergenceReport:
         assert all(dev < 1e-12 for _, dev in report)
 
     @pytest.mark.parametrize("half_width, nodes", [(math.nan, 41), (0.0, 41), (-1.0, 41),
-                                                   (math.inf, 41), (4.0, 0)])
+                                                   (math.inf, 41), (4.0, 0), (4.0, 2.5),
+                                                   (4.0, 4.0), (4.0, True)])
     def test_rejects_empty_or_unbounded_grid(self, half_width, nodes):
         alpha = make_covariance(0.9, 0.7)
         with pytest.raises(NonPositive):
             clt_convergence_report(gaussian_charfn(alpha), alpha, [2], half_width, nodes)
-
-    @pytest.mark.parametrize("nodes", [2.5, 4.0, True])
-    def test_rejects_nodes_that_are_not_counts(self, nodes):
-        # 2.5 and 4.0 passed the old nodes < 1 check and died in numpy; True made one node.
-        alpha = make_covariance(0.9, 0.7)
-        with pytest.raises(NonPositive):
-            clt_convergence_report(gaussian_charfn(alpha), alpha, [2], 4.0, nodes)

@@ -113,7 +113,6 @@ class TestDualOperatorCheck:
 
     @pytest.mark.parametrize("n_max", [2.5, -1, True])
     def test_rejects_n_max_that_is_not_a_count(self, n_max):
-        # 2.5 and -1 died in numpy.
         with pytest.raises(NonPositive):
             dual_operator_check(make_covariance(1.0, 1.0), make_noise(0.5, 0.5), n_max=n_max)
 

@@ -105,7 +105,6 @@ class TestGaussianStateFock:
 
     @pytest.mark.parametrize("n_max", [-1, 2.5, True])
     def test_rejects_n_max_that_is_not_a_count(self, n_max):
-        # -1 died in the Gauss rule, 2.5 in numpy; True built a 2-level state.
         with pytest.raises(NonPositive):
             gaussian_state_fock(make_covariance(1.0, 1.0), n_max=n_max)
 
@@ -365,7 +364,6 @@ class TestDisplacedSqueezedVector:
 
     @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
     def test_rejects_dim_that_is_not_a_count(self, dim):
-        # 0 and -1 died on an index, 2.5 in numpy; True built a 1-level vector.
         with pytest.raises(NonPositive):
             displaced_squeezed_vector(0.3, 0.2, 0.1, dim)
 

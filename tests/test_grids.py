@@ -377,7 +377,6 @@ class TestDiscreteEnsemble:
     @pytest.mark.parametrize("nodes, n_max", [(0, 40), (-1, 40), (2.5, 40), (True, 40),
                                               (11, -1), (11, 2.5)])
     def test_discretize_rejects_sizes_that_are_not_counts(self, nodes, n_max):
-        # These died on an index, in math.sqrt or in numpy; nodes=True drew one member.
         with pytest.raises(NonPositive):
             discretize_gaussian_ensemble(GaussianEnsembleSpec(0.325, 0.675, 0.0), nodes, n_max)
 

@@ -121,7 +121,6 @@ class TestHgmSearch:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_config_rejects_seeds_that_are_not_counts(self, seed):
-        # numpy's default_rng raised on these only inside hgm_search; True seeded it as 1.
         with pytest.raises(NonPositive):
             SearchConfig(seed=seed)
         assert SearchConfig(seed=None).seed is None and SearchConfig(seed=0).seed == 0
@@ -192,7 +191,7 @@ class TestConstraintSurface:
             moments = state_moments(displaced_squeezed_vector(0.3, -0.7, r, 301, theta))
             assert np.allclose(moments, (0.3 + offset, -0.7, var_q, var_p), rtol=0.0, atol=1e-13)
 
-    def test_placed_ensembles_hold_the_average_covariance(self):
+    def test_placed_ensembles_hold_the_target_moments(self):
         # Random packed points, placed, have the target moments up to truncation.
         cfg = SearchConfig(members=4, n_max=60, grid=QuadratureGrid(5.0, 16))
         alpha = make_covariance(1.5, 2.0)
