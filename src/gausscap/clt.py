@@ -28,8 +28,8 @@ def gaussian_charfn(alpha):
 
 def clt_marginal_charfn(phi, n, x, y):
     """Characteristic function |phi(z/sqrt(n))|^n of a marginal after the n-copy transform."""
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    if not _is_count(n, 2) or n & (n - 1):
+        raise NonPositive(f"n must be an integer power of two >= 2, got {n!r}")
     s = math.sqrt(n)
     return np.abs(phi(np.asarray(x) / s, np.asarray(y) / s)) ** n
 

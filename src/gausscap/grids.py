@@ -8,11 +8,10 @@ Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
 banded kernel on uniform trapezoidal nodes, or on a Gauss-Hermite rule around
 each outcome when delta is small; types 2 and 3 are exact on a Gauss-Hermite
 rule.  Densities come on tensor grids of outcomes only, (xs, ys) or (xs,):
-stream yields them a block of vectors (BLOCK_NODES) and a chunk of about
-2 SUB_BLOCK_MULADDS / dim overlaps at a time.  bind keeps stream's vector
-blocks and evaluates them in stream's chunks and sub-blocks, in one pass: its
-densities equal stream's bit for bit, and no bound overlap product spans more
-than one block.  Every
+stream yields them a chunk of about 2 SUB_BLOCK_MULADDS / dim overlaps at a
+time, from blocks of about BLOCK_NODES vectors built as it goes.  bind builds
+the blocks once and concatenates the same chunks from the same loop
+(OutputSampler._reduced), so its densities are stream's, bit for bit.  Every
 overlap product is float64 arithmetic on real views, at most
 SUB_BLOCK_MULADDS multiply-adds, so OpenBLAS keeps it on one thread.
 States enter as given, unnormalized, a density matrix as the columns of its
@@ -88,13 +87,13 @@ class DiscreteEnsemble:
     def __init__(self, weights, states):
         w = np.array(weights, dtype=float)
         if w.ndim != 1:
-            raise ValueError(f"ensemble weights must be 1-D, got shape {w.shape}")
+            raise NonPositive(f"ensemble weights must be 1-D, got shape {w.shape}")
         if not np.all(w > 0):  # NaN fails
-            raise ValueError("ensemble weights must be positive numbers")
+            raise NonPositive("ensemble weights must be positive numbers")
         if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"ensemble weights sum to {w.sum()}, expected 1")
+            raise NonPositive(f"ensemble weights sum to {w.sum()}, expected 1")
         if len(states) != w.shape[0]:
-            raise ValueError("weights and states length mismatch")
+            raise NonPositive("weights and states length mismatch")
         w.flags.writeable = False
         self._weights, self._states = w, states
 
@@ -168,23 +167,13 @@ class OutputSampler:
     def bind(self, axes):
         """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
 
-        Returns states -> (n_states, len(xs) * len(ys)) densities, x outer.
-        The vector blocks that stream builds are kept here, in stream's memory
-        layout, and every evaluation takes them in stream's chunks and
-        sub-blocks in one _reduce pass: the densities equal stream's, bit for
-        bit.
+        Returns states -> (n_states, len(xs) * len(ys)) densities, x outer:
+        stream's chunks, concatenated, over the vector blocks built once here.
         """
         nodes, bands = self._smearing_kernel(axes)
-        width = nodes.shape[-1]
         blocks = list(self._vector_blocks(axes[0], nodes.ravel(), keep=True))
-
-        def densities(states):
-            probs, bras = _state_components(states, self.dim)
-            step = _chunk_rows(width, bras)
-            return _reduce(probs, bras, [vectors[k:k + step] for vectors in blocks
-                                         for k in range(0, len(vectors), step)], width, bands)
-
-        return densities
+        return lambda states: np.concatenate(list(self._reduced(states, blocks, nodes, bands)),
+                                             axis=1)
 
     def stream(self, states, axes):
         """Densities of the states on the tensor grid of axes, (xs, ys) or (xs,).
@@ -193,13 +182,20 @@ class OutputSampler:
         smearing groups of about 2 SUB_BLOCK_MULADDS / dim overlaps, or under
         trapezoidal smearing one x.
         """
-        probs, bras = _state_components(states, self.dim)
         nodes, bands = self._smearing_kernel(axes)
+        yield from self._reduced(states, self._vector_blocks(axes[0], nodes.ravel()), nodes, bands)
+
+    def _reduced(self, states, blocks, nodes, bands):
+        """_reduce of the states per chunk of the vector blocks: whole smearing
+        groups of width nodes, about 2 SUB_BLOCK_MULADDS / dim overlaps (17,189
+        at dim 61), two to four sub-blocks, so stream and _information pay
+        their per-chunk cost less often."""
+        probs, bras = _state_components(states, self.dim)
         width = nodes.shape[-1]
-        step = _chunk_rows(width, bras)
-        for vectors in self._vector_blocks(axes[0], nodes.ravel()):
+        step = max(width, 2 * SUB_BLOCK_MULADDS // bras[0].size // width * width)
+        for vectors in blocks:
             for k in range(0, len(vectors), step):
-                yield _reduce(probs, bras, [vectors[k:k + step]], width, bands)
+                yield _reduce(probs, bras, vectors[k:k + step], width, bands)
             del vectors
 
     def _smearing_kernel(self, axes):
@@ -279,15 +275,7 @@ def _hermite_rule(omega):
     return None
 
 
-def _chunk_rows(width, bras):
-    """Vector rows per chunk that _reduce smears at once: whole smearing groups of
-    width nodes, about 2 SUB_BLOCK_MULADDS / dim overlaps (17,189 at dim 61), two
-    to four sub-blocks, so stream and _information pay their per-chunk cost
-    less often."""
-    return max(width, 2 * SUB_BLOCK_MULADDS // bras[0].size // width * width)
-
-
-def _reduce(probs, bras, chunks, width, bands):
+def _reduce(probs, bras, vectors, width, bands):
     """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2 per node j, smeared.
 
     bras holds the parts of the conjugated v_k as _state_components gives
@@ -296,42 +284,36 @@ def _reduce(probs, bras, chunks, width, bands):
     the bras times a sub-block's real view, real and imaginary parts
     interleaved if complex.  The overlap is the product with the real part
     plus i times that with the imaginary part, and its squared modulus the
-    sum of its squared parts; probs multiplies those.  The chunks of u_j,
-    column-major as _vector_blocks gives them and whole groups of width
-    nodes, give consecutive outcomes, and each band smears every group of a
-    chunk in one matmul.
+    sum of its squared parts; probs multiplies those.  The vectors u_j, one
+    chunk, column-major as _vector_blocks gives them and whole groups of
+    width nodes, give consecutive outcomes, and each band smears every group
+    in one matmul.
     """
-    dens = np.empty((bras.shape[1] if probs is None else len(probs), sum(map(len, chunks))))
-    b = 1 + np.iscomplexobj(chunks[0])  # real columns per vector
+    dens = np.empty((bras.shape[1] if probs is None else len(probs), len(vectors)))
+    b = 1 + np.iscomplexobj(vectors)  # real columns per vector
     rows = max(1, SUB_BLOCK_MULADDS // bras[0].size // b)  # per sub-block
-    start = 0
-    for vectors in chunks:
-        for k in range(0, len(vectors), rows):
-            right = vectors[k:k + rows].T
-            amps = bras @ (right.view(float) if b == 2 else right)
-            if len(amps) == b == 2:  # <v|u> = Re(v+) u + i Im(v+) u, in complex views
-                z = amps.view(complex)
-                z[1] *= 1j
-                z[0] += z[1]
-                amps = amps[:1]
-            amps *= amps
-            sq = sum(part[:, j::b] for part in amps for j in range(b))
-            dens[:, start + k:start + k + right.shape[1]] = sq if probs is None else probs @ sq
-            del amps, sq  # before the next sub-block's overlaps
-        start += len(vectors)
+    for k in range(0, len(vectors), rows):
+        right = vectors[k:k + rows].T
+        amps = bras @ (right.view(float) if b == 2 else right)
+        if len(amps) == b == 2:  # <v|u> = Re(v+) u + i Im(v+) u, in complex views
+            z = amps.view(complex)
+            z[1] *= 1j
+            z[0] += z[1]
+            amps = amps[:1]
+        amps *= amps
+        sq = sum(part[:, j::b] for part in amps for j in range(b))
+        dens[:, k:k + right.shape[1]] = sq if probs is None else probs @ sq
+        del amps, sq  # before the next sub-block's overlaps
     if width == 1:  # pure type-1 noise or the sharp measurement
         dens *= bands[0][1][0, 0]
         return dens
-    smeared = np.empty((len(dens), start // width, sum(len(band) for _, band in bands)))
-    start = 0
-    for vectors in chunks:
-        groups = dens[:, start:start + len(vectors)].reshape(-1, width)
-        part = smeared[:, start // width:(start + len(vectors)) // width]
-        at, start = 0, start + len(vectors)
-        for j, band in bands:
-            part[..., at:at + len(band)] = (groups[:, j:j + band.shape[1]] @ band.T
-                                            ).reshape(len(dens), -1, len(band))
-            at += len(band)
+    groups = dens.reshape(-1, width)
+    smeared = np.empty((len(dens), len(vectors) // width, sum(len(band) for _, band in bands)))
+    at = 0
+    for j, band in bands:
+        smeared[..., at:at + len(band)] = (groups[:, j:j + band.shape[1]] @ band.T
+                                           ).reshape(len(dens), -1, len(band))
+        at += len(band)
     return smeared.reshape(len(dens), -1)
 
 

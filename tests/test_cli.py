@@ -21,6 +21,35 @@ def run_ok(runner, args, env=None):
     return result
 
 
+# Every command that takes --beta-p, with the other options it requires.
+BETA_P_COMMANDS = {
+    "capacity": ["--beta-q", "1", "-e", "1"],
+    "regime": ["--alpha-q", "1", "--alpha-p", "1", "--beta-q", "1"],
+    "dual": ["--alpha-q", "1", "--alpha-p", "1", "--beta-q", "1"],
+    "sweep": ["--beta-q", "1"],
+    "hgm-search": ["--alpha-q", "1", "--alpha-p", "1", "--beta-q", "1"],
+}
+
+
+class TestBetaPOption:
+    @pytest.mark.parametrize("command", BETA_P_COMMANDS)
+    def test_not_a_number_is_a_usage_error(self, runner, command):
+        res = runner.invoke(main, [command, *BETA_P_COMMANDS[command], "--beta-p", "abc"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "Invalid value for '--beta-p'" in res.stderr
+
+    @pytest.mark.parametrize("spelling", ["+inf", "Infinity", " INF "],
+                             ids=["plus", "word", "padded"])
+    def test_spellings_of_infinity(self, runner, spelling):
+        # beta_q = 0 is valid only with beta_p = inf: the sharp position measurement.
+        args = ["capacity", "--beta-q", "0", "-e", "1.0", "--beta-p"]
+        assert run_ok(runner, args + [spelling]).output == run_ok(runner, args + ["inf"]).output
+
+    def test_capacity_help_names_inf(self, runner):
+        assert "'inf' for position-only" in run_ok(runner, ["capacity", "--help"]).output
+
+
 class TestCapacityCommand:
     def test_sharp_position(self, runner):
         res = run_ok(runner, ["capacity", "--beta-q", "0", "--beta-p", "inf",

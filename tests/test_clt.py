@@ -8,7 +8,7 @@ from gausscap.clt import (
     clt_marginal_charfn,
     gaussian_charfn,
 )
-from gausscap.core import NonPositive, make_covariance
+from gausscap.core import NonPositive, ValidationError, make_covariance
 from gausscap.fock import quantum_charfn
 
 
@@ -29,8 +29,8 @@ class TestGaussianCharfn:
 class TestMarginalCharfn:
     def test_rejects_non_power_of_two(self):
         phi = gaussian_charfn(make_covariance(0.5, 0.5))
-        for n in (0, 1, 3, 6, 100):
-            with pytest.raises(ValueError):
+        for n in (0, 1, 3, 6, 100, 2.0, True, -4):
+            with pytest.raises(ValidationError):
                 clt_marginal_charfn(phi, n, 0.5, 0.5)
 
     def test_gaussian_fixed_point(self):

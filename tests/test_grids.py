@@ -203,6 +203,22 @@ class TestOutputSampler:
             assert bound.shape == direct.shape == (2, 24 ** len(axes))
             assert np.array_equal(bound, direct)
 
+    def test_bind_matches_stream_across_a_split_block(self):
+        # 120 pure states at dim 41 under pure type-1 noise: a chunk is
+        # 2 SUB_BLOCK_MULADDS // (120 * 41) = 213 vectors and a block is 10 x
+        # rows of 24 nodes, 240 vectors, so every block spans two chunks.
+        rng = np.random.default_rng(17)
+        states = list(rng.standard_normal((120, 41)) + 1j * rng.standard_normal((120, 41)))
+        beta = make_noise(0.5, 0.5)
+        sampler = OutputSampler(beta, 41)
+        window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
+        axes = [nodes for nodes, _ in _grid_axes(*window, QuadratureGrid(6.0, 24))]
+        chunks = list(sampler.stream(states, axes))
+        assert [p.shape[1] for p in chunks[:3]] == [213, 27, 213]
+        bound = sampler.bind(axes)(states)
+        assert bound.shape == (120, 24 * 24)
+        assert np.array_equal(bound, np.concatenate(chunks, axis=1))
+
     @pytest.mark.parametrize("delta", [-1e-13, 0.0, 1e-6, 1e-4, 1e-3, 1e-2])
     def test_small_classical_noise(self, delta):
         # beta_q beta_p = 1/4 + delta beta_q: a nearly pure measurement.
@@ -332,18 +348,18 @@ class TestNumericOutputEntropy:
 class TestDiscreteEnsemble:
     def test_weight_validation(self):
         v = np.zeros(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositive, match="sum to"):
             DiscreteEnsemble(np.array([0.5, 0.6]), (v, v))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositive, match="positive"):
             DiscreteEnsemble(np.array([1.0, -0.0]), (v, v))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositive, match="length mismatch"):
             DiscreteEnsemble(np.array([1.0]), (v, v))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_weights_that_are_not_finite(self, bad):
         # "w <= 0" and the sum check are both False for a NaN weight.
         v = np.zeros(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositive):
             DiscreteEnsemble([bad, 0.5], (v, v))
 
     def test_weights_are_a_read_only_copy(self):
@@ -362,7 +378,7 @@ class TestDiscreteEnsemble:
                                          [[0.25, 0.25], [0.25, 0.25]]])
     def test_rejects_weights_that_are_not_1d(self, weights):
         v = np.zeros(5)
-        with pytest.raises(ValueError, match="1-D"):
+        with pytest.raises(NonPositive, match="1-D"):
             DiscreteEnsemble(weights, (v, v))
 
     def test_discretize_moments(self):
@@ -631,7 +647,8 @@ class TestReduceDtypePairs:
         assert len(bras) == (2 if state_kind is complex else 1)
         assert (probs is None) != mixed
         u = self.vectors(50, 12, vector_kind, 1)
-        got = _reduce(probs, bras, [u[:20], u[20:]], 1, self.UNIT)
+        got = np.concatenate([_reduce(probs, bras, u[:20], 1, self.UNIT),
+                              _reduce(probs, bras, u[20:], 1, self.UNIT)], axis=1)
         expect = self.expected(probs, bras, u)
         assert got.shape == (3, 50)
         assert np.abs(got - expect).max() <= 1e-14 * expect.max()
@@ -643,7 +660,7 @@ class TestReduceDtypePairs:
         probs, bras = _state_components([self.array(41, complex, rng) for _ in range(200)], 41)
         u = self.vectors(100, 41, complex, 2)
         assert SUB_BLOCK_MULADDS // (200 * 41 * 2) == 31
-        got = _reduce(probs, bras, [u], 1, self.UNIT)
+        got = _reduce(probs, bras, u, 1, self.UNIT)
         expect = self.expected(probs, bras, u)
         assert np.abs(got - expect).max() <= 1e-14 * expect.max()
 

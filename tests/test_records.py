@@ -59,7 +59,7 @@ INVALID = {
     OneModeCovariance: ((0.1, 0.1), HeisenbergViolation),
     MeasurementNoise: ((-1.0, 1.0), NonPositive),
     QuadratureGrid: ((0.0, 48), NonPositive),
-    DiscreteEnsemble: ((np.array([0.5, 0.6]), (VACUUM, VACUUM)), ValueError),
+    DiscreteEnsemble: ((np.array([0.5, 0.6]), (VACUUM, VACUUM)), NonPositive),
     SearchConfig: ((0, True, 16, 200, 0, 24, QuadratureGrid(6.0, 48)), NonPositive),
 }
 
