@@ -8,7 +8,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 import click
@@ -50,15 +49,6 @@ def handle_errors(fn):
             sys.exit(3)
 
     return wrapper
-
-
-def _seed_option():
-    """The seed GAUSSCAP_SEED gives, or 0 if it is unset."""
-    env = os.environ.get("GAUSSCAP_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"GAUSSCAP_SEED must be an integer, got {env!r}") from None
 
 
 log_base_option = click.option(
@@ -213,8 +203,8 @@ def bound(beta_q, energy, log_base):
 @click.option("--members", default=4, show_default=True, type=int)
 @click.option("--starts", default=16, show_default=True, type=int)
 @click.option("--iters", default=200, show_default=True, type=int)
-@click.option("--seed", default=None, type=int,
-              help="RNG seed; GAUSSCAP_SEED overrides the default.")
+@click.option("--seed", default=0, show_default=True, type=int, envvar="GAUSSCAP_SEED",
+              show_envvar=True, help="RNG seed.")
 @click.option("--truncation", "-n", default=24, show_default=True, type=int)
 @click.option("--grid-nodes", default=48, show_default=True, type=int)
 @handle_errors
@@ -228,7 +218,7 @@ def hgm_search_cmd(alpha_q, alpha_p, beta_q, beta_p, members, starts, iters,
     beta = make_noise(beta_q, beta_p)
     config = SearchConfig(
         members=members, starts=starts, max_iter=iters,
-        seed=seed if seed is not None else _seed_option(),
+        seed=seed,
         n_max=truncation, grid=QuadratureGrid(6.0, grid_nodes),
     )
     report = hgm_search(alpha, beta, config)

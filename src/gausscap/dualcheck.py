@@ -34,7 +34,7 @@ def _kicked_vectors(cq, cp, x, ys, buf):
     r = 0.5 * math.log(2.0 * cq)
     kick = cp - 0.25 / cq
     if kick > 0.0:
-        t, log_w = _gauss_rule(buf.shape[2], hermite=True)
+        t, log_w = _gauss_rule(buf.shape[2])
         b = 1.0 + math.tanh(r)
         a = 0.5 / kick + 0.5 * b
         v = t / math.sqrt(a) - (0.5 * b / a) * ys[:, None]

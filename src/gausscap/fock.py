@@ -8,14 +8,13 @@ vectors of every type-1 outcome density (grids.OutputSampler), and the
 displaced Gaussian states of the duality check (dualcheck).  Density
 matrices enter the outcome densities as the columns of a diagonal-pivoted
 Cholesky factor (_cholesky_columns), and the characteristic function
-(quantum_charfn) contracts rho with wavefunction products on one
-Gauss-Legendre grid of inner positions: no eigensolver runs here.  Squeezed
-thermal states take the exact block <m|S(r)|n> from a Gauss-Hermite rule;
-numpy only.
-Every Gauss rule (_gauss_rule) is Newton's method on the Legendre or the
-Hermite-function recurrence, O(n) memory and O(n^2) time (3200 Legendre
-nodes in about 0.15 s), with no companion matrix or eigensolver; Hermite
-rules carry log weights, which do not underflow past 355 nodes.
+(quantum_charfn) contracts rho with wavefunction products on uniform inner
+positions: no eigensolver runs here.  Squeezed thermal states take the
+exact block <m|S(r)|n> from a Gauss-Hermite rule; numpy only.
+The Gauss-Hermite rule (_gauss_rule) is Newton's method on the
+Hermite-function recurrence, O(n) memory and O(n^2) time, with no companion
+matrix or eigensolver; it carries log weights, which do not underflow past
+355 nodes.
 """
 
 import collections
@@ -77,7 +76,7 @@ def squeezed_thermal(alpha, dim):
     n_bar = math.sqrt(alpha.alpha_q * alpha.alpha_p) - 0.5
     r = 0.25 * math.log(alpha.alpha_q / alpha.alpha_p)
     s = math.sqrt(0.5 + 0.5 * math.exp(-2.0 * r))
-    t, log_w = _gauss_rule(dim, hermite=True)
+    t, log_w = _gauss_rule(dim)
     a, b = (_hermite_functions(x, dim, 0.5 * (log_w + t * t - x * x))
             for x in (t / s, t * math.exp(-r) / s))
     return (a @ b.T) * (math.exp(-0.5 * r) / s), thermal_diagonal(n_bar, dim)
@@ -208,61 +207,22 @@ def _hermite_functions(q, dim, log_start=None):
 
 
 @functools.lru_cache(maxsize=32)
-def _gauss_rule(n, hermite=False):
-    """Gauss-Legendre nodes and weights on [-1, 1], or Gauss-Hermite nodes and
-    log weights for exp(-t^2); increasing, symmetric and read-only.
+def _gauss_rule(n):
+    """Gauss-Hermite nodes and log weights for exp(-t^2); increasing, symmetric
+    and read-only.
 
     Newton's method on the three-term recurrence, O(n) memory and O(n^2)
-    time: _legendre_half and _hermite_half give the nodes >= 0.  Raises
-    NumericsError when a weight is not positive and finite.
+    time: _hermite_half gives the nodes >= 0.  Raises NumericsError when a
+    weight is not positive and finite.
     """
-    x, w = (_hermite_half if hermite else _legendre_half)(n)
-    if not np.all(np.isfinite(w) & (hermite | (w > 0.0))):
+    t, log_w = _hermite_half(n)
+    if not np.all(np.isfinite(log_w)):
         raise NumericsError(f"{n}-node Gauss rule has weights not finite and positive")
     mirrored = slice(n % 2, None)  # an odd rule's node 0 is not repeated
-    x = np.concatenate((-x[mirrored][::-1], x))
-    w = np.concatenate((w[mirrored][::-1], w))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _newton(step, x, lo, hi, tol):
-    """Newton iterates x - step(x) until every |step| <= tol; raises unless lo <= x <= hi then."""
-    for _ in range(NEWTON_STEPS_MAX):
-        dx = step(x)
-        x = x - dx
-        if np.all(np.abs(dx) <= tol):  # NaN fails
-            if not np.all((x >= lo) & (x <= hi)):
-                raise NumericsError("a Gauss rule node converged outside its bracket")
-            return x
-    raise NumericsError(f"Gauss rule nodes did not converge in {NEWTON_STEPS_MAX} Newton steps")
-
-
-def _legendre(x, n):
-    """(P_n(x), P_n'(x)) from the Legendre recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2.0 * k + 1.0) * x * p1 - k * p0) / (k + 1.0)
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-
-
-def _legendre_half(n):
-    """Gauss-Legendre nodes x >= 0, increasing, and weights 2/((1 - x^2) P_n'(x)^2).
-
-    Newton from Tricomi's x_k = (1 - (n-1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2))
-    (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652) stops at 1e-8 of
-    about the local spacing, sqrt(1 - x^2)/n, below which the last step
-    landed on the root.  Bruns' bounds, cos(pi k/(n + 1/2)) < x_k <
-    cos(pi (k - 1/2)/(n + 1/2)), hold one root each and bracket the result.
-    """
-    k = np.arange((n + 1) // 2, 0, -1)
-    theta = math.pi / (n + 0.5)
-    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(theta * (k - 0.25))
-    x[:n % 2] = 0.0  # P_n(0) = 0 for odd n, exactly
-    x = _newton(lambda x: np.divide(*_legendre(x, n)), x, np.cos(theta * k),
-                np.cos(theta * (k - 0.5)), 1e-8 * np.sqrt((1.0 - x) * (1.0 + x)) / n)
-    dp = _legendre(x, n)[1]
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    t = np.concatenate((-t[mirrored][::-1], t))
+    log_w = np.concatenate((log_w[mirrored][::-1], log_w))
+    t.flags.writeable = log_w.flags.writeable = False
+    return t, log_w
 
 
 def _hermite_half(n):
@@ -290,32 +250,38 @@ def _hermite_half(n):
         raise NumericsError(f"found {len(cells)} of the {n // 2} positive zeros of psi_{n}")
     lo, hi = grid[cells], grid[cells + 1]
 
-    def step(t):
+    t = 0.5 * (lo + hi)
+    for _ in range(NEWTON_STEPS_MAX):
         prev, last = last_pair(t)
-        return last / (math.sqrt(2.0 * n) * prev - t * last)
-
-    t = np.concatenate((np.zeros(n % 2), _newton(step, 0.5 * (lo + hi), lo, hi, 1e-8 * h)))
+        dt = last / (math.sqrt(2.0 * n) * prev - t * last)
+        t = t - dt
+        if np.all(np.abs(dt) <= 1e-8 * h):  # NaN fails
+            break
+    else:
+        raise NumericsError(f"Gauss rule nodes did not converge in {NEWTON_STEPS_MAX} Newton steps")
+    if not np.all((t >= lo) & (t <= hi)):
+        raise NumericsError("a Gauss rule node converged outside its bracket")
+    t = np.concatenate((np.zeros(n % 2), t))
     prev = last_pair(t)[0]
     return t, -0.5 * t * t - math.log(n) - 2.0 * np.log(np.abs(prev))
 
 
 def _inner_grid(dim, reach):
-    """Inner positions q, weights and psi_n(q), n < dim, on [-q_max, q_max].
+    """Inner positions q, their common weight and psi_n(q), n < dim, on [-q_max, q_max].
 
-    q_max = sqrt(2 dim) + 6 covers the Fock support.  The integrands are a
-    product of two truncated Fock-space functions, each with wavenumbers up
-    to sqrt(2 dim), times a factor with wavenumbers up to reach.
-    Gauss-Legendre resolves them once the node count exceeds q_max times the
-    total wavenumber over 2; 64 nodes more take the error to rounding
-    (Tr[|n><n| D] for every n < dim at dim 25 and 61 and |zeta| <= 3 within
-    5.3e-15 of mpmath, where 32 more left 2.0e-8 at the Fock edge).  The
-    count is capped at 6000 nodes.
+    q_max = sqrt(2 dim) + 6 covers the Fock support and its spatial tails.
+    The integrands are a product of two truncated Fock-space functions, each
+    with wavenumbers up to sqrt(2 dim), times a factor with wavenumbers up to
+    reach, and decay fast: the midpoint rule at spacing h is exact up to
+    their spectrum at 2 pi / h and beyond, aliased (Trefethen & Weideman,
+    SIAM Rev. 56 (2014) 385), so h <= 2 pi / (reach + 2 sqrt(2 dim) + 12),
+    the 12 for the two spectral tails of 6 each.  The count is capped at
+    6000 nodes.
     """
     q_max = math.sqrt(2.0 * dim) + 6.0
-    n = int(0.5 * q_max * (reach + 2.0 * math.sqrt(2.0 * dim))) + 64
-    x, w = _gauss_rule(min(n, 6000))
-    q = q_max * x
-    return q, q_max * w, _hermite_functions(q, dim)
+    n = min(math.ceil(q_max * (reach + 2.0 * math.sqrt(2.0 * dim) + 12.0) / math.pi), 6000)
+    q = q_max * np.arange(1 - n, n, 2) / n
+    return q, 2.0 * q_max / n, _hermite_functions(q, dim)
 
 
 def quantum_charfn(rho):

@@ -17,7 +17,10 @@ SUB_BLOCK_MULADDS multiply-adds, so OpenBLAS keeps it on one thread.
 States enter as given, unnormalized, a density matrix as the columns of its
 pivoted Cholesky factor (fock._cholesky_columns), with no eigensolver.
 Entropies and mutual information stream the densities into one reducer
-(_information).
+(_information) on the midpoint rule's outcome grid (_grid_axes), whose
+every node has the one weight of its cell: the rule is exponentially
+accurate for smooth densities that decay fast (Trefethen & Weideman, SIAM
+Rev. 56 (2014) 385).
 """
 
 import math
@@ -54,15 +57,15 @@ BLOCK_NODES = 256
 # complex members at dim 61.
 SUB_BLOCK_MULADDS = 2 ** 19
 # Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
-# is smeared so; on a 200-node row, 10 cost what the former Gauss-Legendre panels
-# cost (delta = 1e-3).  The trapezoid's node count grows with the output window,
-# so its crossover with this rule depends on the input and is not retuned here.
+# is smeared so.  The trapezoid's node count grows with the output window, so
+# its crossover with this rule depends on the input and is not retuned here.
 HERMITE_NODES_MAX = 10
 MASS_TOL = 1e-6  # largest |1 - grid mass| of the average density; lost trace counts too
 
 
 class QuadratureGrid(_record("QuadratureGrid", "half_width nodes_per_axis")):
-    """Tensor Gauss-Legendre window, half_width in output standard deviations."""
+    """Tensor midpoint-rule window, half_width in output standard deviations:
+    nodes_per_axis equal cells per axis, each node at the middle of its cell."""
 
     __slots__ = ()
 
@@ -153,7 +156,7 @@ class OutputSampler:
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
         bq, bp = beta.beta_q, beta.beta_p
         if beta.noise_type != 1:
-            self.rule = _gauss_rule(1 if bq == 0.0 else dim, hermite=True)  # log weights
+            self.rule = _gauss_rule(1 if bq == 0.0 else dim)  # log weights
             return
         self.r = 0.5 * math.log(2.0 * bq)
         # make_noise accepts bq*bp down to (1 - BOUNDARY_RTOL)/4, where delta < 0.
@@ -268,7 +271,7 @@ def _hermite_rule(omega):
     k = np.linspace(0.0, omega, 33)
     exact = math.sqrt(math.pi) * np.exp(-0.25 * k * k)
     for m in range(1, HERMITE_NODES_MAX + 1):
-        t, log_w = _gauss_rule(m, hermite=True)
+        t, log_w = _gauss_rule(m)
         w = np.exp(log_w)
         if np.abs(np.cos(np.outer(k, t)) @ w - exact).max() <= 1e-15:
             return t, w
@@ -324,26 +327,12 @@ def povm_density(rho, beta, x, y=0.0):
 
 
 def _grid_axes(means, sigmas, grid):
-    """Gauss-Legendre (nodes, weights) per axis over center +- half_width*sigma."""
-    x, w = _gauss_rule(grid.nodes_per_axis)
-    return [(m + grid.half_width * s * x, grid.half_width * s * w)
-            for m, s in zip(means, sigmas)]
-
-
-def _grid_blocks(sampler, states, axes):
-    """(densities, quadrature weights) of the states per block of the axes' tensor.
-
-    Each block's weights wx[i] wy[j] come from the x rows i it spans only.
-    """
-    nodes, weights = zip(*axes)
-    wx, wy = weights[0], weights[1] if len(axes) == 2 else np.ones(1)
-    start = 0
-    for p in sampler.stream(states, nodes):
-        i, j = divmod(start, len(wy))
-        stop = start + p.shape[1]
-        yield p, np.outer(wx[i:(stop - 1) // len(wy) + 1], wy).ravel()[j:j + p.shape[1]]
-        del p  # before the next block's densities
-        start = stop
+    """(axes, cell): the midpoints of nodes_per_axis equal cells per axis over
+    center +- half_width*sigma, and the area of one cell of their tensor."""
+    n, half = grid.nodes_per_axis, grid.half_width
+    x = np.arange(1 - n, n, 2) / n  # (2i + 1 - n)/n: exactly symmetric, middle 0 if n is odd
+    return [m + half * s * x for m, s in zip(means, sigmas)], math.prod(
+        2.0 * half * s / n for s in sigmas)
 
 
 def _output_window(moments, beta):
@@ -353,28 +342,28 @@ def _output_window(moments, beta):
     return (mq, mp)[:k], (math.sqrt(vq + beta.beta_q), math.sqrt(vp + beta.beta_p))[:k]
 
 
-def _information(weights, blocks):
+def _information(weights, blocks, cell):
     """(h(avg), h(avg) - sum_i w_i h(p_i), mass of avg), avg = sum_i w_i p_i.
 
-    blocks yields (p, qweights) pairs: densities p (members, points) on part
-    of the outcome grid and the quadrature weights of those points.  An
-    entropy -sum qweights p log p takes the densities > 0 only.  Sums over
-    blocks are rounded once (math.fsum), not once per block.
+    blocks yields densities p (members, points) on parts of an outcome grid
+    whose every point carries the quadrature weight cell.  An entropy
+    -cell sum p log p takes the densities > 0 only.  Sums over blocks are
+    rounded once (math.fsum), not once per block.
     """
     h_avg, h_members, mass = [], [], []
-    for p, qweights in blocks:
+    for p in blocks:
         rows = np.vstack([weights @ p, p])
         positive = rows > 0
         terms = np.zeros_like(rows)
         np.log(rows, out=terms, where=positive)
         np.multiply(rows, terms, out=terms, where=positive)
-        ent = -(terms @ qweights)
+        ent = -terms.sum(axis=1)
         h_avg.append(ent[0])
         h_members.append(weights @ ent[1:])
-        mass.append(rows[0] @ qweights)
+        mass.append(rows[0].sum())
         del p, rows, positive, terms, ent  # before the next block is reduced
-    h = math.fsum(h_avg)
-    return h, h - math.fsum(h_members), math.fsum(mass)
+    h = cell * math.fsum(h_avg)
+    return h, h - cell * math.fsum(h_members), cell * math.fsum(mass)
 
 
 def _average_moments(weights, states):
@@ -393,9 +382,9 @@ def _grid_information(weights, states, beta, grid):
 
     Raises NormalizationFailure when the average density's mass misses 1 by > MASS_TOL.
     """
-    axes = _grid_axes(*_output_window(_average_moments(weights, states), beta), grid)
+    axes, cell = _grid_axes(*_output_window(_average_moments(weights, states), beta), grid)
     sampler = OutputSampler(beta, max(np.asarray(s).shape[0] for s in states))
-    h, mi, mass = _information(weights, _grid_blocks(sampler, states, axes))
+    h, mi, mass = _information(weights, sampler.stream(states, axes), cell)
     if not abs(mass - 1.0) <= MASS_TOL:  # a NaN mass fails too
         raise NormalizationFailure(f"average density mass {mass} misses 1 by > {MASS_TOL}")
     return h, mi
@@ -435,7 +424,7 @@ def discretize_gaussian_ensemble(spec, nodes=15, n_max=DEFAULT_N):
     def axis(var):
         if var <= 0:
             return np.zeros(1), np.ones(1)
-        t, log_w = _gauss_rule(nodes, hermite=True)
+        t, log_w = _gauss_rule(nodes)
         w = np.exp(log_w)
         return t * math.sqrt(2.0 * var), w / w.sum()
 

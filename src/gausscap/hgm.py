@@ -15,7 +15,8 @@ and the search's outcome window is centred on 0, so the density of a member
 at -x is that of its mirror image at +x (parity and complex conjugation in
 the Fock basis; see _Objective).  The objective therefore binds only the
 xs >= 0 of its grid, half the vectors, and scores each member together with
-its mirror image there.
+its mirror image there; every node of the midpoint grid has one weight, so
+no weight table is built.
 
 The simplex method is the adaptive Nelder-Mead of Gao and Han (Comput.
 Optim. Appl. 51 (2012) 259) in numpy: ``_nelder_mead`` takes the steps of
@@ -23,7 +24,6 @@ scipy's unbounded ``minimize(method="Nelder-Mead", adaptive=True)`` in the
 same order, so the search visits the same points without loading scipy.
 """
 
-import functools
 import json
 import math
 
@@ -90,9 +90,8 @@ class _Objective:
     and 3: psi_n(-q) = (-1)^n psi_n(q) on the mirrored Gauss-Hermite nodes,
     and K changes no density, as the Hermite functions are real.  So only
     the nodes x >= 0 are bound, and each evaluation scores the members and
-    their mirror images there, the x = 0 row of an odd grid once.  The
-    Gauss-Legendre weights are symmetric, so a mirrored row takes the weights
-    of the row it is evaluated on.
+    their mirror images there, the x = 0 row of an odd grid once.  Every
+    node has the grid's one cell weight, the mirrored rows too.
     """
 
     def __init__(self, alpha, beta, config):
@@ -101,13 +100,11 @@ class _Objective:
         self.cfg = config
         self.dim = config.n_max + 1
         means, sigmas = _output_window((0.0, 0.0, alpha.alpha_q, alpha.alpha_p), beta)
-        nodes, weights = zip(*_grid_axes(means, sigmas, config.grid))
+        nodes, self.cell = _grid_axes(means, sigmas, config.grid)
         mid = len(nodes[0]) // 2  # nodes[0][mid:] are the xs >= 0
-        half = (weights[0][mid:],) + weights[1:]
-        self.qweights = functools.reduce(np.multiply.outer, half).ravel()
         self.mirror_from = len(nodes[0]) % 2 * math.prod(map(len, nodes[1:]))  # past x = 0
         self.sign = (-1.0) ** np.arange(self.dim)
-        self.densities = OutputSampler(beta, self.dim).bind((nodes[0][mid:],) + nodes[1:])
+        self.densities = OutputSampler(beta, self.dim).bind([nodes[0][mid:], *nodes[1:]])
         self.evaluations = 0
         self.best_value = -math.inf
         self.best = None  # (weights, rows, states) of the best point scored
@@ -163,8 +160,7 @@ class _Objective:
         normalized = states / np.linalg.norm(states, axis=1, keepdims=True)
         dens = self.densities(np.concatenate((normalized, self.sign * normalized.conj())))
         k, skip = len(w), self.mirror_from
-        _, mi, _ = _information(w, [(dens[:k], self.qweights),
-                                    (dens[k:, skip:], self.qweights[skip:])])
+        _, mi, _ = _information(w, [dens[:k], dens[k:, skip:]], self.cell)
         if mi > self.best_value:
             self.best_value = mi
             self.best = (w, p, states)

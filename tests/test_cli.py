@@ -268,16 +268,16 @@ class TestHgmSearchCommand:
         assert "error: NonPositive" in res.output
 
     @pytest.mark.parametrize("seed, env, error", [
-        ("-3", {}, "NonPositive"), (None, {"GAUSSCAP_SEED": "-3"}, "NonPositive"),
-        (None, {"GAUSSCAP_SEED": "abc"}, "ValidationError"),
-        (None, {"GAUSSCAP_SEED": "1.5"}, "ValidationError")])
+        ("-3", {}, "error: NonPositive"), (None, {"GAUSSCAP_SEED": "-3"}, "error: NonPositive"),
+        (None, {"GAUSSCAP_SEED": "abc"}, "Invalid value for '--seed'"),
+        (None, {"GAUSSCAP_SEED": "1.5"}, "Invalid value for '--seed'")])
     def test_bad_seed_exit_2(self, runner, seed, env, error):
         args = ["hgm-search", "--alpha-q", "1", "--alpha-p", "1", "--beta-q", "0.5",
                 "--beta-p", "0.5", "--starts", "1", "--iters", "0", "-n", "8"]
         res = runner.invoke(main, args + ([] if seed is None else ["--seed", seed]), env=env)
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
-        assert f"error: {error}" in res.output
+        assert error in res.output
 
 
 class TestCltDemoCommand:

@@ -128,9 +128,9 @@ class TestGaussianStateFock:
 
     def test_non_finite_trace_raises(self, monkeypatch):
         # A Hermite rule with a NaN log weight gives a NaN trace, which is no pass.
-        t, log_w = fock._gauss_rule(41, hermite=True)
+        t, log_w = fock._gauss_rule(41)
         monkeypatch.setattr(fock, "_gauss_rule",
-                            lambda n, hermite: (t, np.where(t == t[-1], np.nan, log_w)))
+                            lambda n: (t, np.where(t == t[-1], np.nan, log_w)))
         with pytest.raises(TruncationInsufficient):
             gaussian_state_fock(make_covariance(1.0, 1.0), n_max=40)
 
@@ -140,19 +140,6 @@ class TestGaussianStateFock:
         rho = gaussian_state_fock(make_covariance(30.0, 0.3), n_max=540)
         _, _, vq, vp = state_moments(rho)
         assert vq == pytest.approx(30.0, rel=1e-6) and vp == pytest.approx(0.3, rel=1e-6)
-
-
-def mp_legendre_node(n, x0):
-    """(node, weight) of the n-point Gauss-Legendre rule nearest x0, 50 digits."""
-    with mpmath.workdps(50):
-        x = mpmath.mpf(x0)
-        for _ in range(6):
-            p0, p1 = mpmath.mpf(1), x
-            for k in range(1, n):
-                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            dp = n * (p0 - x * p1) / (1 - x * x)
-            x -= p1 / dp
-        return x, 2 / ((1 - x * x) * dp * dp)
 
 
 def mp_hermite_node(n, t0):
@@ -170,18 +157,9 @@ def mp_hermite_node(n, t0):
 
 
 class TestGaussRule:
-    @pytest.mark.parametrize("n", [1, 2, 16, 48, 200])
-    def test_legendre_matches_mpmath(self, n):
-        # Edge and centre nodes.  numpy's leggauss weights were 2.2e-11 off at n = 200.
-        x, w = fock._gauss_rule(n)
-        for i in {0, min(1, n - 1), n // 2, n - 1}:
-            node, weight = mp_legendre_node(n, x[i])
-            assert abs(x[i] - float(node)) <= 1e-16
-            assert w[i] == pytest.approx(float(weight), rel=1e-12, abs=0.0)
-
     @pytest.mark.parametrize("n", [1, 2, 10, 25, 61, 370])
     def test_hermite_matches_mpmath(self, n):
-        t, log_w = fock._gauss_rule(n, hermite=True)
+        t, log_w = fock._gauss_rule(n)
         for i in {0, min(1, n - 1), n // 2, n - 1}:
             node, log_weight = mp_hermite_node(n, t[i])
             assert abs(t[i] - float(node)) <= 4.5e-16 * max(1.0, abs(t[i]))
@@ -189,27 +167,26 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 47, 48, 61, 200, 370, 541, 1414])
     def test_symmetric_increasing_and_normalized(self, n):
-        for hermite, total in ((False, 2.0), (True, math.sqrt(math.pi))):
-            x, w = fock._gauss_rule(n, hermite=hermite)
-            assert len(x) == n and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-            assert np.all(np.diff(x) > 0.0)
-            assert math.fsum(np.exp(w) if hermite else w) == pytest.approx(total, abs=1e-14)
-            assert not (x.flags.writeable or w.flags.writeable)
+        t, log_w = fock._gauss_rule(n)
+        assert len(t) == n and np.array_equal(t, -t[::-1]) and np.array_equal(log_w, log_w[::-1])
+        assert np.all(np.diff(t) > 0.0)
+        assert math.fsum(np.exp(log_w)) == pytest.approx(math.sqrt(math.pi), abs=1e-14)
+        assert not (t.flags.writeable or log_w.flags.writeable)
 
     def test_non_finite_hermite_weights_raise(self, monkeypatch):
         # Past 1414 nodes psi_0 exp(t^2/4) leaves the normal floats at the outer
         # nodes; a NaN log weight fails the finite-weight check.
         with pytest.raises(NumericsError):
-            fock._gauss_rule(1415, hermite=True)
+            fock._gauss_rule(1415)
         with pytest.raises(NumericsError):
             OutputSampler(make_noise(0.3, math.inf), 1415)
         t, log_w = fock._hermite_half(5)
         monkeypatch.setattr(fock, "_hermite_half", lambda n: (t, np.where(t > 0.0, log_w, np.nan)))
         with pytest.raises(NumericsError, match="not finite and positive"):
-            fock._gauss_rule.__wrapped__(5, hermite=True)
+            fock._gauss_rule.__wrapped__(5)
 
     def test_rule_is_usable_below_the_limit(self):
-        x, log_w = fock._gauss_rule(1414, hermite=True)
+        x, log_w = fock._gauss_rule(1414)
         assert np.all(np.isfinite(log_w))
         assert np.exp(log_w).sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 

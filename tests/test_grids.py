@@ -1,4 +1,3 @@
-import functools
 import math
 import time
 
@@ -165,8 +164,7 @@ class TestOutputSampler:
         beta = make_noise(0.2, 5.0)
         gauss = gaussian_state_fock(make_covariance(0.707, 2.83), n_max=60)
         # Four xs across the window, each at both extreme ys.
-        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(gauss), beta),
-                                      QuadratureGrid())
+        (xs, ys), _ = _grid_axes(*_output_window(state_moments(gauss), beta), QuadratureGrid())
         axes = (xs[::50], ys[[0, -1]])
         rho = random_mixed_state(61, seed=7)
         got = OutputSampler(beta, 61).bind(axes)([rho])[0]
@@ -194,7 +192,7 @@ class TestOutputSampler:
         # bind against the streamed blocks of the same tensor grid.
         sampler = OutputSampler(beta, 41)
         window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
-        axes = [nodes for nodes, _ in _grid_axes(*window, QuadratureGrid(6.0, 24))]
+        axes, _ = _grid_axes(*window, QuadratureGrid(6.0, 24))
         gauss = gaussian_state_fock(make_covariance(1.5, 0.6), n_max=40)
         for first in (random_mixed_state(41, seed=11), random_mixed_state(41, seed=11, rank=3)):
             states = [first, gauss]
@@ -212,7 +210,7 @@ class TestOutputSampler:
         beta = make_noise(0.5, 0.5)
         sampler = OutputSampler(beta, 41)
         window = _output_window((0.0, 0.0, 1.0, 1.0), beta)
-        axes = [nodes for nodes, _ in _grid_axes(*window, QuadratureGrid(6.0, 24))]
+        axes, _ = _grid_axes(*window, QuadratureGrid(6.0, 24))
         chunks = list(sampler.stream(states, axes))
         assert [p.shape[1] for p in chunks[:3]] == [213, 27, 213]
         bound = sampler.bind(axes)(states)
@@ -246,8 +244,8 @@ class TestOutputSampler:
         # included.  The ys need not be sorted.
         beta = make_noise(0.2, 5.0)
         rho = random_mixed_state(41, seed=31)
-        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(rho), beta),
-                                      QuadratureGrid(2.0, 40))
+        (xs, ys), _ = _grid_axes(*_output_window(state_moments(rho), beta),
+                                 QuadratureGrid(2.0, 40))
         sampler = OutputSampler(beta, 41)
         x = xs[len(xs) // 2]
         streamed = np.concatenate(list(sampler.stream([rho], ([x], ys))), axis=1)[0]
@@ -264,8 +262,7 @@ class TestOutputSampler:
         # Criterion 06's mixed noise: doubling the bandwidth, which about
         # halves the node spacing, leaves the densities where they were.
         beta, gauss = make_noise(2.0, 2.0), gaussian_state_fock(make_covariance(1.5, 0.6), 60)
-        (xs, _), (ys, _) = _grid_axes(*_output_window(state_moments(gauss), beta),
-                                      QuadratureGrid())
+        (xs, ys), _ = _grid_axes(*_output_window(state_moments(gauss), beta), QuadratureGrid())
         sampler = OutputSampler(beta, 61)
         spaced = sampler.bind((xs[::20], ys))([gauss])[0]
         sampler.bandwidth *= 2.0
@@ -299,6 +296,18 @@ class TestQuadratureGrid:
     def test_accepts_numpy_integers(self):
         assert QuadratureGrid(8.0, np.int64(24)).nodes_per_axis == 24
 
+    @pytest.mark.parametrize("nodes", [1, 2, 47, 48])
+    def test_axes_are_the_midpoints_of_equal_cells(self, nodes):
+        (xs, ys), cell = _grid_axes((0.3, -1.0), (2.0, 0.5), QuadratureGrid(6.0, nodes))
+        for m, s, axis in ((0.3, 2.0, xs), (-1.0, 0.5, ys)):
+            width = 12.0 * s / nodes
+            expect = m - 6.0 * s + width * (np.arange(nodes) + 0.5)
+            assert np.allclose(axis, expect, rtol=0.0, atol=1e-14)
+        assert cell == pytest.approx(12.0 * 2.0 / nodes * 12.0 * 0.5 / nodes, rel=1e-15)
+        # Centred on 0, the nodes pair up exactly and an odd grid has x = 0.
+        (centred,), _ = _grid_axes((0.0,), (1.3,), QuadratureGrid(6.0, nodes))
+        assert np.array_equal(centred, -centred[::-1]) and (nodes % 2 == 0 or 0.0 in centred)
+
 
 class TestNumericOutputEntropy:
     def test_type1_matches_analytic(self):
@@ -326,16 +335,34 @@ class TestNumericOutputEntropy:
 
     def test_non_gaussian_state_under_wide_noise(self):
         # 0.6 |cat><cat| + 0.4 |3><3| at dim 41.  Truncating rho_beta at the
-        # state's dimension, as a noise-matrix route must, gave 3.8868242467;
-        # the reference is that route with the state padded to dim 101 and
-        # 121, which agree to 6e-14.
+        # state's dimension, as a noise-matrix route must, gave 3.8868242467.
+        # The reference is the converged value: on a 16-sd window of 800 nodes
+        # per axis the midpoint rule gives 3.8868231237469413 and the
+        # Gauss-Legendre rule 3.8868231237469435.
         cat = (displaced_squeezed_vector(1.2, 0.0, 0.0, 41)
                + displaced_squeezed_vector(-1.2, 0.0, 0.0, 41))
         cat /= np.linalg.norm(cat)
         rho = 0.6 * np.outer(cat, cat.conj())
         rho[3, 3] += 0.4
         h = numeric_output_entropy(rho, make_noise(3.0, 0.2))
-        assert h == pytest.approx(3.88682312368970, abs=1e-11)
+        assert h == pytest.approx(3.88682312374694, abs=1e-11)
+
+    @pytest.mark.parametrize("n, beta, exact, tol", [
+        (1, make_noise(0.5, 0.5), None, 2e-6),
+        (3, make_noise(0.5, 0.5), None, 1e-9),
+        (1, make_noise(0.0, INF), 1.3427277883861781, 2e-4),
+    ])
+    def test_number_states_against_exact_entropies(self, n, beta, exact, tol):
+        # Number states on the default grid.  Under pure type-1 noise
+        # with e^{2r} = 2 beta_q the entropy is ln 2 pi plus the Wehrl entropy
+        # S_W(|n>) = n + 1 + ln n! - n psi(n + 1) (Lieb, Commun. Math. Phys. 62,
+        # 35 (1978)); sharp position on |1> gives 3/2 - ln(2/sqrt(pi)) -
+        # psi(3/2).  The default grid is off by 1.3e-6, 2.0e-10 and 9.7e-5;
+        # the zeros of the densities slow its convergence.
+        if exact is None:
+            digamma = -np.euler_gamma + sum(1.0 / k for k in range(1, n + 1))
+            exact = math.log(2.0 * math.pi) + n + 1 + math.lgamma(n + 1) - n * digamma
+        assert abs(numeric_output_entropy(np.eye(8)[n], beta) - exact) <= tol
 
     def test_narrow_window_raises(self):
         rho = gaussian_state_fock(make_covariance(0.5, 0.5), n_max=30)
@@ -475,16 +502,17 @@ class TestMutualInformation:
         assert traced_peak(lambda: numeric_output_entropy(rho, make_noise(2.0, 2.0))) < 1.0e6
 
 
-def dense_information(weights, dens, qweights):
-    """(h(avg), MI, mass) from the whole (members, points) density matrix."""
+def dense_information(weights, dens, cell):
+    """(h(avg), MI, mass) from the whole (members, points) density matrix, each
+    point weighted by the grid's cell."""
 
     def entropy(p):
         mask = p > 0
-        return -float(np.dot(qweights[mask], p[mask] * np.log(p[mask])))
+        return -cell * float(np.sum(p[mask] * np.log(p[mask])))
 
     avg = weights @ dens
     h_members = sum(wi * entropy(dens[i]) for i, wi in enumerate(weights))
-    return entropy(avg), entropy(avg) - h_members, float(np.dot(qweights, avg))
+    return entropy(avg), entropy(avg) - h_members, cell * float(np.sum(avg))
 
 
 class TestStreamedReducer:
@@ -503,10 +531,9 @@ class TestStreamedReducer:
     @staticmethod
     def dense(weights, states, beta, grid):
         window = _output_window(_average_moments(weights, states), beta)
-        nodes, weights_per_axis = zip(*_grid_axes(*window, grid))
-        qweights = functools.reduce(np.multiply.outer, weights_per_axis).ravel()
+        nodes, cell = _grid_axes(*window, grid)
         dens = OutputSampler(beta, 41).bind(nodes)(states)
-        return dens, dense_information(np.asarray(weights, dtype=float), dens, qweights)
+        return dens, dense_information(np.asarray(weights, dtype=float), dens, cell)
 
     @pytest.mark.parametrize("beta, grid", [
         (make_noise(0.5, 0.5), QuadratureGrid(8.0, 60)),

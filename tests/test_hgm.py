@@ -1,12 +1,11 @@
-import functools
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from pins import PATH, objective_values
 from traced import traced_peak
 from gausscap.core import NonPositive, make_covariance, make_noise
 from gausscap.fock import displaced_squeezed_vector, state_moments
@@ -294,8 +293,8 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("beta", NOISES, ids=str)
     @pytest.mark.parametrize("nodes", [1, 2, 47, 48])
     def test_values_match_the_full_grid(self, beta, nodes):
-        # Against -MI of the same normalized members bound on every node,
-        # with the whole weight table.  A one-node grid weighs its point by
+        # Against -MI of the same normalized members bound on every node.
+        # A one-node grid weighs its point by
         # (2 half_width sd)^2, so the entropies whose difference is the MI
         # reach about 70 nats, where 1e-14 is one ulp: there the bound is 4 ulp
         # of the average's entropy.
@@ -303,8 +302,7 @@ class TestMirrorSymmetry:
         alpha = make_covariance(1, 1) if beta.noise_type == 1 else make_covariance(1, 2)
         config = SearchConfig(members=3, starts=8, seed=nodes, grid=QuadratureGrid(6.0, nodes))
         obj = _Objective(alpha, beta, config)
-        axes, weights = zip(*_grid_axes(*_output_window((0.0, 0.0, *alpha), beta), config.grid))
-        qweights = functools.reduce(np.multiply.outer, weights).ravel()
+        axes, cell = _grid_axes(*_output_window((0.0, 0.0, *alpha), beta), config.grid)
         full = OutputSampler(beta, obj.dim).bind(axes)
         scored = 0
         for x0 in _initial_points(alpha, beta, config, np.random.default_rng(nodes)):
@@ -312,8 +310,8 @@ class TestMirrorSymmetry:
             assert excess == 0.0
             states = obj._states(p)
             assert np.all(p[:, 4] != 0.0)  # photon angles mixed in
-            h, mi, _ = _information(w, [(full(states / np.linalg.norm(states, axis=1)[:, None]),
-                                         qweights)])
+            h, mi, _ = _information(w, [full(states / np.linalg.norm(states, axis=1)[:, None])],
+                                    cell)
             assert abs(obj(x0) + mi) <= max(1e-14, 4 * np.spacing(h))
             scored += 1
         assert scored == config.starts and obj.best is not None
@@ -328,9 +326,9 @@ class TestMirrorSymmetry:
         seen = []
 
         def grid_axes(*args):
-            axes = _grid_axes(*args)
-            seen.append(axes[0][0])
-            return axes
+            axes, cell = _grid_axes(*args)
+            seen.append(axes[0])
+            return axes, cell
 
         bind = OutputSampler.bind
         monkeypatch.setattr("gausscap.hgm._grid_axes", grid_axes)
@@ -363,20 +361,11 @@ class TestObjectivePins:
         # The objective scores each member as the normalized state of its
         # kept part; the density layer takes states as given.  200 points of
         # the criterion-08 cases at n_max = 14, where members may lose up to
-        # KEPT_MASS_TOL of their norm^2, against values pinned with the
-        # density layer's overlaps as float64 products on real views, the
-        # objective bound on the xs >= 0 and scoring mirror images there.
-        path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "objective_pins.json")
-        with open(path) as fh:
+        # KEPT_MASS_TOL of their norm^2, against the values pins.py wrote
+        # (its "about" says how they were computed).
+        with open(PATH) as fh:
             pinned = json.load(fh)["values"]
-        values = []
-        for alpha, beta, seed in ((make_covariance(1, 1), make_noise(0.5, 0.5), 1),
-                                  (make_covariance(1, 2), make_noise(0.2, math.inf), 2)):
-            config = SearchConfig(members=4, starts=100, seed=seed, n_max=14,
-                                  grid=QuadratureGrid(6.0, 48))
-            obj = _Objective(alpha, beta, config)
-            rng = np.random.default_rng(seed)
-            values += [obj(x) for x in _initial_points(alpha, beta, config, rng)]
+        values = objective_values()
         assert len(values) == 200
         assert values == pinned
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from pins import search_report
 from gausscap.capacity import CapacityResult, GaussianEnsembleSpec, Regime
 from gausscap.core import (
     HeisenbergViolation,
@@ -23,7 +24,7 @@ from gausscap.core import (
 from gausscap.duality import DualEnsemble, KappaMatrix
 from gausscap.fock import FockOperator
 from gausscap.grids import DiscreteEnsemble, QuadratureGrid
-from gausscap.hgm import SearchConfig, SearchReport, hgm_search
+from gausscap.hgm import SearchConfig, SearchReport
 
 VACUUM = np.eye(3)[0]
 SPEC = GaussianEnsembleSpec(0.5, 0.5, 1.0)
@@ -63,26 +64,27 @@ INVALID = {
     SearchConfig: ((0, True, 16, 200, 0, 24, QuadratureGrid(6.0, 48)), NonPositive),
 }
 
-# hgm_search(alpha = (1, 1), beta = (0.5, 0.5), PINNED_CONFIG).to_json(), as
-# printed by the dataclass records this module's types replaced, except that
-# best_value_nats and gap moved by 8.9e-16 with the Gauss rules built from
-# the engine's recurrences, by 8.9e-16 again with the density layer's
-# overlaps taken as float64 products on real views, and by 8.9e-16 once more
-# (up) with the objective scoring the x >= 0 half of its grid and the
-# members' mirror images there; evaluations fell from 44 to 42 once each
-# start was scored only as Nelder-Mead's first vertex.
-PINNED_CONFIG = SearchConfig(members=2, starts=2, max_iter=10, seed=3, n_max=10,
-                             grid=QuadratureGrid(5.0, 16))
+# pins.search_report(), hgm_search(alpha = (1, 1), beta = (0.5, 0.5),
+# pins.PINNED_CONFIG).to_json(), as printed by the dataclass records this
+# module's types replaced, except that best_value_nats and gap moved by
+# 8.9e-16 three times (the engine's own Gauss rules, float64 overlap products
+# on real views, the objective scoring the x >= 0 half of its grid), and by
+# -6.9e-5 with the midpoint rule in place of Gauss-Legendre on this coarse
+# (5, 16) grid: the best point's value on a 12-sd, 480-node grid is
+# 0.336818913894, 3.5e-8 above the new value and 6.9e-5 below the old.
+# Evaluations fell from 44 to 42 once each start was scored only as
+# Nelder-Mead's first vertex.
 PINNED_JSON = (
-    '{"best_value_nats": 0.33688787514670393, "ceiling_nats": 0.4054651081081644, '
-    '"gap": -0.06857723296146045, "regime": "C", "hypothetical": false, "seed": 3, '
+    '{"best_value_nats": 0.3368188784643742, "ceiling_nats": 0.4054651081081644, '
+    '"gap": -0.06864622964379019, "regime": "C", "hypothetical": false, "seed": 3, '
     '"ensemble": [{"weight": 0.5146153352371768, "x": -1.0981377338712286, '
     '"y": -0.5990683961824271, "squeeze_r": -0.04265723696265227, '
     '"photon_mix_angle": 0.2700879542346533}, {"weight": 0.4853846647628231, '
     '"x": 0.8720694622214665, "y": 0.6351452897302784, "squeeze_r": -0.1013092283874223, '
-    '"photon_mix_angle": -0.06059998574589373}], "feasible": true, "flagged_excess": false, '
-    '"budget_exhausted": false, "violation": 1.5477424986619128e-13, '
-    '"min_kept_mass": 0.9999999930310741, "starts": 2, "evaluations": 42}'
+    '"photon_mix_angle": -0.06059998574589373}], "feasible": true, '
+    '"flagged_excess": false, "budget_exhausted": false, '
+    '"violation": 1.5477424986619128e-13, "min_kept_mass": 0.9999999930310741, '
+    '"starts": 2, "evaluations": 42}'
 )
 
 
@@ -151,5 +153,4 @@ def test_records_are_tuples():
 
 
 def test_search_report_json_is_pinned():
-    report = hgm_search(make_covariance(1, 1), make_noise(0.5, 0.5), PINNED_CONFIG)
-    assert report.to_json() == PINNED_JSON
+    assert search_report() == PINNED_JSON
