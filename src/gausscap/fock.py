@@ -266,20 +266,18 @@ def _hermite_half(n):
     return t, -0.5 * t * t - math.log(n) - 2.0 * np.log(np.abs(prev))
 
 
-def _inner_grid(dim, reach):
+def _inner_grid(dim, wavenumber):
     """Inner positions q, their common weight and psi_n(q), n < dim, on [-q_max, q_max].
 
     q_max = sqrt(2 dim) + 6 covers the Fock support and its spatial tails.
-    The integrands are a product of two truncated Fock-space functions, each
-    with wavenumbers up to sqrt(2 dim), times a factor with wavenumbers up to
-    reach, and decay fast: the midpoint rule at spacing h is exact up to
-    their spectrum at 2 pi / h and beyond, aliased (Trefethen & Weideman,
-    SIAM Rev. 56 (2014) 385), so h <= 2 pi / (reach + 2 sqrt(2 dim) + 12),
-    the 12 for the two spectral tails of 6 each.  The count is capped at
-    6000 nodes.
+    The nodes are the midpoints of cells of width h <= 2 pi / wavenumber.
+    On them the midpoint rule's error for a fast-decaying integrand is its
+    spectrum at the nonzero multiples of 2 pi / h (Trefethen & Weideman,
+    SIAM Rev. 56 (2014) 385), so a spectrum that is zero past wavenumber is
+    integrated exactly.
     """
     q_max = math.sqrt(2.0 * dim) + 6.0
-    n = min(math.ceil(q_max * (reach + 2.0 * math.sqrt(2.0 * dim) + 12.0) / math.pi), 6000)
+    n = math.ceil(q_max * wavenumber / math.pi)
     q = q_max * np.arange(1 - n, n, 2) / n
     return q, 2.0 * q_max / n, _hermite_functions(q, dim)
 
@@ -290,7 +288,11 @@ def quantum_charfn(rho):
     rho is any Hermitian matrix.  Tr[rho D] = int sum_m psi_m(q) (rho^T
     psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
     per distinct x, times a (Q, len(ys)) Fourier kernel over the distinct y
-    values, on the inner grid sized for max |y|.  Every product is float64:
+    values.  Each product of two truncated Fock-space functions has
+    wavenumbers within band = 2 sqrt(2 dim) + 12, the 12 for the two spectral
+    tails of 6 each, so phi is below rounding at |y| >= band and is 0 there.
+    The inner grid resolves the wavenumbers up to min(max |y|, band) + band,
+    so no aliased copy reaches a |y| < band.  Every product is float64:
     rho^T psi is taken on rho's real view, its real and imaginary parts
     interleaved if complex, so no complex matrix product runs.
     """
@@ -303,7 +305,8 @@ def quantum_charfn(rho):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
-        q, w, psi = _inner_grid(dim, float(np.abs(ys).max()))
+        band = 2.0 * math.sqrt(2.0 * dim) + 12.0
+        q, w, psi = _inner_grid(dim, min(float(np.abs(ys).max()), band) + band)
         # rho^T psi(q - x) as (psi^T rho)^T, one product on rho's real view.
         rows = np.array([(psi * (_hermite_functions(q - x0, dim).T @ real).view(mat.dtype).T
                           ).sum(axis=0) for x0 in xs]) * w
@@ -311,7 +314,7 @@ def quantum_charfn(rho):
         # real view: below OpenBLAS's threading cut-off on the CLT's grids.
         kernel = np.exp(1j * np.outer(q, ys)).view(float)
         re, im = (np.stack((rows.real, rows.imag)) @ kernel).view(complex)
-        table = (re + 1j * im) * np.exp(-0.5j * np.outer(xs, ys))
+        table = (re + 1j * im) * np.exp(-0.5j * np.outer(xs, ys)) * (np.abs(ys) < band)
         return table[ix, iy].reshape(x.shape)[()]
 
     return phi

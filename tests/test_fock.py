@@ -256,6 +256,17 @@ class TestDisplacement:
             one = [[phi(x, y) for y in axis] for x in axis]
             assert np.abs(table - np.array(one)).max() <= 1e-13
 
+    def test_far_displacements_vanish(self):
+        # |<m|D|n>| falls as e^{-|zeta|^2/2}, so past the wavenumbers of the
+        # integrand phi is below rounding at every y, however the inner grid's
+        # spacing falls among them, and the small ys of the same call keep
+        # their values.
+        rho = random_state(8, 8)
+        y = np.concatenate(([0.5, -2.0], np.linspace(100.0, 5000.0, 491)))
+        got = quantum_charfn(rho)(0.3, y)
+        assert np.abs(got[2:]).max() <= 1e-14
+        assert np.abs(got[:2] - dense_charfn(rho, [0.3, 0.3], y[:2])).max() <= 1e-13
+
     @pytest.mark.parametrize("dim", [8, 20, 25, 41, 61, 100])
     def test_matches_double_loop_reference(self, dim):
         rng = np.random.default_rng(dim)

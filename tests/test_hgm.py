@@ -293,11 +293,10 @@ class TestMirrorSymmetry:
     @pytest.mark.parametrize("beta", NOISES, ids=str)
     @pytest.mark.parametrize("nodes", [1, 2, 47, 48])
     def test_values_match_the_full_grid(self, beta, nodes):
-        # Against -MI of the same normalized members bound on every node.
-        # A one-node grid weighs its point by
-        # (2 half_width sd)^2, so the entropies whose difference is the MI
-        # reach about 70 nats, where 1e-14 is one ulp: there the bound is 4 ulp
-        # of the average's entropy.
+        # Against -MI of the same normalized members bound on every node.  A
+        # one-node grid weighs its point by (2 half_width sd)^2, so the
+        # entropies whose difference is the MI reach about 70 nats, where
+        # 1e-14 is one ulp: there the bound is 4 ulp of the average's entropy.
         beta = make_noise(*beta)
         alpha = make_covariance(1, 1) if beta.noise_type == 1 else make_covariance(1, 2)
         config = SearchConfig(members=3, starts=8, seed=nodes, grid=QuadratureGrid(6.0, nodes))

@@ -64,16 +64,9 @@ INVALID = {
     SearchConfig: ((0, True, 16, 200, 0, 24, QuadratureGrid(6.0, 48)), NonPositive),
 }
 
-# pins.search_report(), hgm_search(alpha = (1, 1), beta = (0.5, 0.5),
-# pins.PINNED_CONFIG).to_json(), as printed by the dataclass records this
-# module's types replaced, except that best_value_nats and gap moved by
-# 8.9e-16 three times (the engine's own Gauss rules, float64 overlap products
-# on real views, the objective scoring the x >= 0 half of its grid), and by
-# -6.9e-5 with the midpoint rule in place of Gauss-Legendre on this coarse
-# (5, 16) grid: the best point's value on a 12-sd, 480-node grid is
-# 0.336818913894, 3.5e-8 above the new value and 6.9e-5 below the old.
-# Evaluations fell from 44 to 42 once each start was scored only as
-# Nelder-Mead's first vertex.
+# pins.search_report(): hgm_search(alpha = (1, 1), beta = (0.5, 0.5),
+# pins.PINNED_CONFIG).to_json().  On this coarse (5, 16) grid the best point
+# scores 3.5e-8 below its value on a 12-sd, 480-node grid, 0.336818913894.
 PINNED_JSON = (
     '{"best_value_nats": 0.3368188784643742, "ceiling_nats": 0.4054651081081644, '
     '"gap": -0.06864622964379019, "regime": "C", "hypothetical": false, "seed": 3, '
