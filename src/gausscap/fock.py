@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .core import NegativeDensity, NonPositive, NumericsError, TruncationInsufficient, _is_count
+from .core import (NegativeDensity, NonPositive, NumericsError, OutOfInterval,
+                   TruncationInsufficient, _is_count)
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
@@ -294,7 +295,8 @@ def quantum_charfn(rho):
     The inner grid resolves the wavenumbers up to min(max |y|, band) + band,
     so no aliased copy reaches a |y| < band.  Every product is float64:
     rho^T psi is taken on rho's real view, its real and imaginary parts
-    interleaved if complex, so no complex matrix product runs.
+    interleaved if complex, so no complex matrix product runs.  A non-finite
+    x or y raises OutOfInterval.
     """
     mat = np.asarray(rho)
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
@@ -303,6 +305,8 @@ def quantum_charfn(rho):
 
     def phi(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise OutOfInterval("displacements x and y must be finite")
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
         band = 2.0 * math.sqrt(2.0 * dim) + 12.0

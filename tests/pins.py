@@ -32,12 +32,13 @@ PINNED_CONFIG = SearchConfig(members=2, starts=2, max_iter=10, seed=3, n_max=10,
                              grid=QuadratureGrid(5.0, 16))
 
 
-def objective_values(grid=QuadratureGrid(6.0, 48)):
-    """The 200 objective values that objective_pins.json holds, on the given grid."""
+def objective_values():
+    """The 200 objective values that objective_pins.json holds."""
     values = []
     for alpha, beta, seed in ((make_covariance(1, 1), make_noise(0.5, 0.5), 1),
                               (make_covariance(1, 2), make_noise(0.2, math.inf), 2)):
-        config = SearchConfig(members=4, starts=100, seed=seed, n_max=14, grid=grid)
+        config = SearchConfig(members=4, starts=100, seed=seed, n_max=14,
+                              grid=QuadratureGrid(6.0, 48))
         obj = _Objective(alpha, beta, config)
         rng = np.random.default_rng(seed)
         values += [obj(x) for x in _initial_points(alpha, beta, config, rng)]

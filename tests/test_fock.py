@@ -8,8 +8,8 @@ from scipy.linalg import expm
 
 from dense_displacement import destroy, double_loop_displacement, padded_squeeze
 from gausscap import fock
-from gausscap.core import (NonPositive, NumericsError, TruncationInsufficient, make_covariance,
-                           make_noise)
+from gausscap.core import (NonPositive, NumericsError, OutOfInterval, TruncationInsufficient,
+                           make_covariance, make_noise)
 from gausscap.fock import (
     FockOperator,
     displaced_squeezed_vector,
@@ -496,6 +496,14 @@ class TestQuantumCharfn:
         for x, y in [(0.5, 0.0), (0.0, 0.8), (1.0, -1.0)]:
             expect = math.exp(-0.5 * (alpha.alpha_p * x ** 2 + alpha.alpha_q * y ** 2))
             assert phi(x, y) == pytest.approx(expect, abs=1e-8)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
+                                      (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
+                                      ([0.5, math.inf], [0.5, 0.5])])
+    def test_non_finite_displacement_raises(self, x, y):
+        rho = np.diag([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(OutOfInterval):
+            quantum_charfn(rho)(x, y)
 
 
 class TestFockOperator:
