@@ -147,70 +147,57 @@ def _ensemble_for(alpha, beta):
 
 
 def _golden_section_max(f, a, b):
-    """Maximize a unimodal f on [a, b] (0 < a <= b); returns the best (f(x), x) evaluated.
+    """Maximize a unimodal f on [a, b]; returns the best (f(x), x) evaluated.
 
-    Stops once b - a <= SHELL_XTOL.  Where the float spacing above a exceeds it,
-    so that b - a cannot reach it, it stops once no float is left between a
-    new inner point and its bracket end.
+    Stops once b - a <= SHELL_XTOL.  Every step shrinks the bracket, a NaN
+    value too, as long as the float spacing on [a, b] is below SHELL_XTOL.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-
-    def exhausted(low, end, x):  # low: the bracket's lower end after the step
-        return math.ulp(low) > SHELL_XTOL and math.nextafter(end, x) == x
-
-    for _ in range(300):
-        if b - a <= SHELL_XTOL:
-            break
+    while b - a > SHELL_XTOL:
         if fc > fd:
-            x = d - invphi * (d - a)
-            if exhausted(a, a, x):
-                break
             b, d, fd = d, c, fc
-            c, fc = x, f(x)
+            c = b - invphi * (b - a)
+            fc = f(c)
         else:
-            x = c + invphi * (b - c)
-            if exhausted(c, b, x):
-                break
             a, c, fc = c, d, fd
-            d, fd = x, f(x)
+            d = a + invphi * (b - a)
+            fd = f(d)
     return max((fc, c), (fd, d))  # every step kept the better inner point
 
 
 def _shell_maximum(beta, E):
-    """(smaller entry, capacity_alpha) of the best covariance found on alpha_q + alpha_p = 2E."""
-    # Each half of the shell is scanned by its smaller entry s, the other being
+    """(w, capacity_alpha) of the best covariance found on alpha_q + alpha_p = 2E."""
+    # One coordinate w in [-L, L] runs over the shell: the smaller entry is
+    # s = e^(ln E - |w|), alpha_q for w < 0 and alpha_p for w > 0, the other
     # E + (E - s), so s keeps its relative precision however small next to E.
     # The ends lie on alpha_q*alpha_p = 1/4, which no cancellation takes below
-    # 1/4.  From E = 9e307 on, the scan keeps to where E + (E - s) is a float.
+    # 1/4.  From E = 9e307 on, the shell keeps to where E + (E - s) is a float.
     top = sys.float_info.max
     hi = min(E + math.sqrt(max(E - 0.5, 0.0)) * math.sqrt(E + 0.5), top)
     lo = max(0.25 / hi, E - (top - E))
     if E - lo < 1e-14:
-        return E, capacity_alpha(make_covariance(E, E), beta)
+        return 0.0, capacity_alpha(make_covariance(E, E), beta)
+    ln_e = math.log(E)
+    half = ln_e - math.log(lo)  # L < 1421, where the float spacing is below SHELL_XTOL
 
-    def small_q(s):
-        return capacity_alpha(make_covariance(s, max(E + (E - s), 0.25 / s)), beta)
+    def at(w):
+        s = min(max(math.exp(ln_e - abs(w)), lo), hi)  # against exp's rounding
+        pair = s, max(E + (E - s), 0.25 / s)
+        return capacity_alpha(make_covariance(*(pair if w < 0 else pair[::-1])), beta)
 
-    def small_p(s):
-        return capacity_alpha(make_covariance(max(E + (E - s), 0.25 / s), s), beta)
-
-    # A coarse scan of 257 points guards against the piecewise structure across
-    # regimes; golden section refines the winning bracket.  Past s = E a half
-    # runs on into the other, so a bracket at the middle spans both.
-    n = 128
-    step = (E - lo) / n
-    points = [lo + i * step for i in range(n)]
-    best_v, best_s, best_f = -math.inf, E, small_q
-    for f, scan in ((small_p, points), (small_q, points + [E])):
-        for s in scan:
-            v = f(s)
-            if v > best_v:
-                best_v, best_s, best_f = v, s, f
-    v, s = _golden_section_max(best_f, max(lo, best_s - step), best_s + step)
-    return (s, v) if v > best_v else (best_s, best_v)
+    # A coarse scan of 257 points, w = 0 the middle, guards against the
+    # piecewise structure across regimes; golden section refines its bracket.
+    step = half / 128
+    best_v, best_w = -math.inf, 0.0
+    for w in (i * step for i in range(-128, 129)):
+        v = at(w)
+        if v > best_v:
+            best_v, best_w = v, w
+    v, w = _golden_section_max(at, max(-half, best_w - step), min(half, best_w + step))
+    return (w, v) if v > best_v else (best_w, best_v)
 
 
 def capacity_energy(beta, E, cross_check=True):

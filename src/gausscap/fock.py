@@ -296,7 +296,7 @@ def quantum_charfn(rho):
     so no aliased copy reaches a |y| < band.  Every product is float64:
     rho^T psi is taken on rho's real view, its real and imaginary parts
     interleaved if complex, so no complex matrix product runs.  A non-finite
-    x or y raises OutOfInterval.
+    x or y raises OutOfInterval; empty x and y give an empty array.
     """
     mat = np.asarray(rho)
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
@@ -307,6 +307,8 @@ def quantum_charfn(rho):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise OutOfInterval("displacements x and y must be finite")
+        if x.size == 0:
+            return np.empty(x.shape, complex)
         xs, ix = np.unique(x.ravel(), return_inverse=True)
         ys, iy = np.unique(y.ravel(), return_inverse=True)
         band = 2.0 * math.sqrt(2.0 * dim) + 12.0

@@ -49,8 +49,8 @@ from .fock import (
 TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
 SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
 # Vectors built per block, at least one x row: 0.2 MB at dim 61 for a 200-node
-# row of pure noise, 0.24-0.31 MB for the 239-311 nodes of a trapezoid-smeared
-# row (278 nodes, 0.28 MB, on the seed-5 mixed entropy of perfbench's fock_oracle).
+# row of pure noise, 0.15-0.26 MB for the 149-264 nodes of a trapezoid-smeared
+# row (the mixed entropies of perfbench's fock_oracle, seeds 1-10).
 BLOCK_NODES = 256
 # Real multiply-adds per overlap product, below OpenBLAS's threading cut-off
 # (about 1.0e6 for dgemm): 19 complex vectors times either part of 225
@@ -209,11 +209,14 @@ class OutputSampler:
         Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
         (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
         W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise the
-        trapezoidal rule over the ys widened by TAIL deviations, at spacing
-        h = 2 pi / (bandwidth + TAIL / sd): p1(x, v) N(y - v; delta) has
-        wavenumbers in v up to that sum, and the rule's error is its spectrum
-        at 2 pi / h and beyond, aliased (Trefethen & Weideman, SIAM Rev. 56
-        (2014) 385).  Each run of ys in one span of TAIL/2 deviations takes
+        trapezoidal rule over the ys widened by TAIL deviations, cut to
+        |v| <= sqrt(2 dim) + 6 + TAIL / (2 sqrt(beta_q)), the momentum extent
+        of the Fock support and S(r)|0> past which p1(x, v) is 0 (one node
+        if nothing is left), at spacing h = 2 pi / (bandwidth + TAIL / sd):
+        p1(x, v) N(y - v; delta) has wavenumbers in v up to that sum, and
+        the rule's error is its spectrum at 2 pi / h and beyond, aliased
+        (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  Each run of ys in
+        one span of TAIL/2 deviations takes
         S[y, v] = h N(y - v; delta) / 2 pi at the nodes v within TAIL
         deviations of it.
         """
@@ -225,9 +228,10 @@ class OutputSampler:
             return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), [
                 (0, w[None, :] / (2.0 * math.pi ** 1.5))]
         sd = math.sqrt(self.delta)
-        lo, hi = ys.min() - TAIL * sd, ys.max() + TAIL * sd
+        reach = math.sqrt(2.0 * self.dim) + 6.0 + 0.5 * TAIL / math.sqrt(self.beta.beta_q)
+        lo, hi = max(ys.min() - TAIL * sd, -reach), min(ys.max() + TAIL * sd, reach)
         h = 2.0 * math.pi / (self.bandwidth + TAIL / sd)
-        n = math.ceil((hi - lo) / h) + 1
+        n = max(math.ceil((hi - lo) / h), 0) + 1  # one node if the window is empty
         if n > SMEARING_NODES_MAX:
             raise NumericsError(f"classical noise {self.delta:.3e} over a window of {hi - lo:.3g} "
                                 f"needs {n} > {SMEARING_NODES_MAX} nodes")

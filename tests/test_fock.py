@@ -505,6 +505,16 @@ class TestQuantumCharfn:
         with pytest.raises(OutOfInterval):
             quantum_charfn(rho)(x, y)
 
+    @pytest.mark.parametrize("x, y, shape", [
+        (np.array([]), np.array([]), (0,)),
+        (np.zeros((0, 3)), 1.0, (0, 3)),
+        (np.zeros((2, 0)), np.zeros((2, 1)), (2, 0)),
+    ])
+    def test_empty_displacements_give_an_empty_array(self, x, y, shape):
+        # Empty input raised a bare ValueError from the reduction max |y|.
+        out = quantum_charfn(np.diag([1.0, 0.0, 0.0, 0.0]))(x, y)
+        assert out.shape == shape and out.dtype == complex
+
 
 class TestFockOperator:
     def test_converts_with_asarray(self):

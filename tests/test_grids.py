@@ -270,15 +270,37 @@ class TestOutputSampler:
         assert np.max(np.abs(halved - spaced)) <= 1e-14 * np.max(spaced)
 
     def test_classical_noise_past_the_cap_raises(self):
-        # delta = 0.01 takes the trapezoidal rule, and a 2,000-wide window of
-        # y would need about 33,000 nodes per outcome row (+-300 needs 9,900).
-        beta = make_noise(1.0, 0.26)
-        rho = gaussian_state_fock(make_covariance(1.2, 0.7), n_max=60)
-        sampler = OutputSampler(beta, 61)
-        with pytest.raises(NumericsError):
+        # delta = 5e-4 takes the trapezoidal rule.  Its window stops at the
+        # momentum reach of dim 2000 and S(r)|0>, +-69.7, and at spacing
+        # 0.012 that needs 11,603 nodes per outcome row (9,862 at dim 1500).
+        beta = make_noise(100.0, 0.003)
+        vacuum = np.eye(1, 2000)[0]
+        sampler = OutputSampler(beta, 2000)
+        with pytest.raises(NumericsError, match="11603 > 10000 nodes"):
             sampler.bind(([0.0], [-1000.0, 1000.0]))
-        with pytest.raises(NumericsError):
-            next(sampler.stream([rho], ([0.0], [-1000.0, 1000.0])))
+        with pytest.raises(NumericsError, match="11603 > 10000 nodes"):
+            next(sampler.stream([vacuum], ([0.0], [-1000.0, 1000.0])))
+
+    def test_classical_noise_window_stops_at_the_momentum_reach(self):
+        # delta = 1e6: the window of +-TAIL classical sd once needed 146,313
+        # nodes and raised; p1(x, v) is 0 past |v| = sqrt(2 dim) + 6 + TAIL/(2 sqrt(bq)).
+        alpha, beta = make_covariance(1.0, 1.0), make_noise(1e6, 1e6)
+        h = numeric_output_entropy(gaussian_state_fock(alpha, 30), beta)
+        assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-9)
+
+    @pytest.mark.parametrize("y, density", [
+        (0.0, 0.03319907402382816),
+        (10.0, 1.6551737060954209e-09),
+        (25.0, 5.7349889462434506e-62),
+        (40.0, 1.7210820563162622e-204),
+        (200.0, 0.0),
+    ])
+    def test_outcomes_past_the_momentum_reach(self, y, density):
+        # |1> under delta = 1.5: past y = 25 the clipped window holds no node
+        # within TAIL classical sd of y, and one node stands in for it.
+        ket = np.array([0.0, 1.0])
+        assert povm_density(np.outer(ket, ket), make_noise(0.5, 2.0), 0.3, y) == pytest.approx(
+            density, rel=1e-12, abs=1e-15)
 
 
 class TestQuadratureGrid:
