@@ -178,24 +178,25 @@ def _shell_maximum(beta, E):
     top = sys.float_info.max
     hi = min(E + math.sqrt(max(E - 0.5, 0.0)) * math.sqrt(E + 0.5), top)
     lo = max(0.25 / hi, E - (top - E))
-    if E - lo < 1e-14:
-        return 0.0, capacity_alpha(make_covariance(E, E), beta)
     ln_e = math.log(E)
-    half = ln_e - math.log(lo)  # L < 1421, where the float spacing is below SHELL_XTOL
 
     def at(w):
-        s = min(max(math.exp(ln_e - abs(w)), lo), hi)  # against exp's rounding
-        pair = s, max(E + (E - s), 0.25 / s)
-        return capacity_alpha(make_covariance(*(pair if w < 0 else pair[::-1])), beta)
+        s = math.exp(ln_e - abs(w))
+        s = lo if s < lo else hi if s > hi else s  # clamped against exp's rounding
+        other = max(E + (E - s), 0.25 / s)
+        return capacity_alpha(make_covariance(s, other) if w < 0 else make_covariance(other, s),
+                              beta)
 
-    # A coarse scan of 257 points, w = 0 the middle, guards against the
-    # piecewise structure across regimes; golden section refines its bracket.
+    if E - lo < 1e-14:
+        return 0.0, at(0.0)
+    half = ln_e - math.log(lo)  # L < 1421, where the float spacing is below SHELL_XTOL
+    # A scan of 257 points, w = 0 the middle, guards against the regimes' kinks.
     step = half / 128
     best_v, best_w = -math.inf, 0.0
-    for w in (i * step for i in range(-128, 129)):
-        v = at(w)
+    for i in range(-128, 129):
+        v = at(i * step)
         if v > best_v:
-            best_v, best_w = v, w
+            best_v, best_w = v, i * step
     v, w = _golden_section_max(at, max(-half, best_w - step), min(half, best_w + step))
     return (w, v) if v > best_v else (best_w, best_v)
 
