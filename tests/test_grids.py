@@ -296,8 +296,9 @@ class TestOutputSampler:
         (200.0, 0.0),
     ])
     def test_outcomes_past_the_momentum_reach(self, y, density):
-        # |1> under delta = 1.5: past y = 25 the clipped window holds no node
-        # within TAIL classical sd of y, and one node stands in for it.
+        # |1> under delta = 1.5, against the unclipped window's densities: from
+        # y = 25 on the clipped window holds no node within TAIL classical sd
+        # of y, and one node stands in for it.
         ket = np.array([0.0, 1.0])
         assert povm_density(np.outer(ket, ket), make_noise(0.5, 2.0), 0.3, y) == pytest.approx(
             density, rel=1e-12, abs=1e-15)
