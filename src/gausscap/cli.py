@@ -36,11 +36,41 @@ def _convert(nats, base):
     return nats / LN2 if base == "bits" else nats
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+log_base_option = click.option(
+    "--log-base", type=click.Choice(["nats", "bits"]), default="nats",
+    show_default=True, help="Unit for reported information quantities.",
+)
+beta_q_option = click.option("--beta-q", required=True, type=float)
+
+
+def _record_options(name, make, q_option, p_option):
+    """Decorator adding q_option and p_option to a command, which gets the
+    validated record name = make(q, p) in their place."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def command(**params):
+            return fn(**{name: make(params.pop(f"{name}_q"), params.pop(f"{name}_p"))}, **params)
+
+        return q_option(p_option(command))
+
+    return decorate
+
+
+noise_options = _record_options("beta", make_noise, beta_q_option, click.option(
+    "--beta-p", required=True, type=float,
+    help="Momentum noise variance; 'inf' for position-only measurement."))
+covariance_options = _record_options("alpha", make_covariance,
+                                     click.option("--alpha-q", required=True, type=float),
+                                     click.option("--alpha-p", required=True, type=float))
+
+
+class _Main(click.Group):
+    """Library errors end a command with one line on stderr: exit 2 for
+    invalid parameters, 3 for a numerical failure."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ValidationError as exc:
             click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
             sys.exit(2)
@@ -48,30 +78,18 @@ def handle_errors(fn):
             click.echo(f"numeric failure: {exc.__class__.__name__}: {exc}", err=True)
             sys.exit(3)
 
-    return wrapper
 
-
-log_base_option = click.option(
-    "--log-base", type=click.Choice(["nats", "bits"]), default="nats",
-    show_default=True, help="Unit for reported information quantities.",
-)
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Capacities of one-mode Gaussian measurement channels."""
 
 
 @main.command()
-@click.option("--beta-q", required=True, type=float)
-@click.option("--beta-p", required=True, type=float,
-              help="Momentum noise variance; 'inf' for position-only measurement.")
+@noise_options
 @click.option("--energy", "-e", required=True, type=float, help="Mean energy bound E.")
 @log_base_option
-@handle_errors
-def capacity(beta_q, beta_p, energy, log_base):
+def capacity(beta, energy, log_base):
     """Energy-constrained capacity with the optimizer cross-check."""
-    beta = make_noise(beta_q, beta_p)
     res = capacity_energy(beta, energy)
     payload = {
         "capacity_nats": res.capacity_nats,
@@ -79,31 +97,19 @@ def capacity(beta_q, beta_p, energy, log_base):
         "log_base": log_base,
         "regime": res.regime.value,
         "hypothetical": res.hypothetical,
-        "optimal_alpha": {
-            "alpha_q": res.optimal_alpha.alpha_q,
-            "alpha_p": res.optimal_alpha.alpha_p,
-        },
-        "ensemble": {
-            "delta": res.ensemble.delta,
-            "gamma_q": res.ensemble.gamma_q,
-            "gamma_p": res.ensemble.gamma_p,
-        },
+        "optimal_alpha": res.optimal_alpha._asdict(),
+        "ensemble": res.ensemble._asdict(),
         "optimizer_check_nats": res.optimizer_check_nats,
     }
     click.echo(json.dumps(payload, indent=2))
 
 
 @main.command()
-@click.option("--alpha-q", required=True, type=float)
-@click.option("--alpha-p", required=True, type=float)
-@click.option("--beta-q", required=True, type=float)
-@click.option("--beta-p", required=True, type=float)
+@covariance_options
+@noise_options
 @log_base_option
-@handle_errors
-def regime(alpha_q, alpha_p, beta_q, beta_p, log_base):
+def regime(alpha, beta, log_base):
     """Regime classification and all row values at fixed alpha."""
-    alpha = make_covariance(alpha_q, alpha_p)
-    beta = make_noise(beta_q, beta_p)
     cap = capacity_alpha(alpha, beta)
     payload = {
         "regime": classify_regime(alpha, beta).value,
@@ -118,21 +124,15 @@ def regime(alpha_q, alpha_p, beta_q, beta_p, log_base):
 
 
 @main.command()
-@click.option("--alpha-q", required=True, type=float)
-@click.option("--alpha-p", required=True, type=float)
-@click.option("--beta-q", required=True, type=float)
-@click.option("--beta-p", required=True, type=float)
+@covariance_options
+@noise_options
 @log_base_option
-@handle_errors
-def dual(alpha_q, alpha_p, beta_q, beta_p, log_base):
+def dual(alpha, beta, log_base):
     """Dual-ensemble parameters and sharp-position accessible information."""
-    alpha = make_covariance(alpha_q, alpha_p)
-    beta = make_noise(beta_q, beta_p)
-    kap = kappa_matrix(alpha)
     de = dual_ensemble(alpha, beta)
     info = accessible_info_sharp_position(de, beta)
     payload = {
-        "kappa": {"kappa_q": kap.kappa_q, "kappa_p": kap.kappa_p},
+        "kappa": kappa_matrix(alpha)._asdict(),
         "alpha_prime": {"q": de.alpha_prime_q, "p": de.alpha_prime_p},
         "gamma_prime": {"q": de.gamma_prime_q, "p": de.gamma_prime_p},
         "accessible_info_nats": info,
@@ -153,14 +153,12 @@ def _linspace(start, stop, num):
 
 
 @main.command()
-@click.option("--beta-q", required=True, type=float)
-@click.option("--beta-p", required=True, type=float)
+@noise_options
 @click.option("--energy-min", default=0.5, show_default=True, type=float)
 @click.option("--energy-max", default=5.0, show_default=True, type=float)
 @click.option("--steps", default=50, show_default=True, type=int)
 @log_base_option
-@handle_errors
-def sweep(beta_q, beta_p, energy_min, energy_max, steps, log_base):
+def sweep(beta, energy_min, energy_max, steps, log_base):
     """Capacity versus energy curve as CSV (columns in --help order).
 
     CSV columns: energy, capacity, regime, hypothetical, alpha_q, alpha_p.
@@ -168,7 +166,6 @@ def sweep(beta_q, beta_p, energy_min, energy_max, steps, log_base):
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    beta = make_noise(beta_q, beta_p)
     rows = [(e, capacity_energy(beta, e, cross_check=False))
             for e in _linspace(energy_min, energy_max, steps)]
     writer = csv.writer(sys.stdout)
@@ -181,10 +178,9 @@ def sweep(beta_q, beta_p, energy_min, energy_max, steps, log_base):
 
 
 @main.command()
-@click.option("--beta-q", required=True, type=float)
+@beta_q_option
 @click.option("--energy", "-e", required=True, type=float)
 @log_base_option
-@handle_errors
 def bound(beta_q, energy, log_base):
     """General capacity upper bound (tight for the sharp position measurement)."""
     val = upper_bound(beta_q, energy)
@@ -196,10 +192,8 @@ def bound(beta_q, energy, log_base):
 
 
 @main.command("hgm-search")
-@click.option("--alpha-q", required=True, type=float)
-@click.option("--alpha-p", required=True, type=float)
-@click.option("--beta-q", required=True, type=float)
-@click.option("--beta-p", required=True, type=float)
+@covariance_options
+@noise_options
 @click.option("--members", default=4, show_default=True, type=int)
 @click.option("--starts", default=16, show_default=True, type=int)
 @click.option("--iters", default=200, show_default=True, type=int)
@@ -207,15 +201,11 @@ def bound(beta_q, energy, log_base):
               show_envvar=True, help="RNG seed.")
 @click.option("--truncation", "-n", default=24, show_default=True, type=int)
 @click.option("--grid-nodes", default=48, show_default=True, type=int)
-@handle_errors
-def hgm_search_cmd(alpha_q, alpha_p, beta_q, beta_p, members, starts, iters,
-                   seed, truncation, grid_nodes):
+def hgm_search_cmd(alpha, beta, members, starts, iters, seed, truncation, grid_nodes):
     """Numerical stress search against the Gaussian-maximizer ceiling (JSON report)."""
     from .grids import QuadratureGrid
     from .hgm import SearchConfig, hgm_search
 
-    alpha = make_covariance(alpha_q, alpha_p)
-    beta = make_noise(beta_q, beta_p)
     config = SearchConfig(
         members=members, starts=starts, max_iter=iters,
         seed=seed,
@@ -232,7 +222,6 @@ def hgm_search_cmd(alpha_q, alpha_p, beta_q, beta_p, members, starts, iters,
               help="Input number state |n>.")
 @click.option("--half-width", default=4.0, show_default=True, type=float)
 @click.option("--nodes", default=41, show_default=True, type=int)
-@handle_errors
 def clt_demo(n_list, fock_level, half_width, nodes):
     """Characteristic-function convergence table for the n-copy symmetrization."""
     import numpy as np

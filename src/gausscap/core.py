@@ -135,11 +135,14 @@ def make_noise(beta_q, beta_p):
 
 
 def _energy_value(E):
-    """The mean energy bound E for H = (q^2 + p^2)/2 as a float, at least 1/2 (vacuum)."""
+    """The mean energy bound E for H = (q^2 + p^2)/2 as a float, at least 1/2 (vacuum).
+
+    E a relative BOUNDARY_RTOL below 1/2 is accepted as the vacuum energy 1/2.
+    """
     e = float(E)
     if not math.isfinite(e) or e < 0.5 * (1.0 - BOUNDARY_RTOL):
         raise EnergyBelowVacuum(f"E must be >= 1/2 (vacuum energy), got {e}")
-    return e
+    return max(e, 0.5)
 
 
 class OutputGaussian(_record("OutputGaussian", "var_q var_p")):

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .core import (NegativeDensity, NonPositive, NumericsError, OutOfInterval,
-                   TruncationInsufficient, _is_count)
+                   TruncationInsufficient, ValidationError, _is_count)
 
 DEFAULT_N = 60
 DEFAULT_TRUNCATION_TOL = 1e-8
@@ -296,7 +296,8 @@ def quantum_charfn(rho):
     so no aliased copy reaches a |y| < band.  Every product is float64:
     rho^T psi is taken on rho's real view, its real and imaginary parts
     interleaved if complex, so no complex matrix product runs.  A non-finite
-    x or y raises OutOfInterval; empty x and y give an empty array.
+    or complex x or y raises OutOfInterval, and x and y that are no numbers
+    or do not broadcast a ValidationError; empty x and y give an empty array.
     """
     mat = np.asarray(rho)
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
@@ -304,7 +305,13 @@ def quantum_charfn(rho):
     dim = mat.shape[0]
 
     def phi(x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if np.iscomplexobj(x) or np.iscomplexobj(y):
+            raise OutOfInterval("displacements x and y must be real")
+        try:
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"displacements x and y must be real arrays "
+                                  f"that broadcast: {exc}") from None
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise OutOfInterval("displacements x and y must be finite")
         if x.size == 0:

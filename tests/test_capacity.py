@@ -232,6 +232,15 @@ class TestCapacityEnergy:
         with pytest.raises(EnergyBelowVacuum):
             capacity_energy(make_noise(0.5, 0.5), 0.4)
 
+    @pytest.mark.parametrize("cross_check", [True, False])
+    @pytest.mark.parametrize("e", [0.4999999999995, 0.4999999999998, 0.5])
+    @pytest.mark.parametrize("bq, bp", [(0.5, 0.5), (0.2, INF), (0.0, INF), (3.0, 0.1)])
+    def test_energy_in_the_boundary_slack_is_the_vacuum(self, bq, bp, e, cross_check):
+        # E a relative BOUNDARY_RTOL below 1/2 is accepted; it raised
+        # HeisenbergViolation or returned -2e-13 nats, and the bound -1e-12.
+        assert capacity_energy(make_noise(bq, bp), e, cross_check=cross_check).capacity_nats == 0.0
+        assert upper_bound(bq, e) == 0.0
+
     @pytest.mark.parametrize("e", [0.4, math.nan, math.inf])
     def test_energy_is_validated_as_a_bare_number(self, e):
         for call in (lambda: capacity_energy(make_noise(0.5, 0.5), e), lambda: upper_bound(0.5, e)):

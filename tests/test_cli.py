@@ -46,8 +46,25 @@ class TestBetaPOption:
         args = ["capacity", "--beta-q", "0", "-e", "1.0", "--beta-p"]
         assert run_ok(runner, args + [spelling]).output == run_ok(runner, args + ["inf"]).output
 
-    def test_capacity_help_names_inf(self, runner):
-        assert "'inf' for position-only" in run_ok(runner, ["capacity", "--help"]).output
+    @pytest.mark.parametrize("command", BETA_P_COMMANDS)
+    def test_capacity_help_names_inf(self, runner, command):
+        assert "'inf' for position-only" in run_ok(runner, [command, "--help"]).output
+
+    @pytest.mark.parametrize("command", BETA_P_COMMANDS)
+    def test_invalid_noise_exit_2(self, runner, command):
+        res = runner.invoke(main, [command, *BETA_P_COMMANDS[command], "--beta-p", "0.1"])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "error: HeisenbergViolation" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["regime", "dual", "hgm-search"])
+def test_invalid_covariance_exit_2(runner, command):
+    res = runner.invoke(main, [command, "--alpha-q", "0.1", "--alpha-p", "0.1",
+                               "--beta-q", "1", "--beta-p", "1"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: HeisenbergViolation" in res.stderr
 
 
 class TestCapacityCommand:
@@ -120,10 +137,12 @@ class TestCapacityCommand:
                                    "--beta-p", "0.5", "-e", "0.4"])
         assert res.exit_code == 2
 
-    def test_invalid_noise_exit_2(self, runner):
-        res = runner.invoke(main, ["capacity", "--beta-q", "0.1",
-                                   "--beta-p", "0.1", "-e", "1.0"])
-        assert res.exit_code == 2
+    @pytest.mark.parametrize("beta_p", ["0.5", "inf"])
+    def test_energy_in_the_boundary_slack_exit_0(self, runner, beta_p):
+        # Exited 2 with HeisenbergViolation: E was accepted but not read as 1/2.
+        res = run_ok(runner, ["capacity", "--beta-q", "0.5", "--beta-p", beta_p,
+                              "-e", "0.4999999999995"])
+        assert json.loads(res.output)["capacity_nats"] == 0.0
 
 
 class TestRegimeCommand:

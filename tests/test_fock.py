@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from dense_displacement import destroy, double_loop_displacement, padded_squeeze
 from gausscap import fock
 from gausscap.core import (NonPositive, NumericsError, OutOfInterval, TruncationInsufficient,
-                           make_covariance, make_noise)
+                           ValidationError, make_covariance, make_noise)
 from gausscap.fock import (
     FockOperator,
     displaced_squeezed_vector,
@@ -497,12 +497,19 @@ class TestQuantumCharfn:
             expect = math.exp(-0.5 * (alpha.alpha_p * x ** 2 + alpha.alpha_q * y ** 2))
             assert phi(x, y) == pytest.approx(expect, abs=1e-8)
 
-    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0),
-                                      (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
-                                      ([0.5, math.inf], [0.5, 0.5])])
-    def test_non_finite_displacement_raises(self, x, y):
+    @pytest.mark.parametrize("x, y, error", [
+        (math.inf, 0.0, OutOfInterval), (-math.inf, 0.0, OutOfInterval),
+        (math.nan, 0.0, OutOfInterval), (0.0, math.inf, OutOfInterval),
+        (0.0, -math.inf, OutOfInterval), (0.0, math.nan, OutOfInterval),
+        ([0.5, math.inf], [0.5, 0.5], OutOfInterval),
+        # These raised a bare ValueError or TypeError, or dropped the imaginary part.
+        (np.array([0.5 + 0.5j]), 0.0, OutOfInterval), (0.0, 1j, OutOfInterval),
+        (np.zeros(2), np.zeros(3), ValidationError), ("abc", 0.0, ValidationError),
+        (0.0, ["a"], ValidationError),
+    ])
+    def test_non_finite_displacement_raises(self, x, y, error):
         rho = np.diag([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(OutOfInterval):
+        with pytest.raises(error):
             quantum_charfn(rho)(x, y)
 
     @pytest.mark.parametrize("x, y, shape", [
