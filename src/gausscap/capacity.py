@@ -110,9 +110,10 @@ def capacity_alpha(alpha, beta):
 
 
 def threshold_energy(beta_1, beta_2):
-    """Energy threshold (beta_1 - beta_2 + sqrt(beta_1/beta_2))/2."""
-    if beta_2 <= 0:
-        raise OutOfInterval("threshold_energy requires beta_2 > 0")
+    """Energy threshold (beta_1 - beta_2 + sqrt(beta_1/beta_2))/2; needs finite
+    beta_1 >= 0 and beta_2 > 0, or raises OutOfInterval."""
+    if not (0 <= beta_1 < math.inf and 0 < beta_2 < math.inf):
+        raise OutOfInterval("threshold_energy requires finite beta_1 >= 0 and beta_2 > 0")
     return 0.5 * (beta_1 - beta_2 + math.sqrt(beta_1) / math.sqrt(beta_2))
 
 

@@ -5,7 +5,7 @@ normalized, with m the POVM density.  For Gaussian inputs this must equal
 the displaced Gaussian with covariance alpha' at the contracted outcome
 coordinates; the check reports an upper bound on the worst trace-norm gap
 over sampled outcomes on truncated Fock matrices, with rho^{1/2} =
-S tau^{1/2} S+ from fock.squeezed_thermal and D rho_beta D+, D' rho' D'+
+S tau^{1/2} S+ from fock._gaussian_factor and D rho_beta D+, D' rho' D'+
 exact (_kicked_vectors).  The bound is sqrt(dim) times the gap's
 Hilbert-Schmidt norm, as ||M||_1 <= sqrt(rank M) ||M||_2, so no eigensolver
 runs.
@@ -15,24 +15,22 @@ import math
 
 import numpy as np
 
-from .core import InvalidForSharp, NonPositive, TruncationInsufficient, _is_count
+from .core import InvalidForSharp
 from .duality import dual_ensemble, kappa_matrix
-from .fock import DEFAULT_N, DEFAULT_TRUNCATION_TOL, _displaced_squeezed, _gauss_rule
-from .fock import squeezed_thermal
+from .fock import DEFAULT_N, _displaced_squeezed, _gauss_rule, _gaussian_factor, _noise_split
 
 
 def _kicked_vectors(cq, cp, x, ys, buf):
     """Vectors c_j with sum_j |c_j><c_j| = P D(x,y) rho D(x,y)+ P, per y of ys.
 
-    rho of covariance (cq, cp) is S(r)|0>, e^{2r} = 2 cq, kicked in momentum
-    with variance kick = cp - 1/(4 cq): c_j = sqrt(w_j) D(x, y + v_j) S(r)|0>.
+    rho of covariance (cq, cp) is S(r)|0> kicked in momentum with variance
+    kick (fock._noise_split): c_j = sqrt(w_j) D(x, y + v_j) S(r)|0>.
     <m|c><c|n> is exp(-(1 + tanh r)(y + v)^2/2) times a polynomial of degree
     < 2 dim in v, so the dim-node Gauss-Hermite rule for its product with the
-    kick density is exact; kick <= 0 is one node, v = 0.  The rows, shape
+    kick density is exact; no kick is one node, v = 0.  The rows, shape
     (len(ys), nodes, dim), are a view of buf, shape (dim + 1, len(ys), dim).
     """
-    r = 0.5 * math.log(2.0 * cq)
-    kick = cp - 0.25 / cq
+    r, kick = _noise_split(cq, cp)
     if kick > 0.0:
         t, log_w = _gauss_rule(buf.shape[2])
         b = 1.0 + math.tanh(r)
@@ -53,20 +51,14 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N):
     sqrt(n_max + 1) times the largest gap's Hilbert-Schmidt norm, at most
     sqrt(n_max + 1) times the trace norm.
 
-    Raises TruncationInsufficient when rho's trace misses 1 by more than
-    DEFAULT_TRUNCATION_TOL, as the normalized built states would hide that
-    loss; rho_beta and rho' enter exactly, projected after displacement.
+    Raises TruncationInsufficient when rho's trace misses 1, as
+    fock._gaussian_factor does, since the normalized built states would hide
+    that loss; rho_beta and rho' enter exactly, projected after displacement.
     """
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
-    if not _is_count(n_max, 0):
-        raise NonPositive(f"n_max must be an integer >= 0, got {n_max!r}")
     dual = dual_ensemble(alpha, beta)
-    squeeze, diag = squeezed_thermal(alpha, n_max + 1)
-    root = squeeze * np.sqrt(diag)
-    deficit = 1.0 - np.vdot(root, root)
-    if not deficit <= DEFAULT_TRUNCATION_TOL:
-        raise TruncationInsufficient(f"trace deficit {deficit:.3e} of rho at N={n_max}")
+    squeeze, root = _gaussian_factor(alpha, n_max)
     sqrt_bar = root @ squeeze.T
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.

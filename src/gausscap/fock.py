@@ -5,7 +5,10 @@ matrix is built.  Displaced squeezed vectors D(x,y) S(r)(cos t|0> + sin t|1>)
 are exact projections onto |0>..|N> from the recurrence of the annihilator
 of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
 vectors of every type-1 outcome density (grids.OutputSampler), and the
-displaced Gaussian states of the duality check (dualcheck).  Density
+displaced Gaussian states of the duality check (dualcheck).  Each rule the
+engine applies in more than one place has one owner here: _gaussian_factor builds and checks the
+factor of a Gaussian state, _noise_split splits a covariance into a squeezed
+vacuum and a momentum kick, and _trace checks a state's trace.  Density
 matrices enter the outcome densities as the columns of a diagonal-pivoted
 Cholesky factor (_cholesky_columns), and the characteristic function
 (quantum_charfn) contracts rho with wavefunction products on uniform inner
@@ -24,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .core import (NegativeDensity, NonPositive, NumericsError, OutOfInterval,
+from .core import (BOUNDARY_RTOL, NegativeDensity, NonPositive, NumericsError, OutOfInterval,
                    TruncationInsufficient, ValidationError, _is_count)
 
 DEFAULT_N = 60
@@ -86,19 +89,48 @@ def squeezed_thermal(alpha, dim):
 def gaussian_state_fock(alpha, n_max=DEFAULT_N):
     """Projection onto |0>..|N> of the state with covariance alpha, float64.
 
-    Raises TruncationInsufficient when its trace misses 1 by more than
+    Raises TruncationInsufficient as _gaussian_factor does.
+    """
+    c = _gaussian_factor(alpha, n_max)[1]
+    return FockOperator(c @ c.T)
+
+
+def _gaussian_factor(alpha, n_max):
+    """(S, C): squeezed_thermal(alpha, n_max + 1)'s S and C = S sqrt(d), rho = C C^T.
+
+    Raises NonPositive unless n_max is an integer >= 0, and
+    TruncationInsufficient when Tr C C^T misses 1 by more than
     DEFAULT_TRUNCATION_TOL or is not finite.
     """
     if not _is_count(n_max, 0):
         raise NonPositive(f"n_max must be an integer >= 0, got {n_max!r}")
     s, diag = squeezed_thermal(alpha, n_max + 1)
     c = s * np.sqrt(diag)
-    rho = c @ c.T
-    deficit = 1.0 - np.trace(rho)
+    deficit = 1.0 - np.vdot(c, c)
     if not deficit <= DEFAULT_TRUNCATION_TOL:
         raise TruncationInsufficient(
-            f"trace deficit {deficit:.3e} > {DEFAULT_TRUNCATION_TOL} at N={n_max}")
-    return FockOperator(rho)
+            f"trace deficit {deficit:.3e} of rho > {DEFAULT_TRUNCATION_TOL} at N={n_max}")
+    return s, c
+
+
+def _noise_split(cq, cp):
+    """(r, kick): the state of covariance (cq, cp) is S(r)|0>, e^{2r} = 2 cq,
+    kicked in momentum by Gaussian noise of variance kick = cp - 1/(4 cq)
+    (Holevo, Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12).
+
+    A kick at most BOUNDARY_RTOL cp is 0: cq cp may sit that far below 1/4.
+    """
+    kick = cp - 0.25 / cq
+    return 0.5 * math.log(2.0 * cq), (kick if kick > BOUNDARY_RTOL * cp else 0.0)
+
+
+def _trace(mat):
+    """Tr rho of a density matrix, or |v|^2 of a state vector; raises
+    TruncationInsufficient unless it is positive and finite."""
+    trace = (mat * mat.conj() if mat.ndim == 1 else mat.diagonal()).real.sum()
+    if not 0.0 < trace < math.inf:
+        raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
+    return trace
 
 
 def _cholesky_columns(mat):
@@ -175,9 +207,7 @@ def state_moments(rho):
     b0, b1, b2 = (mat[k:] * np.conj(mat[:dim - k]) if mat.ndim == 1 else np.diagonal(mat, -k)
                   for k in range(3))
     n = np.arange(dim, dtype=float)
-    norm = b0.real.sum()
-    if not 0.0 < norm < math.inf:
-        raise TruncationInsufficient(f"state norm {norm} is not positive and finite")
+    norm = _trace(mat)
     a1 = np.dot(np.sqrt(n[1:]), b1) / norm
     a2 = np.dot(np.sqrt(n[1:-1] * n[2:]), b2).real / norm
     number = np.dot(n, b0.real) / norm
@@ -286,8 +316,9 @@ def _inner_grid(dim, wavenumber):
 def quantum_charfn(rho):
     """Characteristic function phi(x, y) = Tr[rho D(x,y)] as a vectorized callable.
 
-    rho is any Hermitian matrix.  Tr[rho D] = int sum_m psi_m(q) (rho^T
-    psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
+    rho is any Hermitian matrix, or a state vector v taken as v v+; an empty
+    or non-square rho raises a ValidationError.  Tr[rho D] = int sum_m
+    psi_m(q) (rho^T psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
     per distinct x, times a (Q, len(ys)) Fourier kernel over the distinct y
     values.  Each product of two truncated Fock-space functions has
     wavenumbers within band = 2 sqrt(2 dim) + 12, the 12 for the two spectral
@@ -300,6 +331,11 @@ def quantum_charfn(rho):
     or do not broadcast a ValidationError; empty x and y give an empty array.
     """
     mat = np.asarray(rho)
+    if mat.ndim == 1:
+        mat = np.outer(mat, mat.conj())
+    if mat.ndim != 2 or not 0 < len(mat) == mat.shape[1]:
+        raise ValidationError(f"rho must be a vector or a non-empty square matrix, "
+                              f"got shape {mat.shape}")
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
     real = mat.view(float)  # (dim, dim), or (dim, 2 dim) with Re and Im interleaved
     dim = mat.shape[0]

@@ -2,9 +2,8 @@
 
 Densities are relative to Lebesgue measure, whose constant drops from every
 difference of entropies.  A type-1 measurement is the pure one with noise
-state S(r)|0>, e^{2r} = 2 beta_q, followed by classical Gaussian noise of
-variance delta = beta_p - 1/(4 beta_q) on the momentum outcome (Holevo,
-Quantum Systems, Channels, Information, 2nd ed. 2019, ch. 12), smeared by a
+state S(r)|0> followed by classical Gaussian noise of variance delta on the
+momentum outcome (beta split by fock._noise_split), smeared by a
 banded kernel on uniform trapezoidal nodes, or on a Gauss-Hermite rule around
 each outcome when delta is small; types 2 and 3 are exact on a Gauss-Hermite
 rule.  Densities come on tensor grids of outcomes only, (xs, ys) or (xs,):
@@ -28,7 +27,6 @@ import math
 import numpy as np
 
 from .core import (
-    BOUNDARY_RTOL,
     NonPositive,
     NormalizationFailure,
     NumericsError,
@@ -42,6 +40,8 @@ from .fock import (
     _hermite_functions,
     _displaced_squeezed,
     _gauss_rule,
+    _noise_split,
+    _trace,
     displaced_squeezed_vector,
     state_moments,
 )
@@ -111,12 +111,12 @@ class DiscreteEnsemble:
 
 
 def _state_components(states, dim):
-    """(P, B): row k of B[0], plus i B[1] for complex states, is the conjugate of
-    a column c_k of state i iff P[i, k] = 1.
+    """(starts, B): row k of B[0], plus i B[1] for complex states, is the conjugate
+    of a column c_k; state i's columns are the rows from starts[i] to the next
+    state's start.
 
     States are taken as given: a vector is its own column, a density matrix
-    the columns of its pivoted Cholesky factor, sum_k c_k c_k+ = rho.  When
-    every state has one column, P is the identity and is returned as None.
+    the columns of its pivoted Cholesky factor, sum_k c_k c_k+ = rho.
     Columns are zero-padded to dim entries, which is exact in the Fock basis.
     """
     comps = []
@@ -125,19 +125,14 @@ def _state_components(states, dim):
         if mat.shape[0] > dim:
             raise TruncationInsufficient(
                 f"a state of dimension {mat.shape[0]} exceeds the sampler's dimension {dim}")
-        trace = np.vdot(mat, mat).real if mat.ndim == 1 else np.trace(mat).real
-        if not 0.0 < trace < math.inf:
-            raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
+        _trace(mat)
         comps.append(mat[:, None] if mat.ndim == 1 else _cholesky_columns(mat))
-    counts = [v.shape[1] for v in comps]
-    bras = np.zeros((1 + any(map(np.iscomplexobj, comps)), sum(counts), dim))
-    for v, col in zip(comps, np.cumsum([0] + counts)):
-        bras[0, col:col + v.shape[1], :len(v)] = v.T.real
-        if np.iscomplexobj(v):
-            bras[1, col:col + v.shape[1], :len(v)] = v.T.imag
-    np.negative(bras[1:], out=bras[1:])  # in place: no complex copy of the columns
-    probs = None if max(counts) == 1 else np.repeat(np.eye(len(comps)), counts, axis=1)
-    return probs, bras
+    starts = np.cumsum([0] + [v.shape[1] for v in comps])
+    bras = np.zeros((1 + any(map(np.iscomplexobj, comps)), starts[-1], dim))
+    for v, col in zip(comps, starts):  # one state at a time: no complex copy of all columns
+        part = bras[:, col:col + v.shape[1], :len(v)]
+        part[0], part[1:] = v.T.real, -v.T.imag
+    return starts[:-1], bras
 
 
 class OutputSampler:
@@ -147,25 +142,21 @@ class OutputSampler:
     Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = int p1(x,v) N(y - v; delta) dv;
     types 2 and 3 (beta_p = +inf) have outcomes x.  Each x has vectors u_j,
     one per inner node, and a banded kernel S shared by all x: the densities
-    at x are S @ sum_k p_k |<u_j|v_k>|^2 over the states' v_k.
+    at x are S @ sum_k |<u_j|v_k>|^2 over each state's columns v_k.
     """
 
     def __init__(self, beta, dim):
         self.beta = beta
         self.dim = dim
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
-        bq, bp = beta.beta_q, beta.beta_p
         if beta.noise_type != 1:
-            self.rule = _gauss_rule(1 if bq == 0.0 else dim)  # log weights
+            self.rule = _gauss_rule(1 if beta.beta_q == 0.0 else dim)  # (nodes, log weights)
             return
-        self.r = 0.5 * math.log(2.0 * bq)
-        # make_noise accepts bq*bp down to (1 - BOUNDARY_RTOL)/4, where delta < 0.
-        delta = bp - 0.25 / bq
-        self.delta = delta if delta > BOUNDARY_RTOL * bp else 0.0
+        self.r, self.delta = _noise_split(*beta)
         # p1(x, v) has wavenumbers in v up to twice the position extent of the
         # narrower of the Fock support and S(r)|0>.
-        self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(bq))
-        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))  # weights
+        self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(beta.beta_q))
+        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))  # or None
 
     def bind(self, axes):
         """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
@@ -193,12 +184,12 @@ class OutputSampler:
         groups of width nodes, about 2 SUB_BLOCK_MULADDS / dim overlaps (17,189
         at dim 61), two to four sub-blocks, so stream and _information pay
         their per-chunk cost less often."""
-        probs, bras = _state_components(states, self.dim)
+        starts, bras = _state_components(states, self.dim)
         width = nodes.shape[-1]
         step = max(width, 2 * SUB_BLOCK_MULADDS // bras[0].size // width * width)
         for vectors in blocks:
             for k in range(0, len(vectors), step):
-                yield _reduce(probs, bras, vectors[k:k + step], width, bands)
+                yield _reduce(starts, bras, vectors[k:k + step], width, bands)
             del vectors
 
     def _smearing_kernel(self, axes):
@@ -207,7 +198,7 @@ class OutputSampler:
         j+1, ... of each row to the next len(S) outcomes.
 
         Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
-        (t_j, W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
+        (t_j, ln W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
         W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise the
         trapezoidal rule over the ys widened by TAIL deviations, cut to
         |v| <= sqrt(2 dim) + 6 + TAIL / (2 sqrt(beta_q)), the momentum extent
@@ -220,13 +211,13 @@ class OutputSampler:
         S[y, v] = h N(y - v; delta) / 2 pi at the nodes v within TAIL
         deviations of it.
         """
-        t, w = self.rule or (None, None)
+        t, log_w = self.rule or (None, None)
         if self.outcome_dim == 1:
             return t, [(0, np.ones((1, len(t))))]
         ys = np.asarray(axes[1], dtype=float)
         if t is not None:
             return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), [
-                (0, w[None, :] / (2.0 * math.pi ** 1.5))]
+                (0, np.exp(log_w)[None, :] / (2.0 * math.pi ** 1.5))]
         sd = math.sqrt(self.delta)
         reach = math.sqrt(2.0 * self.dim) + 6.0 + 0.5 * TAIL / math.sqrt(self.beta.beta_q)
         lo, hi = max(ys.min() - TAIL * sd, -reach), min(ys.max() + TAIL * sd, reach)
@@ -270,33 +261,34 @@ class OutputSampler:
 
 
 def _hermite_rule(omega):
-    """The fewest Gauss-Hermite nodes, at most HERMITE_NODES_MAX, that integrate
-    cos(k t) e^{-t^2} to 1e-15 for every k <= omega; None if there are none."""
+    """The fewest Gauss-Hermite nodes and log weights, at most HERMITE_NODES_MAX
+    nodes, that integrate cos(k t) e^{-t^2} to 1e-15 for every k <= omega; None
+    if there are none."""
     k = np.linspace(0.0, omega, 33)
     exact = math.sqrt(math.pi) * np.exp(-0.25 * k * k)
     for m in range(1, HERMITE_NODES_MAX + 1):
         t, log_w = _gauss_rule(m)
-        w = np.exp(log_w)
-        if np.abs(np.cos(np.outer(k, t)) @ w - exact).max() <= 1e-15:
-            return t, w
+        if np.abs(np.cos(np.outer(k, t)) @ np.exp(log_w) - exact).max() <= 1e-15:
+            return t, log_w
     return None
 
 
-def _reduce(probs, bras, vectors, width, bands):
-    """(n_states, outcomes): sum_k probs[:, k] |<u_j|v_k>|^2 per node j, smeared.
+def _reduce(starts, bras, vectors, width, bands):
+    """(n_states, outcomes): the sum of |<u_j|v_k>|^2 over each state's columns
+    v_k per node j, smeared.
 
     bras holds the parts of the conjugated v_k as _state_components gives
-    them; probs None means one weight-1 column per state.  Overlaps are
-    float64 products, each below OpenBLAS's threading cut-off: each part of
-    the bras times a sub-block's real view, real and imaginary parts
-    interleaved if complex.  The overlap is the product with the real part
-    plus i times that with the imaginary part, and its squared modulus the
-    sum of its squared parts; probs multiplies those.  The vectors u_j, one
-    chunk, column-major as _vector_blocks gives them and whole groups of
-    width nodes, give consecutive outcomes, and each band smears every group
-    in one matmul.
+    them, state i's from row starts[i] on.  Overlaps are float64 products,
+    each below OpenBLAS's threading cut-off: each part of the bras times a
+    sub-block's real view, real and imaginary parts interleaved if complex.
+    The overlap is the product with the real part plus i times that with
+    the imaginary part, its squared modulus the sum of its squared parts,
+    and np.add.reduceat sums those over each state's rows.  The vectors
+    u_j, one chunk, column-major as _vector_blocks gives them and whole
+    groups of width nodes, give consecutive outcomes, and each band smears
+    every group in one matmul.
     """
-    dens = np.empty((bras.shape[1] if probs is None else len(probs), len(vectors)))
+    dens = np.empty((len(starts), len(vectors)))
     b = 1 + np.iscomplexobj(vectors)  # real columns per vector
     rows = max(1, SUB_BLOCK_MULADDS // bras[0].size // b)  # per sub-block
     for k in range(0, len(vectors), rows):
@@ -309,7 +301,10 @@ def _reduce(probs, bras, vectors, width, bands):
             amps = amps[:1]
         amps *= amps
         sq = sum(part[:, j::b] for part in amps for j in range(b))
-        dens[:, k:k + right.shape[1]] = sq if probs is None else probs @ sq
+        # With one column per state sq is the densities; reduceat would cost
+        # 8 to 15 times that copy here (one inner loop per output element).
+        dens[:, k:k + right.shape[1]] = sq if len(sq) == len(starts) else np.add.reduceat(
+            sq, starts)
         del amps, sq  # before the next sub-block's overlaps
     if width == 1:  # pure type-1 noise or the sharp measurement
         dens *= bands[0][1][0, 0]
@@ -372,12 +367,9 @@ def _information(weights, blocks, cell):
 
 def _average_moments(weights, states):
     """Means and variances of (q, p) for the weighted mixture of the states."""
-    stats = [state_moments(s) for s in states]
-    w = np.asarray(weights, dtype=float)
-    mq = sum(wi * s[0] for wi, s in zip(w, stats))
-    mp = sum(wi * s[1] for wi, s in zip(w, stats))
-    eq2 = sum(wi * (s[2] + s[0] ** 2) for wi, s in zip(w, stats))
-    ep2 = sum(wi * (s[3] + s[1] ** 2) for wi, s in zip(w, stats))
+    # Each state's first and second moments, then one weighted sum per column.
+    raw = [(q, p, vq + q ** 2, vp + p ** 2) for q, p, vq, vp in map(state_moments, states)]
+    mq, mp, eq2, ep2 = (sum(w * m for w, m in zip(weights, col)) for col in zip(*raw))
     return mq, mp, eq2 - mq ** 2, ep2 - mp ** 2
 
 
@@ -419,10 +411,13 @@ def discretize_gaussian_ensemble(spec, nodes=15, n_max=DEFAULT_N):
     Returns a DiscreteEnsemble of pure displaced squeezed states, each the
     exact projection onto |0>..|n_max>.  Members whose weight underflows to
     0 (from 390 nodes on one axis, or 200 per axis on two) are dropped and
-    the rest renormalized.
+    the rest renormalized.  Raises NonPositive unless delta is finite and
+    > 0 and both gamma are finite and >= 0.
     """
     if not (_is_count(nodes, 1) and _is_count(n_max, 0)):
         raise NonPositive(f"need integers nodes >= 1 and n_max >= 0, got {nodes!r} and {n_max!r}")
+    if not (np.isfinite(spec).all() and spec.delta > 0 and min(spec.gamma_q, spec.gamma_p) >= 0):
+        raise NonPositive(f"need finite delta > 0 and gamma >= 0, got {spec}")
     r = 0.5 * math.log(2.0 * spec.delta)
 
     def axis(var):

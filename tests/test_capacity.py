@@ -169,6 +169,16 @@ class TestThresholdEnergy:
     def test_asymmetric(self):
         assert threshold_energy(5, 0.2) == pytest.approx(4.9)
         assert threshold_energy(0.2, 5) == pytest.approx(-2.3)
+        assert threshold_energy(0.0, 2.0) == -1.0
+
+    @pytest.mark.parametrize("beta_1, beta_2", [
+        (0.5, math.nan), (math.nan, 0.5), (INF, 0.5), (0.5, INF), (-0.1, 0.5), (0.5, 0.0),
+        (0.5, -1.0),
+    ])
+    def test_rejects_inadmissible_noise(self, beta_1, beta_2):
+        # These returned NaN or inf, or raised a bare ValueError.
+        with pytest.raises(OutOfInterval):
+            threshold_energy(beta_1, beta_2)
 
 
 class TestUpperBound:

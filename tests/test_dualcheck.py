@@ -10,6 +10,7 @@ from gausscap.core import (InvalidForSharp, NonPositive, TruncationInsufficient,
                            make_covariance, make_noise)
 from gausscap.dualcheck import _kicked_vectors, dual_operator_check
 from gausscap.duality import dual_ensemble
+from gausscap.grids import OutputSampler
 
 
 def dense_state(cq, cp, dim, power):
@@ -77,6 +78,15 @@ class TestKickedVectors:
             rows = _kicked_vectors(*beta, x, ys, buf)
             ref = displaced_blocks(*beta, np.full(len(ys), x), ys, dim)
             assert np.abs(np.swapaxes(rows, 1, 2) @ rows.conj() - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+    def test_a_kick_within_the_boundary_slack_is_none(self, factor):
+        # beta_q beta_p within BOUNDARY_RTOL of 1/4 is pure noise, one node per
+        # y, as the outcome densities read it; a kick of 2.5e-14 took 11 nodes.
+        ys = np.array([-1.0, 0.0, 1.0])
+        rows = _kicked_vectors(1.0, 0.25 * factor, 0.3, ys, np.empty((12, 3, 11), complex))
+        assert rows.shape == (3, 1, 11)
+        assert OutputSampler(make_noise(1.0, 0.25 * factor), 11).delta == 0.0
 
 
 class TestDualOperatorCheck:

@@ -497,6 +497,21 @@ class TestQuantumCharfn:
             expect = math.exp(-0.5 * (alpha.alpha_p * x ** 2 + alpha.alpha_q * y ** 2))
             assert phi(x, y) == pytest.approx(expect, abs=1e-8)
 
+    def test_a_vector_is_its_density_matrix(self):
+        # The vacuum vector read as a matrix gave 1.115+0.345j at (0.3, 0.4).
+        assert quantum_charfn(np.array([1.0, 0.0, 0.0]))(0.3, 0.4) == pytest.approx(
+            math.exp(-(0.3 ** 2 + 0.4 ** 2) / 4.0), abs=1e-12)
+        v = displaced_squeezed_vector(0.8, -0.5, 0.3, 30)
+        x, y = np.array([0.3, -1.2, 0.0]), np.array([0.9, 0.4, -2.0])
+        assert np.array_equal(quantum_charfn(v)(x, y), quantum_charfn(np.outer(v, v.conj()))(x, y))
+
+    @pytest.mark.parametrize("rho", [np.zeros((0, 0)), np.zeros(0), np.zeros((2, 3)),
+                                     np.zeros((2, 2, 2)), 1.0])
+    def test_empty_or_non_square_state_raises(self, rho):
+        # These raised a bare IndexError or ValueError.
+        with pytest.raises(ValidationError):
+            quantum_charfn(rho)
+
     @pytest.mark.parametrize("x, y, error", [
         (math.inf, 0.0, OutOfInterval), (-math.inf, 0.0, OutOfInterval),
         (math.nan, 0.0, OutOfInterval), (0.0, math.inf, OutOfInterval),

@@ -446,6 +446,17 @@ class TestDiscreteEnsemble:
         with pytest.raises(NonPositive):
             discretize_gaussian_ensemble(GaussianEnsembleSpec(0.325, 0.675, 0.0), nodes, n_max)
 
+    @pytest.mark.parametrize("delta, gamma_q, gamma_p", [
+        (0.0, 0.5, 0.5), (-0.1, 0.5, 0.5), (math.nan, 0.5, 0.5), (INF, 0.5, 0.5),
+        (0.5, math.nan, 0.5), (0.5, 0.5, math.nan), (0.5, INF, 0.5), (0.5, 0.5, INF),
+        (0.5, -0.1, 0.5), (0.5, 0.5, -0.1),
+    ])
+    def test_discretize_rejects_an_inadmissible_spec(self, delta, gamma_q, gamma_p):
+        # delta <= 0 raised a bare ValueError; a NaN or infinite entry built
+        # NaN states, which mutual_information reported as a numeric failure.
+        with pytest.raises(NonPositive):
+            discretize_gaussian_ensemble(GaussianEnsembleSpec(delta, gamma_q, gamma_p), 5, 10)
+
 
 class TestMutualInformation:
     @pytest.mark.parametrize("nodes, gamma_p", [(200, 1.0), (400, 0.0)])
@@ -635,15 +646,14 @@ class TestStateFactor:
         # positive semidefinite residual bounds by its trace, plus 1e-14 of
         # roundoff; the dropped trace is at most EIG_TOL of the trace.
         for rho in self.states():
-            probs, bras = _state_components([rho], len(rho))
+            starts, bras = _state_components([rho], len(rho))
             cols = columns(bras)
             trace = np.trace(rho).real
             dropped = trace - np.sum(np.abs(cols) ** 2)
             assert -1e-14 * trace <= dropped <= EIG_TOL * trace
             assert np.abs(cols @ cols.conj().T - rho).max() <= max(dropped, 0.0) + 1e-14 * trace
-            # A single column, as the vacuum's and |3><3|'s, takes the pure path.
-            assert (probs is None if cols.shape[1] == 1
-                    else probs.tolist() == [[1.0] * cols.shape[1]])
+            # One state: its columns start at 0.
+            assert starts.tolist() == [0]
         assert [_state_components([rho], len(rho))[1].shape[1]
                 for rho in self.states()[-2:]] == [5, 1]
 
@@ -651,16 +661,16 @@ class TestStateFactor:
         # A vector is its own column, as given: not divided by its norm.
         rho = random_mixed_state(20, seed=3, rank=2)
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
-        probs, bras = _state_components([vec, rho], 20)
-        assert probs.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+        starts, bras = _state_components([vec, rho], 20)
+        assert starts.tolist() == [0, 1] and bras.shape[1] == 3
         cols = columns(bras)
         assert np.all(cols[12:, 0] == 0.0)
         assert np.all(cols[:12, 0] == vec)
 
-    def test_rank_one_matrices_take_the_pure_path(self):
+    def test_rank_one_matrices_take_one_column(self):
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
-        probs, bras = _state_components([vec, np.outer(vec, vec.conj())], 12)
-        assert probs is None and bras.shape == (2, 2, 12)
+        starts, bras = _state_components([vec, np.outer(vec, vec.conj())], 12)
+        assert starts.tolist() == [0, 1] and bras.shape == (2, 2, 12)
         col = columns(bras)[:, 1]
         assert np.abs(np.outer(col, col.conj()) - np.outer(vec, vec.conj())).max() <= 1e-15
 
@@ -680,9 +690,9 @@ class TestReduceDtypePairs:
         # Column-major, one Fock level per column, as _vector_blocks gives them.
         return np.asfortranarray(self.array((rows, dim), kind, np.random.default_rng(seed)))
 
-    def expected(self, probs, bras, u):
+    def expected(self, starts, bras, u):
         overlaps = np.abs(u.conj() @ columns(bras)) ** 2
-        return (overlaps if probs is None else overlaps @ probs.T).T
+        return np.array([part.sum(axis=1) for part in np.split(overlaps, starts[1:], axis=1)])
 
     @pytest.mark.parametrize("vector_kind", [float, complex])
     @pytest.mark.parametrize("state_kind", [float, complex])
@@ -693,13 +703,13 @@ class TestReduceDtypePairs:
         if mixed:  # a rank-3 density matrix and a vector
             g = self.array((12, 3), state_kind, rng)
             states[0] = g @ g.conj().T
-        probs, bras = _state_components(states, 12)
+        starts, bras = _state_components(states, 12)
         assert len(bras) == (2 if state_kind is complex else 1)
-        assert (probs is None) != mixed
+        assert starts.tolist() == ([0, 3, 4] if mixed else [0, 1, 2])
         u = self.vectors(50, 12, vector_kind, 1)
-        got = np.concatenate([_reduce(probs, bras, u[:20], 1, self.UNIT),
-                              _reduce(probs, bras, u[20:], 1, self.UNIT)], axis=1)
-        expect = self.expected(probs, bras, u)
+        got = np.concatenate([_reduce(starts, bras, u[:20], 1, self.UNIT),
+                              _reduce(starts, bras, u[20:], 1, self.UNIT)], axis=1)
+        expect = self.expected(starts, bras, u)
         assert got.shape == (3, 50)
         assert np.abs(got - expect).max() <= 1e-14 * expect.max()
 
@@ -707,11 +717,11 @@ class TestReduceDtypePairs:
         # 200 complex members at dim 41: a sub-block holds 31 complex
         # vectors, so one row of 100 outcomes spans four products.
         rng = np.random.default_rng(8)
-        probs, bras = _state_components([self.array(41, complex, rng) for _ in range(200)], 41)
+        starts, bras = _state_components([self.array(41, complex, rng) for _ in range(200)], 41)
         u = self.vectors(100, 41, complex, 2)
         assert SUB_BLOCK_MULADDS // (200 * 41 * 2) == 31
-        got = _reduce(probs, bras, u, 1, self.UNIT)
-        expect = self.expected(probs, bras, u)
+        got = _reduce(starts, bras, u, 1, self.UNIT)
+        expect = self.expected(starts, bras, u)
         assert np.abs(got - expect).max() <= 1e-14 * expect.max()
 
 
