@@ -6,9 +6,10 @@ are exact projections onto |0>..|N> from the recurrence of the annihilator
 of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
 vectors of every type-1 outcome density (grids.OutputSampler), and the
 displaced Gaussian states of the duality check (dualcheck).  Each rule the
-engine applies in more than one place has one owner here: _gaussian_factor builds and checks the
-factor of a Gaussian state, _noise_split splits a covariance into a squeezed
-vacuum and a momentum kick, and _trace checks a state's trace.  Density
+engine applies in more than one place has one owner here: _gaussian_factor
+builds and checks the factor of a Gaussian state, _noise_split splits a
+covariance into a squeezed vacuum and a momentum kick, and _trace checks a
+state's trace.  Density
 matrices enter the outcome densities as the columns of a diagonal-pivoted
 Cholesky factor (_cholesky_columns), and the characteristic function
 (quantum_charfn) contracts rho with wavefunction products on uniform inner
@@ -318,9 +319,9 @@ def quantum_charfn(rho):
 
     rho is any Hermitian matrix, or a state vector v taken as v v+; an empty
     or non-square rho raises a ValidationError.  Tr[rho D] = int sum_m
-    psi_m(q) (rho^T psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of wavefunction products
-    per distinct x, times a (Q, len(ys)) Fourier kernel over the distinct y
-    values.  Each product of two truncated Fock-space functions has
+    psi_m(q) (rho^T psi(q-x))_m e^{i(yq - xy/2)} dq: one (Q,) row of
+    wavefunction products per distinct x, times a (Q, len(ys)) Fourier kernel
+    over the distinct y values.  Each product of two truncated Fock-space functions has
     wavenumbers within band = 2 sqrt(2 dim) + 12, the 12 for the two spectral
     tails of 6 each, so phi is below rounding at |y| >= band and is 0 there.
     The inner grid resolves the wavenumbers up to min(max |y|, band) + band,
@@ -334,7 +335,7 @@ def quantum_charfn(rho):
     if mat.ndim == 1:
         mat = np.outer(mat, mat.conj())
     if mat.ndim != 2 or not 0 < len(mat) == mat.shape[1]:
-        raise ValidationError(f"rho must be a vector or a non-empty square matrix, "
+        raise ValidationError("rho must be a vector or a non-empty square matrix, "
                               f"got shape {mat.shape}")
     mat = np.ascontiguousarray(mat, dtype=np.result_type(mat, float))
     real = mat.view(float)  # (dim, dim), or (dim, 2 dim) with Re and Im interleaved

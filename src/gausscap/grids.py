@@ -302,7 +302,7 @@ def _reduce(starts, bras, vectors, width, bands):
         amps *= amps
         sq = sum(part[:, j::b] for part in amps for j in range(b))
         # With one column per state sq is the densities; reduceat would cost
-        # 8 to 15 times that copy here (one inner loop per output element).
+        # 20 to 40 times that copy here (one inner loop per output element).
         dens[:, k:k + right.shape[1]] = sq if len(sq) == len(starts) else np.add.reduceat(
             sq, starts)
         del amps, sq  # before the next sub-block's overlaps

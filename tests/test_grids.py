@@ -667,7 +667,7 @@ class TestStateFactor:
         assert np.all(cols[12:, 0] == 0.0)
         assert np.all(cols[:12, 0] == vec)
 
-    def test_rank_one_matrices_take_one_column(self):
+    def test_rank_one_matrices_take_the_pure_path(self):
         vec = displaced_squeezed_vector(0.4, -0.2, 0.1, 12)
         starts, bras = _state_components([vec, np.outer(vec, vec.conj())], 12)
         assert starts.tolist() == [0, 1] and bras.shape == (2, 2, 12)
