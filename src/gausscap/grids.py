@@ -3,10 +3,12 @@
 Densities are relative to Lebesgue measure, whose constant drops from every
 difference of entropies.  A type-1 measurement is the pure one with noise
 state S(r)|0> followed by classical Gaussian noise of variance delta on the
-momentum outcome (beta split by fock._noise_split), smeared by a
-banded kernel on uniform trapezoidal nodes, or on a Gauss-Hermite rule around
-each outcome when delta is small; types 2 and 3 are exact on a Gauss-Hermite
-rule.  Densities come on tensor grids of outcomes only, (xs, ys) or (xs,):
+momentum outcome (beta split by fock._noise_split); a type-2 measurement is
+the sharp position one followed by Gaussian noise of variance beta_q, and
+type 3 its beta_q = 0 case.  Every type smears by one kernel: a banded one
+on uniform trapezoidal nodes, or a Gauss-Hermite rule around each outcome,
+whichever builds fewer vectors for the window at hand.  Densities come on
+tensor grids of outcomes only, (xs, ys) or (xs,):
 stream yields them a chunk of about 2 SUB_BLOCK_MULADDS / dim overlaps at a
 time, from blocks of about BLOCK_NODES vectors built as it goes.  bind builds
 the blocks once and concatenates the same chunks from the same loop
@@ -47,19 +49,16 @@ from .fock import (
 )
 
 TAIL = 8.6  # exp(-TAIL^2 / 2) < 1e-16: Gaussian tails and spectra are cut there
-SMEARING_NODES_MAX = 10000  # per type-1 outcome row; more raises NumericsError
-# Vectors built per block, at least one x row: 0.2 MB at dim 61 for a 200-node
-# row of pure noise, 0.15-0.26 MB for the 149-264 nodes of a trapezoid-smeared
-# row (the mixed entropies of perfbench's fock_oracle, seeds 1-10).
+SMEARING_NODES_MAX = 10000  # per trapezoid-smeared row; more raises NumericsError
+# Vectors built per block, at least one row of nodes: 0.2 MB at dim 61 for a
+# 200-node row of pure noise, 0.15-0.26 MB for the 149-264 nodes of a
+# trapezoid-smeared row (the mixed entropies of perfbench's fock_oracle, seeds 1-10).
 BLOCK_NODES = 256
 # Real multiply-adds per overlap product, below OpenBLAS's threading cut-off
 # (about 1.0e6 for dgemm): 19 complex vectors times either part of 225
 # complex members at dim 61.
 SUB_BLOCK_MULADDS = 2 ** 19
-# Noise that a Gauss-Hermite rule of at most this many nodes per outcome resolves
-# is smeared so.  The trapezoid's node count grows with the output window, so
-# its crossover with this rule depends on the input and is not retuned here.
-HERMITE_NODES_MAX = 10
+HERMITE_NODES_MAX = 64  # Gauss-Hermite nodes per outcome at most
 MASS_TOL = 1e-6  # largest |1 - grid mass| of the average density; lost trace counts too
 
 
@@ -140,23 +139,30 @@ class OutputSampler:
 
     Type 1 (finite beta) has outcomes (x, y), density
     Tr[rho D(x,y) rho_beta D(x,y)+]/(2 pi) = int p1(x,v) N(y - v; delta) dv;
-    types 2 and 3 (beta_p = +inf) have outcomes x.  Each x has vectors u_j,
-    one per inner node, and a banded kernel S shared by all x: the densities
-    at x are S @ sum_k |<u_j|v_k>|^2 over each state's columns v_k.
+    types 2 and 3 (beta_p = +inf) have outcomes x, density
+    int |psi(q)|^2 N(x - q; delta) dq with delta = beta_q.  Both smear the
+    last axis by one kernel (_smearing_kernel) over vectors u_j, one per
+    inner node: D(x, v) S(r)|0> per x for type 1, psi_n(q) shared by every
+    x for types 2 and 3 (_vector_blocks).  The densities are S @ sum_k
+    |<u_j|v_k>|^2 over each state's columns v_k, S the kernel's bands.
     """
 
     def __init__(self, beta, dim):
         self.beta = beta
         self.dim = dim
         self.outcome_dim = 2 if beta.noise_type == 1 else 1
+        extent = math.sqrt(2.0 * dim) + 6.0  # of the Fock support in q and in p, tails included
         if beta.noise_type != 1:
-            self.rule = _gauss_rule(1 if beta.beta_q == 0.0 else dim)  # (nodes, log weights)
+            # |psi(q)|^2 has wavenumbers up to twice the momentum extent and is 0
+            # past the position extent of the Fock support.
+            self.delta, self.bandwidth, self.reach = beta.beta_q, 2.0 * extent, extent
             return
         self.r, self.delta = _noise_split(*beta)
         # p1(x, v) has wavenumbers in v up to twice the position extent of the
-        # narrower of the Fock support and S(r)|0>.
-        self.bandwidth = 2.0 * min(math.sqrt(2.0 * dim) + 6.0, TAIL * math.sqrt(beta.beta_q))
-        self.rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta))  # or None
+        # narrower of the Fock support and S(r)|0>, and is 0 past the momentum
+        # extent of both.
+        self.bandwidth = 2.0 * min(extent, TAIL * math.sqrt(beta.beta_q))
+        self.reach = extent + 0.5 * TAIL / math.sqrt(beta.beta_q)
 
     def bind(self, axes):
         """Densities on the tensor grid of axes, (xs, ys) or (xs,), as a function of states.
@@ -165,7 +171,7 @@ class OutputSampler:
         stream's chunks, concatenated, over the vector blocks built once here.
         """
         nodes, bands = self._smearing_kernel(axes)
-        blocks = list(self._vector_blocks(axes[0], nodes.ravel(), keep=True))
+        blocks = list(self._vector_blocks(axes[0], nodes, keep=True))
         return lambda states: np.concatenate(list(self._reduced(states, blocks, nodes, bands)),
                                              axis=1)
 
@@ -174,10 +180,11 @@ class OutputSampler:
 
         Yields (n_states, m) blocks of consecutive outcomes, x outer: whole
         smearing groups of about 2 SUB_BLOCK_MULADDS / dim overlaps, or under
-        trapezoidal smearing one x.
+        trapezoidal smearing one row of nodes, one x of type 1 or every x of
+        types 2 and 3.
         """
         nodes, bands = self._smearing_kernel(axes)
-        yield from self._reduced(states, self._vector_blocks(axes[0], nodes.ravel()), nodes, bands)
+        yield from self._reduced(states, self._vector_blocks(axes[0], nodes), nodes, bands)
 
     def _reduced(self, states, blocks, nodes, bands):
         """_reduce of the states per chunk of the vector blocks: whole smearing
@@ -193,80 +200,84 @@ class OutputSampler:
             del vectors
 
     def _smearing_kernel(self, axes):
-        """(nodes, bands): the inner nodes of every x of the axes, in order when
-        raveled, in rows of one smearing width; band (j, S) maps the nodes j,
-        j+1, ... of each row to the next len(S) outcomes.
+        """(nodes, bands): rows of inner nodes, one smearing width each, in
+        order when raveled; band (j, S) maps the nodes j, j+1, ... of each row
+        to the next len(S) outcomes of the last axis, the ys of type 1 and
+        the xs of types 2 and 3.  Each outcome u is the integral of the
+        unsmeared density at v times N(u - v; delta).
 
-        Types 2 and 3: the Gauss-Hermite nodes, summed.  Type 1 with a rule
-        (t_j, ln W_j): nodes[y, j] = y + sqrt(2 delta) t_j, weighted
-        W_j / (sqrt(pi) 2 pi) (one node, y, at delta = 0).  Otherwise the
-        trapezoidal rule over the ys widened by TAIL deviations, cut to
-        |v| <= sqrt(2 dim) + 6 + TAIL / (2 sqrt(beta_q)), the momentum extent
-        of the Fock support and S(r)|0> past which p1(x, v) is 0 (one node
-        if nothing is left), at spacing h = 2 pi / (bandwidth + TAIL / sd):
-        p1(x, v) N(y - v; delta) has wavenumbers in v up to that sum, and
-        the rule's error is its spectrum at 2 pi / h and beyond, aliased
-        (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  Each run of ys in
-        one span of TAIL/2 deviations takes
-        S[y, v] = h N(y - v; delta) / 2 pi at the nodes v within TAIL
-        deviations of it.
+        With a Gauss-Hermite rule (t_j, ln W_j): one row per outcome,
+        nodes[u, j] = u + sqrt(2 delta) t_j, weighted W_j / (sqrt(pi) 2 pi)
+        (one node, u, at delta = 0).  Otherwise one row, the trapezoidal
+        rule over the outcomes widened by TAIL deviations, cut to |v| <=
+        reach, past which the unsmeared density is 0 (one node if nothing
+        is left), at spacing h = 2 pi / (bandwidth + TAIL / sd): the
+        integrand has wavenumbers in v up to that sum, and the rule's error
+        is its spectrum at 2 pi / h and beyond, aliased (Trefethen &
+        Weideman, SIAM Rev. 56 (2014) 385).  Each run of outcomes in one
+        span of TAIL/2 deviations takes S[u, v] = h N(u - v; delta) / 2 pi
+        at the nodes v within TAIL deviations of it.  The rule of the fewest
+        nodes m, at most HERMITE_NODES_MAX, is taken while m times the
+        outcomes stays below the trapezoid's node count, as it then builds
+        fewer vectors, and wherever the trapezoid would pass
+        SMEARING_NODES_MAX.
         """
-        t, log_w = self.rule or (None, None)
-        if self.outcome_dim == 1:
-            return t, [(0, np.ones((1, len(t))))]
-        ys = np.asarray(axes[1], dtype=float)
-        if t is not None:
-            return np.add.outer(ys, math.sqrt(2.0 * self.delta) * t), [
-                (0, np.exp(log_w)[None, :] / (2.0 * math.pi ** 1.5))]
+        us = np.asarray(axes[-1], dtype=float)
         sd = math.sqrt(self.delta)
-        reach = math.sqrt(2.0 * self.dim) + 6.0 + 0.5 * TAIL / math.sqrt(self.beta.beta_q)
-        lo, hi = max(ys.min() - TAIL * sd, -reach), min(ys.max() + TAIL * sd, reach)
-        h = 2.0 * math.pi / (self.bandwidth + TAIL / sd)
-        n = max(math.ceil((hi - lo) / h), 0) + 1  # one node if the window is empty
+        lo, hi = max(us.min() - TAIL * sd, -self.reach), min(us.max() + TAIL * sd, self.reach)
+        h = 2.0 * math.pi / (self.bandwidth + TAIL / sd) if sd else 0.0
+        n = max(math.ceil((hi - lo) / h), 0) + 1 if h else math.inf  # one if the window is empty
+        most = min(HERMITE_NODES_MAX, n if n > SMEARING_NODES_MAX else (n - 1) // len(us))
+        rule = _hermite_rule(self.bandwidth * math.sqrt(2.0 * self.delta), most)
+        if rule is not None:
+            t, log_w = rule
+            return np.add.outer(us, math.sqrt(2.0 * self.delta) * t), [
+                (0, np.exp(log_w)[None, :] / (2.0 * math.pi ** 1.5))]
         if n > SMEARING_NODES_MAX:
-            raise NumericsError(f"classical noise {self.delta:.3e} over a window of {hi - lo:.3g} "
+            raise NumericsError(f"noise {self.delta:.3e} over a window of {hi - lo:.3g} "
                                 f"needs {n} > {SMEARING_NODES_MAX} nodes")
         v, w = lo + h * np.arange(n), h / ((2.0 * math.pi) ** 1.5 * sd)
         bands = []
-        for part in np.split(ys, np.flatnonzero(np.diff((ys - lo) // (0.5 * TAIL * sd))) + 1):
+        for part in np.split(us, np.flatnonzero(np.diff((us - lo) // (0.5 * TAIL * sd))) + 1):
             j, k = np.searchsorted(v, (part.min() - TAIL * sd, part.max() + TAIL * sd))
             bands.append((j, np.exp(np.subtract.outer(part, v[j:k]) ** 2 / (-2.0 * self.delta))
                           * w))
-        return v, bands
+        return v[None, :], bands
 
     def _vector_blocks(self, xs, nodes, keep=False):
-        """Fock coefficient rows u_j of consecutive xs, about BLOCK_NODES per block, x outer.
+        """Fock coefficient rows u_j at the nodes, about BLOCK_NODES per block, in
+        the order of the outcomes: every block a column-major view, one Fock
+        level per column.
 
-        The nodes are shared by every x.  Type 1: D(x,v) S(r)|0>
-        per node v.  Types 2 and 3: with b = 1 + 2 beta_q, the density at
-        x is exp(-x^2/b)/sqrt(pi b) sum_j W_j rho(q_j) e^{q_j^2} at
-        q_j = x/b + t_j sqrt(2 beta_q/b), exact as rho(q) e^{q^2} is a
-        polynomial; u_j holds the Hermite functions at q_j times sqrt(W_j).
-        Every block is a column-major view, one Fock level per column, of
-        its own array; type-1 blocks reuse one unless kept (keep).
+        Type 1: D(x, v) S(r)|0> at every node v, shared by all x, for
+        consecutive xs; the blocks reuse one array unless kept (keep).
+        Types 2 and 3: sqrt(2 pi) psi_n(q) at consecutive rows of nodes q,
+        so that the kernel's 1/(2 pi), type 1's phase-space normalization,
+        leaves the position density |psi(q)|^2.
         """
+        if self.outcome_dim == 1:
+            step = max(1, BLOCK_NODES // nodes.shape[-1])
+            for k in range(0, len(nodes), step):
+                q = nodes[k:k + step].ravel()
+                yield _hermite_functions(q, self.dim, 0.5 * (math.log(2.0 * math.pi) - q * q)).T
+            return
+        nodes = nodes.ravel()
         xs = np.asarray(xs, dtype=float)[:, None]
         step = max(1, BLOCK_NODES // len(nodes))
         for k in range(0, len(xs), step):
             x = xs[k:k + step]
-            if self.outcome_dim == 2:
-                if keep or k == 0:
-                    g = np.empty((self.dim + 1, min(step, len(xs)), len(nodes)), complex)
-                yield _displaced_squeezed(g[:, :len(x)], x, nodes, self.r).reshape(-1, self.dim)
-                continue
-            b = 1.0 + 2.0 * self.beta.beta_q
-            log_start = 0.5 * self.rule[1] - 0.5 * x * x / b - 0.25 * math.log(math.pi * b)
-            q = x / b + nodes * math.sqrt(2.0 * self.beta.beta_q / b)
-            yield _hermite_functions(q.ravel(), self.dim, log_start.ravel()).T
+            if keep or k == 0:
+                g = np.empty((self.dim + 1, min(step, len(xs)), len(nodes)), complex)
+            yield _displaced_squeezed(g[:, :len(x)], x, nodes, self.r).reshape(-1, self.dim)
 
 
-def _hermite_rule(omega):
-    """The fewest Gauss-Hermite nodes and log weights, at most HERMITE_NODES_MAX
-    nodes, that integrate cos(k t) e^{-t^2} to 1e-15 for every k <= omega; None
-    if there are none."""
+def _hermite_rule(omega, most):
+    """The fewest Gauss-Hermite nodes and log weights, at most most nodes, that
+    integrate cos(k t) e^{-t^2} to 1e-15 for every k <= omega; None if there
+    are none."""
     k = np.linspace(0.0, omega, 33)
     exact = math.sqrt(math.pi) * np.exp(-0.25 * k * k)
-    for m in range(1, HERMITE_NODES_MAX + 1):
+    for m in range(1, most + 1):
         t, log_w = _gauss_rule(m)
         if np.abs(np.cos(np.outer(k, t)) @ np.exp(log_w) - exact).max() <= 1e-15:
             return t, log_w

@@ -87,11 +87,13 @@ class _Objective:
     the density of a state psi at -x is that of its mirror image P K psi at
     +x, where P is the parity (-1)^n and K the conjugation in the Fock basis.
     Type 1: D(-x, y) = P K D(x, y) K P, and K P S(r)|0> = S(r)|0>.  Types 2
-    and 3: psi_n(-q) = (-1)^n psi_n(q) on the mirrored Gauss-Hermite nodes,
-    and K changes no density, as the Hermite functions are real.  So only
-    the nodes x >= 0 are bound, and each evaluation scores the members and
-    their mirror images there, the x = 0 row of an odd grid once.  Every
-    node has the grid's one cell weight, the mirrored rows too.
+    and 3: the density at -x is int |psi(-q)|^2 N(x - q; beta_q) dq, and
+    psi_n(-q) = (-1)^n psi_n(q) are real, so K changes no density.  Both
+    are identities of the densities, which the smearing kernel evaluates
+    on whatever nodes the bound window takes.  So only the nodes x >= 0
+    are bound, and each evaluation scores the members and their mirror
+    images there, the x = 0 row of an odd grid once.  Every node has the
+    grid's one cell weight, the mirrored rows too.
     """
 
     def __init__(self, alpha, beta, config):

@@ -19,7 +19,7 @@ from gausscap.fock import (
     state_moments,
     thermal_diagonal,
 )
-from gausscap.grids import OutputSampler, numeric_output_entropy
+from gausscap.grids import numeric_output_entropy
 
 
 def squeeze_block(r, dim):
@@ -178,8 +178,6 @@ class TestGaussRule:
         # nodes; a NaN log weight fails the finite-weight check.
         with pytest.raises(NumericsError):
             fock._gauss_rule(1415)
-        with pytest.raises(NumericsError):
-            OutputSampler(make_noise(0.3, math.inf), 1415)
         t, log_w = fock._hermite_half(5)
         monkeypatch.setattr(fock, "_hermite_half", lambda n: (t, np.where(t > 0.0, log_w, np.nan)))
         with pytest.raises(NumericsError, match="not finite and positive"):

@@ -27,7 +27,9 @@ from gausscap.fock import (
     state_moments,
 )
 from gausscap.grids import (
+    HERMITE_NODES_MAX,
     DiscreteEnsemble,
+    SMEARING_NODES_MAX,
     SUB_BLOCK_MULADDS,
     OutputSampler,
     QuadratureGrid,
@@ -270,15 +272,18 @@ class TestOutputSampler:
         assert np.max(np.abs(halved - spaced)) <= 1e-14 * np.max(spaced)
 
     def test_classical_noise_past_the_cap_raises(self):
-        # delta = 5e-4 takes the trapezoidal rule.  Its window stops at the
-        # momentum reach of dim 2000 and S(r)|0>, +-69.7, and at spacing
-        # 0.012 that needs 11,603 nodes per outcome row (9,862 at dim 1500).
-        beta = make_noise(100.0, 0.003)
-        vacuum = np.eye(1, 2000)[0]
-        sampler = OutputSampler(beta, 2000)
-        with pytest.raises(NumericsError, match="11603 > 10000 nodes"):
+        # delta = 3e-3 at dim 5000 passes both rules' bounds.  The trapezoid's
+        # window stops at the momentum reach of the Fock support and S(r)|0>,
+        # +-106.4, and at spacing 0.019 that needs 11,148 nodes per outcome
+        # row; a Gauss-Hermite rule would have to resolve wavenumbers up to
+        # 13.3, and 64 nodes resolve 12.0.  (delta = 5e-4 at dim 2000 needed
+        # 11,603 trapezoid nodes and takes a 25-node rule.)
+        beta = make_noise(100.0, 0.0055)
+        vacuum = np.eye(1, 5000)[0]
+        sampler = OutputSampler(beta, 5000)
+        with pytest.raises(NumericsError, match="11148 > 10000 nodes"):
             sampler.bind(([0.0], [-1000.0, 1000.0]))
-        with pytest.raises(NumericsError, match="11603 > 10000 nodes"):
+        with pytest.raises(NumericsError, match="11148 > 10000 nodes"):
             next(sampler.stream([vacuum], ([0.0], [-1000.0, 1000.0])))
 
     def test_classical_noise_window_stops_at_the_momentum_reach(self):
@@ -302,6 +307,43 @@ class TestOutputSampler:
         ket = np.array([0.0, 1.0])
         assert povm_density(np.outer(ket, ket), make_noise(0.5, 2.0), 0.3, y) == pytest.approx(
             density, rel=1e-12, abs=1e-15)
+
+
+class TestOneSmearingRule:
+    """Every noise type smears by one kernel: types 2 and 3 take the
+    position density |psi(q)|^2 where type 1 takes p1(x, v), on a
+    Gauss-Hermite rule per outcome or on the trapezoid, whichever builds
+    fewer vectors."""
+
+    BETA_QS = [0.0, *np.logspace(-9.0, 6.0, 16)]
+
+    @pytest.mark.parametrize("aq, ap", [(0.5, 0.5), (1.4, 0.5), (1.0, 2.0)])
+    def test_position_entropies_across_the_crossover(self, aq, ap):
+        # beta_q = 0 is type 3, one node per outcome; up to 1e-4 a Hermite rule
+        # of 3 to 8 nodes per outcome, from 1e-3 on the trapezoid.
+        alpha = make_covariance(aq, ap)
+        rho = gaussian_state_fock(alpha, n_max=60)
+        for bq in self.BETA_QS:
+            beta = make_noise(float(bq), INF)
+            h = numeric_output_entropy(rho, beta)
+            assert h == pytest.approx(analytic_entropy(alpha, beta), abs=1e-9)
+
+    @pytest.mark.parametrize("n_max", [60, 540, 1413])
+    def test_the_kernel_raises_nowhere(self, n_max):
+        # Windows of the largest Fock spaces the Gauss-Hermite rule reaches,
+        # across both sides of the crossover: where the trapezoid would pass
+        # SMEARING_NODES_MAX a Hermite rule of at most HERMITE_NODES_MAX
+        # nodes per outcome resolves the noise.
+        for bq in self.BETA_QS:
+            beta = make_noise(float(bq), INF)
+            sampler = OutputSampler(beta, n_max + 1)
+            for aq in (0.005, 0.5, 50.0, 5000.0):
+                for grid in (QuadratureGrid(8.0, 200), QuadratureGrid(6.0, 48),
+                             QuadratureGrid(12.0, 800)):
+                    axes, _ = _grid_axes(*_output_window((0.0, 0.0, aq, aq), beta), grid)
+                    nodes, _ = sampler._smearing_kernel(axes)
+                    assert nodes.size <= max(SMEARING_NODES_MAX,
+                                             HERMITE_NODES_MAX * grid.nodes_per_axis)
 
 
 class TestQuadratureGrid:

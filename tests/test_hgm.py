@@ -245,7 +245,9 @@ class TestConstraintSurface:
         # _vector_blocks block (C: 240 of the 1152 vectors, whose real view
         # times each part of the 4 members is 4 * 25 * 480 = 48,000 real
         # multiply-adds, within SUB_BLOCK_MULADDS and OpenBLAS's threading
-        # cut-off), and the products tile every block.
+        # cut-off; L: the 103 trapezoid nodes that every x shares, where a
+        # 25-node Hermite rule per x took 600), and the products tile every
+        # block.
         log, sizes = [], []
         vector_blocks = OutputSampler._vector_blocks
 
@@ -263,7 +265,7 @@ class TestConstraintSurface:
         x0 = _initial_points(alpha, beta, CRITERION_08, np.random.default_rng(0))[0]
         densities = obj.densities(obj._states(obj._placed(x0)[1]))
         assert densities.shape == (4, 24 * (48 if beta.noise_type == 1 else 1))
-        assert sum(sizes) == 24 * (48 if beta.noise_type == 1 else 25) and max(sizes) <= 256
+        assert sum(sizes) == (24 * 48 if beta.noise_type == 1 else 103) and max(sizes) <= 256
         for block, size in enumerate(sizes):
             ranges = sorted((first, stop) for b, first, stop in log if b == block)
             assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
