@@ -9,7 +9,7 @@ displaced Gaussian states of the duality check (dualcheck).  Each rule the
 engine applies in more than one place has one owner here: _gaussian_factor
 builds and checks the factor of a Gaussian state, _noise_split splits a
 covariance into a squeezed vacuum and a momentum kick, and _trace checks a
-state's trace.  Density
+state's shape and trace.  Density
 matrices enter the outcome densities as the columns of a diagonal-pivoted
 Cholesky factor (_cholesky_columns), and the characteristic function
 (quantum_charfn) contracts rho with wavefunction products on uniform inner
@@ -127,7 +127,11 @@ def _noise_split(cq, cp):
 
 def _trace(mat):
     """Tr rho of a density matrix, or |v|^2 of a state vector; raises
-    TruncationInsufficient unless it is positive and finite."""
+    ValidationError unless mat is a non-empty vector or square matrix, and
+    TruncationInsufficient unless the trace is positive and finite."""
+    if not (mat.ndim in (1, 2) and mat.size and mat.shape == mat.shape[:1] * mat.ndim):
+        raise ValidationError(f"a state must be a non-empty vector or square matrix, "
+                              f"got shape {mat.shape}")
     trace = (mat * mat.conj() if mat.ndim == 1 else mat.diagonal()).real.sum()
     if not 0.0 < trace < math.inf:
         raise TruncationInsufficient(f"state trace {trace} is not positive and finite")
@@ -201,14 +205,15 @@ def state_moments(rho):
     """Means and variances of (q, p) for a density matrix or state vector.
 
     Read off the ladder sums <a>, <a^2> and <a+a> of the normalized state,
-    which need only the first three bands below the diagonal of rho.
+    which need only the first three bands below the diagonal of rho.  Raises
+    as _trace does.
     """
     mat = np.asarray(rho)
+    norm = _trace(mat)
     dim = mat.shape[0]
     b0, b1, b2 = (mat[k:] * np.conj(mat[:dim - k]) if mat.ndim == 1 else np.diagonal(mat, -k)
                   for k in range(3))
     n = np.arange(dim, dtype=float)
-    norm = _trace(mat)
     a1 = np.dot(np.sqrt(n[1:]), b1) / norm
     a2 = np.dot(np.sqrt(n[1:-1] * n[2:]), b2).real / norm
     number = np.dot(n, b0.real) / norm

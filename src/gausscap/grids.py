@@ -32,6 +32,7 @@ from .core import (
     NonPositive,
     NormalizationFailure,
     NumericsError,
+    OutOfInterval,
     TruncationInsufficient,
     _is_count,
     _record,
@@ -117,14 +118,16 @@ def _state_components(states, dim):
     States are taken as given: a vector is its own column, a density matrix
     the columns of its pivoted Cholesky factor, sum_k c_k c_k+ = rho.
     Columns are zero-padded to dim entries, which is exact in the Fock basis.
+    A state that is no non-empty vector or square matrix raises
+    ValidationError (fock._trace).
     """
     comps = []
     for s in states:
         mat = np.asarray(s)
+        _trace(mat)
         if mat.shape[0] > dim:
             raise TruncationInsufficient(
                 f"a state of dimension {mat.shape[0]} exceeds the sampler's dimension {dim}")
-        _trace(mat)
         comps.append(mat[:, None] if mat.ndim == 1 else _cholesky_columns(mat))
     starts = np.cumsum([0] + [v.shape[1] for v in comps])
     bras = np.zeros((1 + any(map(np.iscomplexobj, comps)), starts[-1], dim))
@@ -317,7 +320,7 @@ def _reduce(starts, bras, vectors, width, bands):
         dens[:, k:k + right.shape[1]] = sq if len(sq) == len(starts) else np.add.reduceat(
             sq, starts)
         del amps, sq  # before the next sub-block's overlaps
-    if width == 1:  # pure type-1 noise or the sharp measurement
+    if width == 1 and [band.shape for _, band in bands] == [(1, 1)]:  # one node per outcome
         dens *= bands[0][1][0, 0]
         return dens
     groups = dens.reshape(-1, width)
@@ -331,9 +334,16 @@ def _reduce(starts, bras, vectors, width, bands):
 
 
 def povm_density(rho, beta, x, y=0.0):
-    """Outcome density of a single state at one point (convenience wrapper)."""
-    sampler = OutputSampler(beta, np.asarray(rho).shape[0])
-    return float(sampler.bind(([x], [y])[:sampler.outcome_dim])([rho])[0, 0])
+    """Outcome density of a single state at one point (convenience wrapper).
+
+    A non-finite x or y raises OutOfInterval.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OutOfInterval(f"outcome x = {x}, y = {y} must be finite")
+    mat = np.asarray(rho)
+    _trace(mat)  # before its shape sizes the sampler
+    sampler = OutputSampler(beta, len(mat))
+    return float(sampler.bind(([x], [y])[:sampler.outcome_dim])([mat])[0, 0])
 
 
 def _grid_axes(means, sigmas, grid):

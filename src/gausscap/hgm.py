@@ -58,6 +58,9 @@ class SearchConfig(_record("SearchConfig", "members allow_fock starts max_iter s
             raise NonPositive(f"need integers starts >= 1, max_iter >= 0: {starts}, {max_iter}")
         if not (seed is None or _is_count(seed, 0)):
             raise NonPositive(f"seed must be None or an integer >= 0, got {seed!r}")
+        if not (isinstance(grid, QuadratureGrid) and isinstance(allow_fock, bool)):
+            raise NonPositive(f"need a QuadratureGrid grid and a bool allow_fock, got "
+                              f"{grid!r} and {allow_fock!r}")
         return super().__new__(cls, members, allow_fock, starts, max_iter, seed, n_max, grid)
 
     @property

@@ -12,6 +12,7 @@ from gausscap.core import (
     NonPositive,
     NormalizationFailure,
     NumericsError,
+    OutOfInterval,
     TruncationInsufficient,
     ValidationError,
     make_covariance,
@@ -98,6 +99,14 @@ class TestPovmDensity:
         alpha = make_covariance(1.4, 0.5)
         h = numeric_output_entropy(gaussian_state_fock(alpha, n_max=60), beta)
         assert h == pytest.approx(0.5 * (LN_2PI_E + math.log(alpha.alpha_q)), abs=1e-11)
+
+    @pytest.mark.parametrize("beta", [make_noise(0.5, 0.5), make_noise(0.2, INF)])
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (INF, 0.0), (0.0, math.nan),
+                                      (0.0, -INF)])
+    def test_non_finite_outcome_raises(self, beta, x, y):
+        # A NaN x gave a NaN density without any error.
+        with pytest.raises(OutOfInterval):
+            povm_density(np.eye(3) / 3.0, beta, x, y)
 
     def test_displacement_covariance(self):
         # displacing the state shifts the outcome density
@@ -307,6 +316,16 @@ class TestOutputSampler:
         ket = np.array([0.0, 1.0])
         assert povm_density(np.outer(ket, ket), make_noise(0.5, 2.0), 0.3, y) == pytest.approx(
             density, rel=1e-12, abs=1e-15)
+
+
+    @pytest.mark.parametrize("ys", [[-200.0], [200.0, 300.0], [-300.0, 200.0, -200.0]])
+    def test_outcomes_past_either_end_of_the_reach(self, ys):
+        # |1> under delta = 1.5: every y is past the momentum reach, so the
+        # window holds one node and every density is 0.  One y below the
+        # reach raised IndexError, and several ys gave one density per x.
+        ket = np.array([0.0, 1.0])
+        got = OutputSampler(make_noise(0.5, 2.0), 2).bind(([0.3, -0.4], ys))([ket])
+        assert got.shape == (1, 2 * len(ys)) and np.all(got == 0.0)
 
 
 class TestOneSmearingRule:
@@ -670,6 +689,27 @@ class TestOversizedStates:
             sampler.bind(axes)([np.outer(wide, wide)])
         with pytest.raises(TruncationInsufficient, match="81.*61"):
             next(sampler.stream([wide], axes))
+
+
+class TestMalformedStates:
+    # A (2, 3) state raised numpy's broadcasting ValueError, and an empty
+    # vector TruncationInsufficient, a numerical failure, for bad input.
+    @pytest.mark.parametrize("state", [np.ones((2, 3)) / 2.0, np.zeros(0), np.zeros((0, 0)),
+                                       np.array(1.0), np.ones((2, 2, 2))], ids=str)
+    @pytest.mark.parametrize("beta", [make_noise(0.5, 0.5), make_noise(0.2, INF)])
+    def test_raise_validation_error(self, state, beta):
+        with pytest.raises(ValidationError, match="non-empty vector or square matrix"):
+            numeric_output_entropy(state, beta, QuadratureGrid(6.0, 24))
+        with pytest.raises(ValidationError, match="non-empty vector or square matrix"):
+            mutual_information(DiscreteEnsemble([0.5, 0.5], (np.eye(3)[0], state)), beta,
+                               QuadratureGrid(6.0, 24))
+        with pytest.raises(ValidationError, match="non-empty vector or square matrix"):
+            state_moments(state)
+        with pytest.raises(ValidationError, match="non-empty vector or square matrix"):
+            povm_density(state, beta, 0.3, 0.1)
+        sampler = OutputSampler(beta, 3)
+        with pytest.raises(ValidationError, match="non-empty vector or square matrix"):
+            sampler.bind((np.zeros(1),) * sampler.outcome_dim)([state])
 
 
 class TestStateFactor:

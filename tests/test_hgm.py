@@ -124,6 +124,15 @@ class TestHgmSearch:
             SearchConfig(seed=seed)
         assert SearchConfig(seed=None).seed is None and SearchConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("field, value", [("grid", (6.0, 48)), ("grid", None),
+                                              ("allow_fock", "no"), ("allow_fock", 1),
+                                              ("allow_fock", None)])
+    def test_config_rejects_a_grid_or_flag_of_another_type(self, field, value):
+        # A tuple grid built and then failed in hgm_search with an
+        # AttributeError; allow_fock "no" was taken as True.
+        with pytest.raises(NonPositive):
+            SearchConfig(**{field: value})
+
     def test_placed_rows_carry_the_clipped_squeezing(self):
         # _placed clips r to [-3, 3] in the rows that build the states.
         obj = _Objective(make_covariance(1, 1), make_noise(0.5, 0.5), FAST)

@@ -42,6 +42,8 @@ if __name__ == "__main__":
         ("criterion 07 mutual information",
          lambda: mutual_information(ensemble, make_noise(0.5, 0.5))),
         ("criterion 06 rank-59 entropy", lambda: numeric_output_entropy(rho, make_noise(2, 2))),
+        ("type-2 entropy at N = 60",
+         lambda: numeric_output_entropy(rho, make_noise(0.3, math.inf))),
         ("dual check at N = 60", lambda: dual_operator_check(*dual_case, n_max=60)),
     ]:
         call()  # fills the Gauss-rule caches
