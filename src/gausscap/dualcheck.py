@@ -4,9 +4,10 @@ The dual member state at outcome (x, y) is rho^{1/2} m(x,y) rho^{1/2}
 normalized, with m the POVM density.  For Gaussian inputs this must equal
 the displaced Gaussian with covariance alpha' at the contracted outcome
 coordinates; the check reports an upper bound on the worst trace-norm gap
-over sampled outcomes on truncated Fock matrices, with rho^{1/2} =
-S tau^{1/2} S+ from fock._gaussian_factor and D rho_beta D+, D' rho' D'+
-exact (_kicked_vectors).  The bound is sqrt(dim) times the gap's
+over sampled outcomes on truncated Fock matrices.  Every state comes from
+fock._kicked_vectors: rho^{1/2}, a multiple of the Gaussian state of
+covariance alpha + kappa, projected, and D rho_beta D+, D' rho' D'+
+projected after displacement.  The bound is sqrt(dim) times the gap's
 Hilbert-Schmidt norm, as ||M||_1 <= sqrt(rank M) ||M||_2, so no eigensolver
 runs.
 """
@@ -17,32 +18,7 @@ import numpy as np
 
 from .core import InvalidForSharp
 from .duality import dual_ensemble, kappa_matrix
-from .fock import DEFAULT_N, _displaced_squeezed, _gauss_rule, _gaussian_factor, _noise_split
-
-
-def _kicked_vectors(cq, cp, x, ys, buf):
-    """Vectors c_j with sum_j |c_j><c_j| = P D(x,y) rho D(x,y)+ P, per y of ys.
-
-    rho of covariance (cq, cp) is S(r)|0> kicked in momentum with variance
-    kick (fock._noise_split): c_j = sqrt(w_j) D(x, y + v_j) S(r)|0>.
-    <m|c><c|n> is exp(-(1 + tanh r)(y + v)^2/2) times a polynomial of degree
-    < 2 dim in v, so the dim-node Gauss-Hermite rule for its product with the
-    kick density is exact; no kick is one node, v = 0.  The rows, shape
-    (len(ys), nodes, dim), are a view of buf, shape (dim + 1, len(ys), dim).
-    """
-    r, kick = _noise_split(cq, cp)
-    if kick > 0.0:
-        t, log_w = _gauss_rule(buf.shape[2])
-        b = 1.0 + math.tanh(r)
-        a = 0.5 / kick + 0.5 * b
-        v = t / math.sqrt(a) - (0.5 * b / a) * ys[:, None]
-        root_w = (np.exp(0.5 * (log_w + t * t - v * v / (2.0 * kick)))
-                  / (2.0 * math.pi * kick * a) ** 0.25)
-    else:
-        v, root_w = np.zeros((len(ys), 1)), np.ones((len(ys), 1))
-    rows = _displaced_squeezed(buf[:, :, :v.shape[1]], x, ys[:, None] + v, r)
-    rows *= root_w[..., None]
-    return rows
+from .fock import DEFAULT_N, _gaussian_matrix, _kicked_vectors, gaussian_state_fock
 
 
 def dual_operator_check(alpha, beta, n_max=DEFAULT_N):
@@ -52,17 +28,22 @@ def dual_operator_check(alpha, beta, n_max=DEFAULT_N):
     sqrt(n_max + 1) times the trace norm.
 
     Raises TruncationInsufficient when rho's trace misses 1, as
-    fock._gaussian_factor does, since the normalized built states would hide
+    gaussian_state_fock does, since the normalized built states would hide
     that loss; rho_beta and rho' enter exactly, projected after displacement.
+    rho^{1/2} = S tau^{1/2} S+, and tau^{1/2} of the thermal state tau of
+    ratio x is a multiple of the thermal state of ratio sqrt(x): the state
+    of symplectic eigenvalue nu + sqrt(nu^2 - 1/4), nu = sqrt(a_q a_p), and
+    the same squeeze, of covariance alpha + kappa.  The normalized dual
+    states drop the multiple.
     """
     if beta.noise_type != 1:
         raise InvalidForSharp("operator duality check needs a finite-noise POVM")
+    gaussian_state_fock(alpha, n_max)  # rho's own trace rule
     dual = dual_ensemble(alpha, beta)
-    squeeze, root = _gaussian_factor(alpha, n_max)
-    sqrt_bar = root @ squeeze.T
+    kappa_q, kappa_p = kappa_matrix(alpha)
+    sqrt_bar = _gaussian_matrix(alpha.alpha_q + kappa_q, alpha.alpha_p + kappa_p, n_max + 1)
 
     # Outcome contraction (x, y) -> (x', y'): kappa (alpha + beta)^{-1}, diagonal.
-    kappa_q, kappa_p = kappa_matrix(alpha)
     cx = kappa_q / (alpha.alpha_q + beta.beta_q)
     cy = kappa_p / (alpha.alpha_p + beta.beta_p)
 

@@ -3,18 +3,18 @@
 States live on the span of |0>..|N> (dimension N+1); no dense displacement
 matrix is built.  Displaced squeezed vectors D(x,y) S(r)(cos t|0> + sin t|1>)
 are exact projections onto |0>..|N> from the recurrence of the annihilator
-of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members and the
-vectors of every type-1 outcome density (grids.OutputSampler), and the
-displaced Gaussian states of the duality check (dualcheck).  Each rule the
-engine applies in more than one place has one owner here: _gaussian_factor
-builds and checks the factor of a Gaussian state, _noise_split splits a
-covariance into a squeezed vacuum and a momentum kick, and _trace checks a
-state's shape and trace.  Density
+of D S |0> (Yuen, PRA 13, 2226 (1976)): the stress-search members, the
+vectors of every type-1 outcome density (grids.OutputSampler), and every
+Gaussian state.  _kicked_vectors builds each of those as squeezed vacua
+kicked in momentum, exact on a Gauss-Hermite rule: gaussian_state_fock
+sums them at the origin, and the duality check (dualcheck) displaces them.
+Each rule the engine applies in more than one place has one owner here:
+_noise_split splits a covariance into a squeezed vacuum and a momentum
+kick, and _trace checks a state's shape and trace.  Density
 matrices enter the outcome densities as the columns of a diagonal-pivoted
 Cholesky factor (_cholesky_columns), and the characteristic function
 (quantum_charfn) contracts rho with wavefunction products on uniform inner
-positions: no eigensolver runs here.  Squeezed thermal states take the
-exact block <m|S(r)|n> from a Gauss-Hermite rule; numpy only.
+positions: no eigensolver runs here; numpy only.
 The Gauss-Hermite rule (_gauss_rule) is Newton's method on the
 Hermite-function recurrence, O(n) memory and O(n^2) time, with no companion
 matrix or eigensolver; it carries log weights, which do not underflow past
@@ -62,56 +62,32 @@ class FockOperator:
         return np.asarray(self._matrix, dtype=dtype)
 
 
-def thermal_diagonal(n_bar, dim):
-    """Geometric photon-number weights of a thermal state; n_bar <= 0 is the vacuum."""
-    n_bar = max(n_bar, 0.0)
-    ratio = n_bar / (n_bar + 1.0)
-    return ratio ** np.arange(dim) / (n_bar + 1.0)
-
-
-def squeezed_thermal(alpha, dim):
-    """(S, d): the state of covariance alpha is S(r) diag(d) S(r)+; m, n < dim.
-
-    S[m, n] = <m|S(r)|n>, r = ln(a_q/a_p)/4, S(r) scaling q by e^r; d
-    thermal, n_bar = sqrt(a_q a_p) - 1/2.  <m|S|n> = e^{-r/2} int
-    psi_m(q) psi_n(q e^{-r}) dq = e^{-r/2}/s int poly(t) e^{-t^2} dt at
-    q = t/s, s^2 = (1 + e^{-2r})/2, poly of degree < 2 dim: exact on the
-    dim-node Gauss-Hermite rule.
-    """
-    n_bar = math.sqrt(alpha.alpha_q * alpha.alpha_p) - 0.5
-    r = 0.25 * math.log(alpha.alpha_q / alpha.alpha_p)
-    s = math.sqrt(0.5 + 0.5 * math.exp(-2.0 * r))
-    t, log_w = _gauss_rule(dim)
-    a, b = (_hermite_functions(x, dim, 0.5 * (log_w + t * t - x * x))
-            for x in (t / s, t * math.exp(-r) / s))
-    return (a @ b.T) * (math.exp(-0.5 * r) / s), thermal_diagonal(n_bar, dim)
-
-
 def gaussian_state_fock(alpha, n_max=DEFAULT_N):
     """Projection onto |0>..|N> of the state with covariance alpha, float64.
 
-    Raises TruncationInsufficient as _gaussian_factor does.
-    """
-    c = _gaussian_factor(alpha, n_max)[1]
-    return FockOperator(c @ c.T)
-
-
-def _gaussian_factor(alpha, n_max):
-    """(S, C): squeezed_thermal(alpha, n_max + 1)'s S and C = S sqrt(d), rho = C C^T.
-
     Raises NonPositive unless n_max is an integer >= 0, and
-    TruncationInsufficient when Tr C C^T misses 1 by more than
+    TruncationInsufficient when its trace misses 1 by more than
     DEFAULT_TRUNCATION_TOL or is not finite.
     """
     if not _is_count(n_max, 0):
         raise NonPositive(f"n_max must be an integer >= 0, got {n_max!r}")
-    s, diag = squeezed_thermal(alpha, n_max + 1)
-    c = s * np.sqrt(diag)
-    deficit = 1.0 - np.vdot(c, c)
+    rho = _gaussian_matrix(alpha.alpha_q, alpha.alpha_p, n_max + 1)
+    deficit = 1.0 - np.trace(rho)
     if not deficit <= DEFAULT_TRUNCATION_TOL:
         raise TruncationInsufficient(
             f"trace deficit {deficit:.3e} of rho > {DEFAULT_TRUNCATION_TOL} at N={n_max}")
-    return s, c
+    return FockOperator(rho)
+
+
+def _gaussian_matrix(cq, cp, dim):
+    """P rho P on |0>..|dim-1>, rho the state of covariance (cq, cp), unchecked:
+    sum_j |c_j><c_j| over _kicked_vectors at the origin.  The imaginary parts
+    cancel between mirrored nodes, so it is one float64 product on the real
+    view of the level-major buffer, its real and imaginary parts interleaved.
+    """
+    rows = _kicked_vectors(cq, cp, 0.0, np.zeros(1), np.empty((dim + 1, 1, dim), complex))
+    real = rows[0].T.view(float)
+    return real @ real.T
 
 
 def _noise_split(cq, cp):
@@ -123,6 +99,31 @@ def _noise_split(cq, cp):
     """
     kick = cp - 0.25 / cq
     return 0.5 * math.log(2.0 * cq), (kick if kick > BOUNDARY_RTOL * cp else 0.0)
+
+
+def _kicked_vectors(cq, cp, x, ys, buf):
+    """Vectors c_j with sum_j |c_j><c_j| = P D(x,y) rho D(x,y)+ P, per y of ys.
+
+    rho of covariance (cq, cp) is S(r)|0> kicked in momentum with variance
+    kick (_noise_split): c_j = sqrt(w_j) D(x, y + v_j) S(r)|0>.
+    <m|c><c|n> is exp(-(1 + tanh r)(y + v)^2/2) times a polynomial of degree
+    < 2 dim in v, so the dim-node Gauss-Hermite rule for its product with the
+    kick density is exact; no kick is one node, v = 0.  The rows, shape
+    (len(ys), nodes, dim), are a view of buf, shape (dim + 1, len(ys), dim).
+    """
+    r, kick = _noise_split(cq, cp)
+    if kick > 0.0:
+        t, log_w = _gauss_rule(buf.shape[2])
+        b = 1.0 + math.tanh(r)
+        a = 0.5 / kick + 0.5 * b
+        v = t / math.sqrt(a) - (0.5 * b / a) * ys[:, None]
+        root_w = (np.exp(0.5 * (log_w + t * t - v * v / (2.0 * kick)))
+                  / (2.0 * math.pi * kick * a) ** 0.25)
+    else:
+        v, root_w = np.zeros((1, 1)), np.ones(1)
+    rows = _displaced_squeezed(buf[:, :, :v.shape[1]], x, ys[:, None] + v, r)
+    rows *= root_w[..., None]
+    return rows
 
 
 def _trace(mat):
@@ -221,13 +222,13 @@ def state_moments(rho):
     return mq, mp, number + 0.5 + a2 - mq ** 2, number + 0.5 - a2 - mp ** 2
 
 
-def _hermite_rows(q, dim, log_start=None):
+def _hermite_rows(q, dim, log_start):
     """Oscillator eigenfunctions psi_0(q), ..., psi_{dim-1}(q) in turn, each a new array.
 
     log_start replaces the Gaussian factor -q^2/2 of psi_0 in the log, which
     scales every row by exp(log_start + q^2/2).
     """
-    prev, row = 0.0, math.pi ** -0.25 * np.exp(-0.5 * q * q if log_start is None else log_start)
+    prev, row = 0.0, math.pi ** -0.25 * np.exp(log_start)
     yield row
     for n in range(1, dim):
         prev, row = row, math.sqrt(2.0 / n) * q * row - math.sqrt((n - 1.0) / n) * prev
@@ -235,11 +236,25 @@ def _hermite_rows(q, dim, log_start=None):
 
 
 def _hermite_functions(q, dim, log_start=None):
-    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q)); see _hermite_rows."""
-    q = np.asarray(q, dtype=float)
+    """Oscillator eigenfunctions psi_n(q), n < dim, shape (dim, len(q)), each
+    scaled as _hermite_rows scales it (log_start, by default -q^2/2).
+
+    psi_0 = pi^(-1/4) e^(-q^2/2) is subnormal past |q| = 37.6 and 0 past 38.6,
+    so a start below e^-700 is lifted to it, its column by up to e^708: no
+    row is subnormal or overflows up to |q| = 53.07.  Past that the start
+    may leave the normal floats, which is harmless only where every psi_n^2
+    < 1e-300: at |q| >= sqrt(2 dim) + 27 (mpmath, dim 1 to 3000: at most
+    1e-350).  A column between the two raises NumericsError.
+    """
+    start = -0.5 * q * q if log_start is None else log_start
+    lift = np.clip(-700.0 - start, 0.0, 708.0)
+    if np.any((lift == 708.0) & (np.abs(q) < math.sqrt(2.0 * dim) + 27.0)):
+        raise NumericsError(f"psi_n(q), n < {dim}, leaves the floats past |q| = 53.07")
     psi = np.empty((dim, q.shape[0]))
-    for n, row in enumerate(_hermite_rows(q, dim, log_start)):
+    for n, row in enumerate(_hermite_rows(q, dim, start + lift)):
         psi[n] = row
+    if lift.any():
+        psi *= np.exp(-lift)
     return psi
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from dense_displacement import destroy, double_loop_displacement, padded_squeeze
+from dense_displacement import PAD, destroy, double_loop_displacement, padded_squeeze
+from traced import traced_peak
 from gausscap import fock
 from gausscap.core import (NonPositive, NumericsError, OutOfInterval, TruncationInsufficient,
                            ValidationError, make_covariance, make_noise)
@@ -15,64 +16,9 @@ from gausscap.fock import (
     displaced_squeezed_vector,
     gaussian_state_fock,
     quantum_charfn,
-    squeezed_thermal,
     state_moments,
-    thermal_diagonal,
 )
-from gausscap.grids import numeric_output_entropy
-
-
-def squeeze_block(r, dim):
-    """<m|S(r)|n>, m, n < dim, from the builder of the pure state with squeeze r."""
-    return squeezed_thermal(make_covariance(0.5 * math.exp(2 * r), 0.5 * math.exp(-2 * r)), dim)[0]
-
-
-class TestSqueeze:
-    def test_position_variance_scaling(self):
-        r = 0.3
-        _, _, vq, vp = state_moments(squeeze_block(r, 80)[:, 0])
-        assert vq == pytest.approx(0.5 * math.exp(2 * r), abs=1e-10)
-        assert vp == pytest.approx(0.5 * math.exp(-2 * r), abs=1e-10)
-
-    @pytest.mark.parametrize("dim", [8, 25, 61])
-    def test_matches_matrix_exponential(self, dim):
-        # The exact projection, against the leading block of a padded
-        # exponential whose padding has converged.
-        for r in (-0.8, -0.3, 0.35, 0.8):
-            err = np.abs(squeeze_block(r, dim) - padded_squeeze(r)[:dim, :dim]).max()
-            assert err <= 1e-13, (r, err)
-
-    def test_unitary(self):
-        # The projection of a unitary: unitary on the low block where the
-        # columns keep their mass inside the truncation.
-        s = squeeze_block(0.4, 60)
-        assert np.allclose((s.T @ s)[:12, :12], np.eye(12), atol=1e-10)
-
-    @pytest.mark.parametrize("r", [-3.0, -1.5, -0.5, 0.5, 1.5, 3.0])
-    def test_ladder_identity(self, r):
-        # S a+ S+ = cosh r a+ - sinh r a and its adjoint give, inside any block,
-        # sqrt(n) S[m, n] = sech r sqrt(m) S[m-1, n-1] - tanh r sqrt(n-1) S[m, n-2].
-        dim = 301
-        s = squeeze_block(r, dim)
-        n = np.arange(dim, dtype=float)
-        rhs = (np.sqrt(n[1:, None]) * s[:-1, 1:-1] / math.cosh(r)
-               - math.tanh(r) * np.sqrt(n[1:-1]) * s[1:, :-2])
-        assert np.abs(s[1:, 2:] - rhs / np.sqrt(n[2:])).max() <= 1e-13
-        assert np.abs(s[:, 0] - displaced_squeezed_vector(0.0, 0.0, r, dim)).max() <= 1e-13
-
-
-class TestThermalDiagonal:
-    def test_vacuum(self):
-        # -2.5e-13 is within the boundary slack that make_covariance accepts.
-        for n_bar in (0.0, -2.5e-13):
-            d = thermal_diagonal(n_bar, 5)
-            assert d[0] == 1.0 and d[1:].sum() == 0.0
-
-    def test_mean_photon_number(self):
-        n_bar = 1.7
-        d = thermal_diagonal(n_bar, 400)
-        assert d.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (d * np.arange(400)).sum() == pytest.approx(n_bar, abs=1e-10)
+from gausscap.grids import numeric_output_entropy, povm_density
 
 
 class TestGaussianStateFock:
@@ -141,6 +87,41 @@ class TestGaussianStateFock:
         _, _, vq, vp = state_moments(rho)
         assert vq == pytest.approx(30.0, rel=1e-6) and vp == pytest.approx(0.3, rel=1e-6)
 
+    @pytest.mark.parametrize("dim", [8, 25, 61])
+    @pytest.mark.parametrize("nu", [0.5, 1.0])
+    def test_matches_padded_squeeze(self, dim, nu):
+        # Pure and mixed, entry by entry: S(r) tau S(r)+ on the padded levels,
+        # then projected, against the exact projection the builder gives
+        # (unchecked, since S(0.8)|0> keeps 1.3% of its trace past 8 levels).
+        n_bar = nu - 0.5
+        tau = (n_bar / (n_bar + 1.0)) ** np.arange(PAD) / (n_bar + 1.0)
+        for r in (-0.8, -0.3, 0.35, 0.8):
+            s = padded_squeeze(r)
+            ref = ((s * tau) @ s.T)[:dim, :dim]
+            rho = fock._gaussian_matrix(nu * math.exp(2 * r), nu * math.exp(-2 * r), dim)
+            assert np.abs(rho - ref).max() <= 1e-13, r
+
+    def test_vacuum_within_the_boundary_slack(self):
+        # n_bar = sqrt(a_q a_p) - 1/2 = -2.5e-13 is within the slack that
+        # make_covariance accepts: a kick below 0, so one vector, the vacuum.
+        cq, cp = 0.5, 0.5 * (1.0 - 1e-12)
+        assert fock._kicked_vectors(cq, cp, 0.0, np.zeros(1), np.empty((6, 1, 5), complex)
+                                    ).shape == (1, 1, 5)
+        rho = gaussian_state_fock(make_covariance(cq, cp), n_max=4).matrix
+        assert np.array_equal(rho, np.diag([1.0, 0, 0, 0, 0]))
+
+    def test_mean_photon_number(self):
+        n_bar = 1.7
+        rho = gaussian_state_fock(make_covariance(n_bar + 0.5, n_bar + 0.5), n_max=400).matrix
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
+        assert np.diagonal(rho) @ np.arange(401) == pytest.approx(n_bar, abs=1e-10)
+
+    def test_traced_peak_at_n540(self):
+        # The level-major (542, 1, 541) vector buffer and the 541 x 541 state,
+        # 7.03 MB: one product on the buffer's real view, no stacked copy.
+        alpha = make_covariance(30.0, 0.3)
+        assert traced_peak(lambda: gaussian_state_fock(alpha, n_max=540)) < 7.5e6
+
 
 def mp_hermite_node(n, t0):
     """(node, log weight) of the n-point Gauss-Hermite rule nearest t0, 50 digits:
@@ -187,6 +168,55 @@ class TestGaussRule:
         x, log_w = fock._gauss_rule(1414)
         assert np.all(np.isfinite(log_w))
         assert np.exp(log_w).sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+
+def mp_hermite_functions(dim, q):
+    """psi_n(q), n < dim, from the normalized recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        rows = [mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-q * q / 2)]
+        for n in range(1, dim):
+            rows.append(mpmath.sqrt(mpmath.mpf(2) / n) * q * rows[-1]
+                        - mpmath.sqrt(mpmath.mpf(n - 1) / n) * rows[-2])
+        return rows[1:]
+
+
+class TestHermiteFunctions:
+    """psi_n(q) for the levels of the largest Gauss rule, n < 1414, across the
+    type-2 reach sqrt(2 * 1414) + 6 = 59.2: within 1e-10 relative wherever
+    psi_n^2 > 1e-300 and below 1e-150 elsewhere, or NumericsError."""
+
+    @pytest.mark.parametrize("q", [-44.0, 0.3, 12.7, 30.0, 37.5, 38.0, 40.0, 44.0, 50.0,
+                                   53.0, 53.2, 56.0, 59.2, 80.0])
+    def test_match_mpmath_or_raise(self, q):
+        # psi_0 = pi^(-1/4) e^(-q^2/2) underflows past |q| = 38.6, where the
+        # high levels are far from 0: psi_1000(44)^2 = 0.0786.
+        ref = mp_hermite_functions(1414, q)
+        try:
+            got = fock._hermite_functions(np.array([q]), 1414)[:, 0]
+        except NumericsError:
+            assert abs(q) > 53.07  # only past the lifted range
+            return
+        for n, (value, exact) in enumerate(zip(got, ref)):
+            if exact * exact > 1e-300:
+                assert abs(value - exact) <= 1e-10 * abs(exact), (n, value, float(exact))
+            else:
+                assert abs(value) <= 1e-150, (n, value)
+
+    def test_low_levels_far_out_are_zero(self):
+        # Past sqrt(2 dim) + 27 every psi_n^2 is below 1e-300, so the
+        # characteristic function of a small state at a far x needs no raise.
+        psi = fock._hermite_functions(np.array([-60.0, 60.0, 100.0]), 10)
+        assert np.all(np.abs(psi) <= 1e-150)
+
+    @pytest.mark.parametrize("x", [38.0, 40.0, 44.0])
+    def test_sharp_position_density_of_a_high_level(self, x):
+        # |psi_1000(x)|^2: 0.0269441755809, 0.0296702 and 0.0786390.
+        level = np.zeros(1001)
+        level[1000] = 1.0
+        exact = float(mp_hermite_functions(1001, x)[1000] ** 2)
+        assert povm_density(level, make_noise(0.0, math.inf), x) == pytest.approx(exact,
+                                                                                   rel=1e-10)
 
 
 def random_state(dim, seed, rank=3):

@@ -37,6 +37,10 @@ if __name__ == "__main__":
     l_case = make_covariance(1, 2), make_noise(0.2, math.inf)
     dual_case = make_covariance(1.1, 1 / 1.1), make_noise(0.2, 5.0)
     for name, call in [
+        ("Gaussian state at N = 60",
+         lambda: gaussian_state_fock(make_covariance(1.5, 0.6), n_max=60)),
+        ("Gaussian state at N = 540",
+         lambda: gaussian_state_fock(make_covariance(30, 0.3), n_max=540)),
         ("criterion 08 C objective set-up", lambda: _Objective(*c_case, SearchConfig())),
         ("criterion 08 L objective set-up", lambda: _Objective(*l_case, SearchConfig())),
         ("criterion 07 mutual information",
